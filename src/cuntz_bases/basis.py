@@ -10,8 +10,8 @@ depth-bounded orthonormal frames grown from a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .dyadic import (
     DyadicStep,
     MultiIndex,
     Scalar,
+    _ratio,
     as_rational,
     as_word,
     enumerate_words,
@@ -72,32 +73,38 @@ def walsh_word(n: int) -> MultiIndex:
 
 
 # ---------------------------------------------------------------------------
-# Exact transform (recursive butterfly, cross-checked against the Gram
-# definition in the test suite)
+# Exact transform: one lifted integer butterfly (cross-checked against the
+# Gram definition in the test suite)
 # ---------------------------------------------------------------------------
 
-def _expand(coeffs: Sequence[Scalar]) -> list[Scalar]:
-    if len(coeffs) == 1:
-        return [coeffs[0]]
-    half = len(coeffs) // 2
-    lo, hi = coeffs[:half], coeffs[half:]
-    even = _expand([(x + y) for x, y in zip(lo, hi)])
-    odd = _expand([(x - y) for x, y in zip(lo, hi)])
-    out = []
-    for e, o in zip(even, odd):
-        out.append(as_rational(Fraction(e, 2)))
-        out.append(as_rational(Fraction(o, 2)))
-    return out
+def walsh_butterfly(values: Sequence[Scalar], stages: int) -> tuple[np.ndarray, int]:
+    """Lift exact values to integers and run ``stages`` unnormalized butterfly stages.
+
+    Returns ``(rows, den)``: ``den`` is the common denominator of the values
+    and ``rows`` has shape ``(2**stages, len(values) >> stages)``.  Stage s
+    splits every row into its halves (lo, hi) and puts lo + hi at row r,
+    lo - hi at row r + 2**s, so row ``code`` holds den * 2**stages times the
+    cell values of S_J* f for the word J with that code (first letter = least
+    significant bit).  After all stages row n is den * 2**level times
+    <walsh(n) | f>; the transform matrix is symmetric, so the same stages also
+    synthesize.  The arithmetic is int64 while every partial sum stays below
+    2**62, numpy ``object`` (exact Python ints) otherwise.
+    """
+    den = math.lcm(*[c.denominator for c in values])
+    ints = values if den == 1 else [c.numerator * (den // c.denominator) for c in values]
+    wide = max(map(abs, ints)) << stages >= 1 << 62
+    rows = np.array(ints, dtype=object if wide else np.int64).reshape(1, -1)
+    for _ in range(stages):
+        half = rows.shape[1] // 2
+        lo, hi = rows[:, :half], rows[:, half:]
+        rows = np.concatenate((lo + hi, lo - hi))
+    return rows, den
 
 
-def _synthesize(coeffs: Sequence[Scalar]) -> list[Scalar]:
-    if len(coeffs) == 1:
-        return [coeffs[0]]
-    even = _synthesize([2 * c for c in coeffs[0::2]])
-    odd = _synthesize([2 * c for c in coeffs[1::2]])
-    lo = [as_rational(Fraction(u + v, 2)) for u, v in zip(even, odd)]
-    hi = [as_rational(Fraction(u - v, 2)) for u, v in zip(even, odd)]
-    return lo + hi
+def _exact_quotients(rows: np.ndarray, den: int) -> list[Scalar]:
+    if den == 1:
+        return rows.ravel().tolist()
+    return [_ratio(u, den) for u in rows.ravel().tolist()]
 
 
 def walsh_expand(f: DyadicStep, level: Optional[int] = None) -> list[Scalar]:
@@ -110,7 +117,8 @@ def walsh_expand(f: DyadicStep, level: Optional[int] = None) -> list[Scalar]:
     f = f.normalize()
     if level is None:
         level = f.level
-    return _expand(f.refine(level).coeffs)
+    rows, den = walsh_butterfly(f.refine(level).coeffs, level)
+    return _exact_quotients(rows, den << level)
 
 
 def walsh_synthesize(coeffs: Sequence) -> DyadicStep:
@@ -118,7 +126,9 @@ def walsh_synthesize(coeffs: Sequence) -> DyadicStep:
     coeffs = [as_rational(c) for c in coeffs]
     if len(coeffs) & (len(coeffs) - 1) or not coeffs:
         raise ValueError("coefficient table length must be a power of two")
-    return DyadicStep((len(coeffs) - 1).bit_length(), _synthesize(coeffs))
+    level = (len(coeffs) - 1).bit_length()
+    rows, den = walsh_butterfly(coeffs, level)
+    return DyadicStep._trusted(level, tuple(_exact_quotients(rows, den)))
 
 
 def ingest_signal(samples: Sequence, level: int) -> DyadicStep:
@@ -134,7 +144,7 @@ def ingest_signal(samples: Sequence, level: int) -> DyadicStep:
         if isinstance(s, float):
             s = repr(s)
         coeffs.append(as_rational(s))
-    return DyadicStep(level, coeffs)
+    return DyadicStep._trusted(level, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +309,24 @@ def frames_orthogonal(frame_a: SubspaceFrame, frame_b: SubspaceFrame,
 def gram_identity_gap(vectors: Sequence[DyadicStep]) -> tuple[float, Optional[str]]:
     """Largest |<v_i, v_j> - delta_ij| over all pairs, exactly.
 
-    All basis vectors here are +-1-valued integer steps, so after refining
-    to the common level the Gram matrix is an integer matrix computed in
-    float64; every product and partial sum is an integer below 2**53, hence
+    The vectors must be integer steps (the basis vectors here are +-1
+    valued), so after refining to the common level the Gram matrix is an
+    integer matrix computed in float64.  Inputs are rejected with ValueError
+    unless every product and partial sum is an integer below 2**53; then
     the matmul is exact and the comparison against the identity is too.
     """
     k = max(v.level for v in vectors)
     if k > 22:
         raise ValueError("level too large for the exact integer Gram path")
+    rows = [np.asarray(v.coeffs) for v in vectors]
+    if any(row.dtype.kind != "i" for row in rows):
+        raise ValueError("gram_identity_gap needs integer-valued steps")
+    peak = max(int(np.abs(row).max()) for row in rows)
+    if peak * peak << k >= 1 << 53:
+        raise ValueError("values too large for the exact float64 Gram path")
     mat = np.empty((len(vectors), 1 << k), dtype=np.float64)
-    for row, v in enumerate(vectors):
-        mat[row] = np.repeat(np.array(v.coeffs, dtype=np.float64), 1 << (k - v.level))
+    for i, (row, v) in enumerate(zip(rows, vectors)):
+        mat[i] = np.repeat(row, 1 << (k - v.level))
     gram = (mat @ mat.T) / (1 << k)
     gap = np.abs(gram - np.eye(len(vectors)))
     worst = float(gap.max())

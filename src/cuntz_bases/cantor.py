@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,9 +116,16 @@ def mu_hat_is_zero(delta: int) -> bool:
     """Exact vanishing test for integer arguments: 4^a times an odd number.
 
     Pure integer arithmetic: strip factors of 4, check the remainder is odd
-    (one product factor is then (1 + exp(i pi odd))/2 = 0 exactly).
+    (one product factor is then (1 + exp(i pi odd))/2 = 0 exactly).  The
+    test says nothing about other arguments (|mu_hat(1.5)| is about 0.58),
+    so a non-integral ``delta`` raises ValueError.
     """
-    delta = abs(int(delta))
+    if type(delta) is not int:
+        if not (isinstance(delta, numbers.Real) and math.isfinite(delta)
+                and delta == int(delta)):
+            raise ValueError(f"mu_hat_is_zero needs an integer, got {delta!r}")
+        delta = int(delta)
+    delta = abs(delta)
     if delta == 0:
         return False
     while delta % 4 == 0:

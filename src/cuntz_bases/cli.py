@@ -28,6 +28,10 @@ from .verification import SUITES, run_suite
 
 THREADS_ENV = "CUNTZ_BASES_THREADS"
 
+# size limits, checked before any input is read or memory allocated
+MAX_ENTROPY_DEPTH = 16  # the mass tree has 2**(depth + 1) - 1 nodes
+MAX_SPECTRUM_DEPTH = 11  # cantor gram holds all 4**p / 2 pairs of spectrum points
+
 
 @dataclass
 class RunConfig:
@@ -336,6 +340,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config.suite = getattr(args, "suite", "all")
     config.index_range = getattr(args, "index_range", None)
     config.cantor_sub = getattr(args, "subcommand", None)
+    if config.command == "entropy" and not 1 <= config.depth <= MAX_ENTROPY_DEPTH:
+        raise InputError(f"--depth must be between 1 and {MAX_ENTROPY_DEPTH}, "
+                         f"got {config.depth}")
+    if config.command == "cantor" and not 0 <= config.spectrum_depth <= MAX_SPECTRUM_DEPTH:
+        raise InputError(f"--p must be between 0 and {MAX_SPECTRUM_DEPTH}, "
+                         f"got {config.spectrum_depth}")
     tol = getattr(args, "tol", None)
     config.tol_overridden = tol is not None
     if tol is not None:

@@ -43,6 +43,19 @@ def as_rational(value) -> Scalar:
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 
+def _canon(value: Scalar) -> Scalar:
+    """Canonical form of an exact scalar: an int whenever it is integral."""
+    if type(value) is int or value.denominator != 1:
+        return value
+    return value.numerator
+
+
+def _ratio(num: int, den: int) -> Scalar:
+    """The exact quotient num/den of two ints, in canonical form."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 def rational_str(value: Scalar) -> str:
     """Serialize an exact scalar as ``"num/den"``."""
     frac = Fraction(value)
@@ -74,6 +87,20 @@ class StepFunction:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_intvec", None)
 
+    @classmethod
+    def _trusted(cls, level: int, coeffs: tuple):
+        """Build from a tuple of 2**level canonical exact scalars, unchecked.
+
+        For results of the library's own exact operations, whose values are
+        already ints or non-integral Fractions; public input goes through
+        ``__init__``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_intvec", None)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -86,7 +113,7 @@ class StepFunction:
         reps = 1 << (target_level - self.level)
         if reps == 1:
             return self
-        return type(self)(target_level, [c for c in self.coeffs for _ in range(reps)])
+        return self._trusted(target_level, tuple([c for c in self.coeffs for _ in range(reps)]))
 
     def normalize(self) -> "StepFunction":
         """Minimal-level representation of the same function."""
@@ -96,7 +123,7 @@ class StepFunction:
             coeffs = coeffs[0::2]
         if level == self.level:
             return self
-        return type(self)(level, coeffs)
+        return self._trusted(level, coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -109,7 +136,7 @@ class StepFunction:
         k = max(self.level, other.level)
         a = self.refine(k).coeffs
         b = other.refine(k).coeffs
-        return type(self)(k, [op(x, y) for x, y in zip(a, b)])
+        return self._trusted(k, tuple([_canon(op(x, y)) for x, y in zip(a, b)]))
 
     def __add__(self, other):
         return self._binary_op(other, lambda x, y: x + y)
@@ -118,11 +145,11 @@ class StepFunction:
         return self._binary_op(other, lambda x, y: x - y)
 
     def __neg__(self):
-        return type(self)(self.level, [-c for c in self.coeffs])
+        return self._trusted(self.level, tuple([-c for c in self.coeffs]))
 
     def scale(self, factor) -> "StepFunction":
         factor = as_rational(factor)
-        return type(self)(self.level, [factor * c for c in self.coeffs])
+        return self._trusted(self.level, tuple([_canon(factor * c) for c in self.coeffs]))
 
     # -- inner product ---------------------------------------------------
 
@@ -147,11 +174,11 @@ class StepFunction:
         if va is not False and vb is not False and k <= 22:
             va = np.repeat(va, 1 << (k - self.level))
             vb = np.repeat(vb, 1 << (k - other.level))
-            return as_rational(Fraction(int(np.dot(va, vb)), 1 << k))
+            return _ratio(int(np.dot(va, vb)), 1 << k)
         a = self.refine(k).coeffs
         b = other.refine(k).coeffs
         total = sum(x * y for x, y in zip(a, b))
-        return as_rational(Fraction(total) / (1 << k))
+        return _canon(Fraction(total) / (1 << k))
 
     def norm_sq(self) -> Scalar:
         return self.inner(self)
@@ -202,7 +229,7 @@ class DyadicStep(StepFunction):
         return self.coeffs[cell]
 
     def cell_left(self, cell: int) -> Scalar:
-        return as_rational(Fraction(cell, 1 << self.level))
+        return _ratio(cell, 1 << self.level)
 
     def to_json(self) -> dict:
         return {"level": self.level, "coeffs": [rational_str(c) for c in self.coeffs]}

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dyadic import MultiIndex
-from .operators import INTERVAL_REP
+from .basis import walsh_butterfly
+from .dyadic import MultiIndex, StepFunction
+from .operators import INTERVAL_REP, IntervalRep2
 from .reporting import VerificationReport
 
 # below this, a mass is an exact zero for the 0*ln(0) = 0 convention
@@ -40,9 +41,13 @@ def _nlogn(mass) -> float:
 def _mass_tree(f, depth: int, rep) -> dict[tuple[int, ...], object]:
     """Normalized masses ||S_J* f||^2 / ||f||^2 for all |J| <= depth.
 
-    Masses stay exact rationals on exact carriers (the adjoints and norms
-    are exact there) and are floats on trig hybrids.
+    Keys are inserted level by level, each level in the parent's order with
+    digit 0 before 1; float sums over the masses follow that order.  Masses
+    stay exact rationals on exact carriers (the adjoints and norms are exact
+    there) and are floats on trig hybrids.
     """
+    if type(rep) is IntervalRep2 and isinstance(f, StepFunction):
+        return _packet_mass_tree(f, depth)
     total = rep.norm_sq(f)
     if total <= 0.0:
         raise ValueError("cannot analyze the zero function")
@@ -66,6 +71,42 @@ def _mass_tree(f, depth: int, rep) -> dict[tuple[int, ...], object]:
                 masses[key] = mass_of(child)
                 next_frontier[key] = child
         frontier = next_frontier
+    return masses
+
+
+def _packet_mass_tree(f: StepFunction, depth: int) -> dict[tuple[int, ...], Fraction]:
+    """The mass tree of a step as sums of squared Walsh-packet coefficients.
+
+    Row J of the lifted butterfly after |J| stages is den * 2**|J| * S_J* f,
+    so mass(J) = (sum of its squares) / (total << |J|), where total is the
+    root's sum of squares.  The squares are summed at the deepest stage only:
+    a parent's sum is half the sum of its two children's.  Past the step's
+    level the adjoints act on constants: child 0 keeps the parent's mass and
+    child 1 gets none.
+    """
+    stages = min(depth, f.level)
+    rows, _den = walsh_butterfly(f.coeffs, stages)
+    sums = [(rows.astype(object) ** 2).sum(axis=1)]
+    while len(sums[-1]) > 1:
+        deeper = sums[-1]
+        half = len(deeper) // 2
+        sums.append((deeper[:half] + deeper[half:]) >> 1)
+    sums.reverse()
+    total = sums[0][0]
+    if total == 0:
+        raise ValueError("cannot analyze the zero function")
+    zero = Fraction(0)
+    masses = {(): Fraction(1)}
+    frontier = [((), 0)]  # (word, code); the code indexes the butterfly rows
+    for k in range(1, depth + 1):
+        frontier = [(word + (d,), code | d << (k - 1)) for word, code in frontier for d in (0, 1)]
+        if k <= stages:
+            level_sums = sums[k]
+            for word, code in frontier:
+                masses[word] = Fraction(level_sums[code], total << k)
+        else:
+            for word, _code in frontier:
+                masses[word] = masses[word[:-1]] if word[-1] == 0 else zero
     return masses
 
 

@@ -19,11 +19,9 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .dyadic import StepFunction, as_word
+from .dyadic import StepFunction, _canon, as_word
 from .reporting import VerificationReport
 from .trig import HybridFunction, average_halves, compose_doubling, hybrid_inner
-
-_HALF = Fraction(1, 2)
 
 Vector = Union[StepFunction, HybridFunction]
 
@@ -33,8 +31,10 @@ def s_apply(j: int, f: StepFunction) -> StepFunction:
     if j not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
     a = f.coeffs
-    second = a if j == 0 else tuple(-c for c in a)
-    return type(f)(f.level + 1, a + second)
+    # a list, not a generator: the tuple is then allocated at its final size
+    # in one piece, which keeps long s_apply chains from fragmenting the heap
+    second = a if j == 0 else tuple([-c for c in a])
+    return f._trusted(f.level + 1, a + second)
 
 
 def s_adjoint(j: int, f: StepFunction) -> StepFunction:
@@ -43,12 +43,18 @@ def s_adjoint(j: int, f: StepFunction) -> StepFunction:
         raise ValueError("branch index must be 0 or 1")
     if f.level == 0:
         c = f.coeffs[0]
-        return type(f)(0, (c if j == 0 else 0,))
+        return f._trusted(0, (c if j == 0 else 0,))
     half = len(f.coeffs) // 2
-    sign = 1 if j == 0 else -1
-    return type(f)(f.level - 1,
-                   tuple(_HALF * (x + sign * y)
-                         for x, y in zip(f.coeffs[:half], f.coeffs[half:])))
+    lo, hi = f.coeffs[:half], f.coeffs[half:]
+    sums = [x + y for x, y in zip(lo, hi)] if j == 0 else [x - y for x, y in zip(lo, hi)]
+    return f._trusted(f.level - 1, tuple([_half(s) for s in sums]))
+
+
+def _half(value):
+    """value / 2 in canonical form (an int whenever it is integral)."""
+    if type(value) is int:
+        return Fraction(value, 2) if value & 1 else value >> 1
+    return _canon(value / 2)
 
 
 def s_apply_hybrid(j: int, f: HybridFunction) -> HybridFunction:

@@ -217,16 +217,16 @@ def _embed_half(step: DyadicStep, branch: int) -> DyadicStep:
     """The window seen through branch ``branch`` of the doubling map."""
     zeros = (0,) * len(step.coeffs)
     if branch == 0:
-        return DyadicStep(step.level + 1, step.coeffs + zeros)
-    return DyadicStep(step.level + 1, zeros + step.coeffs)
+        return DyadicStep._trusted(step.level + 1, step.coeffs + zeros)
+    return DyadicStep._trusted(step.level + 1, zeros + step.coeffs)
 
 
 def _window_halves(step: DyadicStep) -> tuple[DyadicStep, DyadicStep]:
     if step.level == 0:
         return step, step
     half = len(step.coeffs) // 2
-    lo = DyadicStep(step.level - 1, step.coeffs[:half])
-    hi = DyadicStep(step.level - 1, step.coeffs[half:])
+    lo = DyadicStep._trusted(step.level - 1, step.coeffs[:half])
+    hi = DyadicStep._trusted(step.level - 1, step.coeffs[half:])
     return lo, hi
 
 
@@ -236,7 +236,8 @@ def compose_doubling(f: HybridFunction, second_sign: int) -> HybridFunction:
     for a in f.atoms:
         if a.mode == MODE_CONST:
             w = a.window
-            atoms.append(make_atom(DyadicStep(w.level + 1, w.coeffs + tuple(second_sign * c for c in w.coeffs)), MODE_CONST))
+            second = tuple([second_sign * c for c in w.coeffs])
+            atoms.append(make_atom(DyadicStep._trusted(w.level + 1, w.coeffs + second), MODE_CONST))
             continue
         atoms.append(make_atom(_embed_half(a.window, 0), a.mode, 2 * a.freq, a.phase))
         atoms.append(make_atom(

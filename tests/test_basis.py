@@ -11,6 +11,7 @@ from cuntz_bases.basis import (
     build_frame,
     compute_K,
     frames_orthogonal,
+    gram_identity_gap,
     greedy_generators,
     ingest_signal,
     verify_decomposition,
@@ -232,3 +233,13 @@ class TestDecomposition:
     def test_shallow_cover_rejected(self):
         with pytest.raises(ValueError):
             verify_decomposition(greedy_generators(2), 6)
+
+    def test_gram_gap_rejects_non_integer_vectors(self):
+        # the float64 Gram is exact only on integer steps; 1/3-valued input
+        # once came back as the float 0.888...
+        third = DyadicStep(1, [Fraction(1, 3), Fraction(-1, 3)])
+        with pytest.raises(ValueError):
+            gram_identity_gap([walsh(0), third])
+        with pytest.raises(ValueError):
+            gram_identity_gap([DyadicStep(0, [1 << 30])])
+        assert gram_identity_gap([walsh(0), walsh(3)]) == (0.0, None)

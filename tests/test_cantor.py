@@ -91,6 +91,14 @@ class TestMuHat:
         assert mu_hat_is_zero(-12)
         assert not mu_hat_is_zero(8)
 
+    def test_predicate_rejects_non_integers(self):
+        # int() truncation once answered True here while |mu_hat(1.5)| ~ 0.58
+        assert abs(mu_hat(1.5)) > 0.5
+        for bad in (1.5, Fraction(1, 3), float("nan"), float("inf"), "3"):
+            with pytest.raises(ValueError):
+                mu_hat_is_zero(bad)
+        assert mu_hat_is_zero(3.0) and mu_hat_is_zero(Fraction(12, 1))
+
     def test_predicate_matches_numeric(self):
         for delta in range(-1000, 1001):
             numeric = abs(mu_hat(delta)) < 1e-8

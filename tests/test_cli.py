@@ -120,6 +120,13 @@ class TestEntropyCommand:
         assert main(["entropy", "--input", str(src)]) == 2
 
 
+    def test_depth_bounded_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.csv")
+        for depth in ("0", "17", "40"):
+            assert main(["entropy", "--input", missing, "--depth", depth]) == 2
+            assert "--depth must be between 1 and 16" in capsys.readouterr().err
+
+
 class TestCantorCommand:
     def test_spectrum_values(self, tmp_path, capsys):
         assert main(["cantor", "spectrum", "--p", "3"]) == 0
@@ -149,6 +156,13 @@ class TestCantorCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["passed"] is True
         assert data["maxViolation"] == 0.0
+
+
+    def test_p_bounded(self, capsys):
+        for sub in ("spectrum", "gram", "partition"):
+            for p in ("-1", "12"):
+                assert main(["cantor", sub, "--p", p]) == 2
+                assert "--p must be between 0 and 11" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

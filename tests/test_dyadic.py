@@ -40,6 +40,32 @@ class TestScalars:
             assert parse_rational(rational_str(value)) == value
 
 
+class TestConstruction:
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            DyadicStep(2, [0.5] * 4)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            DyadicStep(2, [1, 2, 3])
+
+    def test_internal_results_are_canonical(self):
+        # every internal constructor keeps integral values as ints, which is
+        # what keeps the int64 path of inner reachable
+        f = DyadicStep(2, [Fraction(1, 2), Fraction(3, 2), 2, Fraction(-1, 2)])
+        g = DyadicStep(1, [Fraction(1, 2), Fraction(-1, 2)])
+        results = [f + g, f - g, -f, f.scale(2), f.scale("1/3"), f.refine(4),
+                   DyadicStep(2, [4, 4, 4, 4]).normalize()]
+        for h in results:
+            for c in h.coeffs:
+                if c == int(c):
+                    assert type(c) is int, (h, c)
+        assert (f + g).coeffs == (1, 2, Fraction(3, 2), -1)
+        doubled = f.scale(2)
+        assert doubled._int_vector() is not False
+        assert type(inner(doubled, DyadicStep(0, [4]))) is int
+
+
 class TestInner:
     def test_constant_one(self):
         one = DyadicStep.ones()

@@ -71,6 +71,29 @@ class TestStepOperators:
             assert not s_adjoint(0, sym).is_zero()
 
 
+class TestCanonicalResults:
+    def test_adjoint_halves_to_ints(self):
+        # (3 + 1) / 2 and (3 - 1) / 2 are integral: they must come back as ints
+        f = DyadicStep(1, [3, 1])
+        for j in (0, 1):
+            (c,) = s_adjoint(j, f).coeffs
+            assert type(c) is int
+        g = DyadicStep(1, [Fraction(1, 2), Fraction(3, 2)])
+        assert s_adjoint(0, g).coeffs == (1,) and type(s_adjoint(0, g).coeffs[0]) is int
+        assert s_adjoint(1, DyadicStep(1, [1, 0])).coeffs == (Fraction(1, 2),)
+
+    def test_operator_chains_stay_canonical(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            f = random_step(rng, 3)
+            for word in ((0, 1, 1), (1, 0), (1, 1, 1, 1)):
+                g = adjoint_word(MultiIndex(word), apply_word(MultiIndex(word), f))
+                h = adjoint_word(MultiIndex(word), f)
+                for c in g.coeffs + h.coeffs + s_apply(1, f).coeffs:
+                    if c == int(c):
+                        assert type(c) is int
+
+
 class TestWords:
     def test_word_composition(self):
         phi0 = DyadicStep.ones()
