@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +32,8 @@ THREADS_ENV = "CUNTZ_BASES_THREADS"
 # size limits, checked before any input is read or memory allocated
 MAX_ENTROPY_DEPTH = 16  # the mass tree has 2**(depth + 1) - 1 nodes
 MAX_SPECTRUM_DEPTH = 11  # cantor gram holds all 4**p / 2 pairs of spectrum points
+MAX_WALSH_INDEX = (1 << 16) - 1  # the step of index n has 2**bit_length(n) cells
+MAX_WALSH_FILES = 256  # walsh writes one file per index of the range
 
 
 @dataclass
@@ -49,6 +52,7 @@ class RunConfig:
     cantor_sub: Optional[str] = None
     threads: int = 1
     tol_overridden: bool = False
+    timings: bool = False
 
 
 class InputError(Exception):
@@ -124,15 +128,20 @@ def _write_json(config: RunConfig, payload) -> None:
 def cmd_walsh(config: RunConfig) -> int:
     """One plot-ready file per basis index: (x_left, value) at minimal level."""
     indices = _parse_range(config.index_range or "")
-    if len(indices) == 0:
+    if not indices:
         return 0
+    if indices[0] < 0:
+        raise InputError("basis indices must be nonnegative")
+    if indices[-1] > MAX_WALSH_INDEX:
+        raise InputError(f"basis indices must be at most {MAX_WALSH_INDEX}, got {indices[-1]}")
+    if len(indices) > MAX_WALSH_FILES:
+        raise InputError(f"--range names {len(indices)} indices; "
+                         f"at most {MAX_WALSH_FILES} files per call")
     if config.output_path is None:
         raise InputError("walsh needs --output DIR (one file per index)")
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     for n in indices:
-        if n < 0:
-            raise InputError("basis indices must be nonnegative")
         step = walsh(n)
         cells = [(step.cell_left(i), c) for i, c in enumerate(step.coeffs)]
         if config.out_format == "json":
@@ -259,13 +268,20 @@ def _emit_report(config: RunConfig, report) -> None:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    start = time.perf_counter()
     reports = run_suite(config.suite, threads=config.threads,
                         tol_override=config.tol if config.tol_overridden else None)
+    total_s = time.perf_counter() - start
     if config.out_format == "json":
-        _write_json(config, [r.to_json() for r in reports])
+        payload = [r.to_json(timings=config.timings) for r in reports]
+        if config.timings:
+            payload = {"reports": payload, "elapsedSeconds": total_s}
+        _write_json(config, payload)
     else:
         for report in reports:
-            print(report)
+            print(f"{report} {report.elapsed_s:.3f}s" if config.timings else report)
+        if config.timings:
+            print(f"total {total_s:.3f}s for {len(reports)} checks")
     failed = [r for r in reports if not r.passed]
     if failed and config.out_format != "json":
         print(f"{len(failed)} of {len(reports)} checks failed", file=sys.stderr)
@@ -323,6 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the property-check suites")
     p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
+    p_verify.add_argument("--timings", action="store_true",
+                          help="add each check's wall time and the suite total")
     common(p_verify)
 
     return parser
@@ -340,6 +358,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config.suite = getattr(args, "suite", "all")
     config.index_range = getattr(args, "index_range", None)
     config.cantor_sub = getattr(args, "subcommand", None)
+    config.timings = getattr(args, "timings", False)
     if config.command == "entropy" and not 1 <= config.depth <= MAX_ENTROPY_DEPTH:
         raise InputError(f"--depth must be between 1 and {MAX_ENTROPY_DEPTH}, "
                          f"got {config.depth}")

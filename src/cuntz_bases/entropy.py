@@ -29,10 +29,17 @@ from .reporting import VerificationReport
 
 # below this, a mass is an exact zero for the 0*ln(0) = 0 convention
 ZERO_MASS = 1e-15
+# the same threshold as an exact rational: comparing a Fraction with the float
+# would convert the float again on every call
+_ZERO_MASS_EXACT = Fraction(ZERO_MASS)
+
+
+def _is_zero_mass(mass) -> bool:
+    return mass <= (_ZERO_MASS_EXACT if type(mass) is Fraction else ZERO_MASS)
 
 
 def _nlogn(mass) -> float:
-    if mass <= ZERO_MASS:
+    if _is_zero_mass(mass):
         return 0.0
     mass = float(mass)
     return -mass * math.log(mass) + 0.0  # + 0.0 normalizes -0.0 away
@@ -185,11 +192,11 @@ class EntropyTree:
 
     def rows(self):
         """(word, mass, entropy term) rows in (length, code) order."""
-        keys = sorted(self.masses, key=lambda w: MultiIndex(w).sort_key)
+        words = sorted((MultiIndex(w) for w in self.masses), key=lambda w: w.sort_key)
         best = {w.digits for w in self.best_leaves}
-        for key in keys:
-            m = self.masses[key]
-            yield MultiIndex(key), m, _nlogn(m), key in best
+        for word in words:
+            m = self.masses[word.digits]
+            yield word, m, _nlogn(m), word.digits in best
 
     def to_json(self) -> dict:
         return {
@@ -205,9 +212,11 @@ def build_entropy_tree(f, depth: int, rep=INTERVAL_REP) -> EntropyTree:
     if depth < 1:
         raise ValueError("depth must be at least one")
     masses = _mass_tree(f, depth, rep)
-    levels = tuple(
-        sum(_nlogn(m) for w, m in masses.items() if len(w) == k)
-        for k in range(1, depth + 1))
+    # one pass, keeping insertion order within each level for the float sums
+    terms = [[] for _ in range(depth + 1)]
+    for w, m in masses.items():
+        terms[len(w)].append(_nlogn(m))
+    levels = tuple(sum(level_terms) for level_terms in terms[1:])
     leaves, cost = _best_antichain(masses, (), depth)
     return EntropyTree(depth, masses, levels,
                        tuple(MultiIndex(w) for w in leaves), cost)
@@ -215,7 +224,7 @@ def build_entropy_tree(f, depth: int, rep=INTERVAL_REP) -> EntropyTree:
 
 def _best_antichain(masses, word, depth_left) -> tuple[list[tuple[int, ...]], float]:
     keep_cost = _nlogn(masses[word])
-    if depth_left == 0 or masses[word] <= ZERO_MASS:
+    if depth_left == 0 or _is_zero_mass(masses[word]):
         return [word], keep_cost
     left, cl = _best_antichain(masses, word + (0,), depth_left - 1)
     right, cr = _best_antichain(masses, word + (1,), depth_left - 1)

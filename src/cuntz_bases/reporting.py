@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -11,7 +11,9 @@ class VerificationReport:
     """Outcome of checking one named relation over a family of inputs.
 
     ``max_violation`` is 0.0 for an exact pass; ``witness`` names the first
-    offending input when the check fails.
+    offending input when the check fails.  ``elapsed_s`` is the check's wall
+    time when a suite runner measured it; it takes no part in equality, the
+    text line or the default JSON, so those stay deterministic.
     """
 
     relation: str
@@ -20,9 +22,10 @@ class VerificationReport:
     tol: float = 0.0
     witness: Optional[str] = None
     checked: int = 0
+    elapsed_s: Optional[float] = field(default=None, compare=False)
 
-    def to_json(self) -> dict:
-        return {
+    def to_json(self, timings: bool = False) -> dict:
+        data = {
             "relation": self.relation,
             "maxViolation": self.max_violation,
             "witness": self.witness,
@@ -30,6 +33,9 @@ class VerificationReport:
             "tol": self.tol,
             "checked": self.checked,
         }
+        if timings:
+            data["elapsedSeconds"] = self.elapsed_s
+        return data
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"

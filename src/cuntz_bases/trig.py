@@ -273,17 +273,32 @@ def _trig_value(kind: str, t: Fraction) -> float:
     return math.sin(math.pi * float(t))
 
 
-def _trig_integral(kind: str, freq: Fraction, phase: Fraction,
-                   lo: Fraction, hi: Fraction) -> float:
-    """Integral over [lo, hi] of kind(2*pi*freq*x + pi*phase) dx."""
+def _cell_integrals(kind: str, freq: Fraction, phase: Fraction, k: int,
+                    cells: list[int]) -> list[float]:
+    """Integrals of kind(2*pi*freq*x + pi*phase) over the level-k cells ``cells``.
+
+    The argument at the endpoint x = j/2**k is pi*t(j) with
+    t(j) = 2*freq*j/2**k + phase.  All of these are integers over one power
+    of two ``den``, reduced mod 2 with integer ``%`` and converted by one
+    correctly rounded integer division, exactly as ``float`` converts the
+    reduced Fraction; so every value is the exact closed form's float, bit
+    for bit.  Adjacent cells share their common endpoint.
+    """
     if freq == 0:
-        return _trig_value(kind, phase) * float(hi - lo)
-    scale = 1.0 / (2.0 * math.pi * float(freq))
-    t_hi = 2 * freq * hi + phase
-    t_lo = 2 * freq * lo + phase
-    if kind == MODE_COS:
-        return scale * (_trig_value(MODE_SIN, t_hi) - _trig_value(MODE_SIN, t_lo))
-    return -scale * (_trig_value(MODE_COS, t_hi) - _trig_value(MODE_COS, t_lo))
+        return [_trig_value(kind, phase) * (1 / (1 << k))] * len(cells)
+    den = max(freq.denominator << k, phase.denominator)
+    slope = 2 * freq.numerator * (den // (freq.denominator << k))
+    offset = phase.numerator * (den // phase.denominator)
+    period = 2 * den
+    pi = math.pi
+    # the antiderivative of cos is sin, that of sin is -cos (sign in scale)
+    antiderivative = math.sin if kind == MODE_COS else math.cos
+    ends = {j: antiderivative(pi * (((slope * j + offset) % period) / den))
+            for i in cells for j in (i, i + 1)}
+    scale = 1.0 / (2.0 * pi * float(freq))
+    if kind == MODE_SIN:
+        scale = -scale
+    return [scale * (ends[i + 1] - ends[i]) for i in cells]
 
 
 def _product_terms(a: TrigAtom, b: TrigAtom):
@@ -330,14 +345,17 @@ def hybrid_inner(f: HybridFunction | DyadicStep, g: HybridFunction | DyadicStep)
             if terms is None:
                 exact += Fraction(sum(x * y for x, y in zip(wa, wb)), cells)
                 continue
-            for i in range(cells):
-                w = wa[i] * wb[i]
-                if w == 0:
-                    continue
-                lo = Fraction(i, cells)
-                hi = Fraction(i + 1, cells)
-                for coef, kind, freq, phase in terms:
-                    approx += float(w * coef) * _trig_integral(kind, freq, phase, lo, hi)
+            support = [i for i in range(cells) if wa[i] and wb[i]]
+            columns = [(coef.numerator, coef.denominator,
+                        _cell_integrals(kind, freq, phase, k, support))
+                       for coef, kind, freq, phase in terms]
+            # float(w * coef) as one correctly rounded integer division
+            for pos, i in enumerate(support):
+                x, y = wa[i], wb[i]
+                wn = x.numerator * y.numerator
+                wd = x.denominator * y.denominator
+                for cn, cd, integrals in columns:
+                    approx += (wn * cn) / (wd * cd) * integrals[pos]
     return float(exact) + approx
 
 

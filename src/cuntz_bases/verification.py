@@ -9,8 +9,10 @@ these and fails (exit 1) if any line fails.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 from typing import Callable
 
@@ -627,7 +629,8 @@ def run_suite(suite: str = "all", threads: int = 1,
     """Run one suite (or all) and return the reports in registry order.
 
     ``tol_override`` replaces the tolerance of the float-based checks only;
-    exact checks (tol 0) always demand exact equality.
+    exact checks (tol 0) always demand exact equality.  Each report carries
+    its check's wall time as ``elapsed_s``.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
@@ -635,11 +638,11 @@ def run_suite(suite: str = "all", threads: int = 1,
     for name, fn in CHECKS:
         if suite != "all" and name != suite:
             continue
+        start = time.perf_counter()
         report = fn(threads) if fn is check_cantor_spectrum_gram else fn()
+        report = dataclasses.replace(report, elapsed_s=time.perf_counter() - start)
         if tol_override is not None and report.tol > 0:
-            report = VerificationReport(report.relation,
-                                        report.max_violation <= tol_override,
-                                        report.max_violation, tol_override,
-                                        report.witness, report.checked)
+            report = dataclasses.replace(report, passed=report.max_violation <= tol_override,
+                                         tol=tol_override)
         reports.append(report)
     return reports

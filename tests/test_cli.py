@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+import re
 
-from cuntz_bases.cli import main
+from cuntz_bases.cli import MAX_WALSH_FILES, MAX_WALSH_INDEX, main
+from cuntz_bases.reporting import VerificationReport
 
 
 def write_samples(path, values):
@@ -36,6 +38,22 @@ class TestWalshCommand:
 
     def test_bad_range_is_input_error(self, tmp_path):
         assert main(["walsh", "--range", "x..y", "--output", str(tmp_path)]) == 2
+
+    def test_out_of_bounds_range_rejected_before_mkdir(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        for text in ("-1", "-3..2", "0..99999999999", f"0..{10 ** 30}",
+                     str(MAX_WALSH_INDEX + 1), f"0..{MAX_WALSH_FILES}"):
+            assert main(["walsh", f"--range={text}", "--output", str(out)]) == 2, text
+            assert not out.exists(), text
+            assert capsys.readouterr().err.startswith("error: "), text
+
+    def test_range_at_the_limits_accepted(self, tmp_path):
+        out = tmp_path / "w"
+        assert main(["walsh", "--range", f"0..{MAX_WALSH_FILES - 1}",
+                     "--output", str(out)]) == 0
+        assert len(list(out.iterdir())) == MAX_WALSH_FILES
+        assert main(["walsh", "--range", str(MAX_WALSH_INDEX), "--output", str(out)]) == 0
+        assert (out / f"walsh_{MAX_WALSH_INDEX}.csv").exists()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "w"
@@ -184,6 +202,45 @@ class TestVerifyCommand:
     def test_bad_threads_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CUNTZ_BASES_THREADS", "many")
         assert main(["verify", "--suite", "entropy"]) == 2
+
+    def test_sine_suite_output_pinned(self, capsys):
+        # the two float residues are the last bits of hybrid_inner's rounding
+        assert main(["verify", "--suite", "sine"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS odd-sine-adjoint-kernel-exact (max violation 0.000e+00, 50 checks)\n"
+            "PASS even-sine-adjoint-halving-exact (max violation 0.000e+00, 49 checks)\n"
+            "PASS sine-vs-shifted-sine-inners (max violation 4.510e-17, 2000 checks)\n"
+            "PASS sine-family-frame-orthogonality (max violation 4.684e-17, 4005 checks)\n"
+            "PASS trig-parseval (max violation 0.000e+00, 5 checks)\n"
+            "PASS hybrid-inner-matches-exact-on-steps (max violation 0.000e+00, 10 checks)\n"
+            "PASS reflection-classifier-cases (max violation 0.000e+00, 5 checks)\n"
+            "PASS adjoint-decimates-fourier-coefficients (max violation 0.000e+00, 42 checks)\n")
+
+    def test_default_output_has_no_timings(self, capsys):
+        assert main(["verify", "--suite", "cuntz", "--format", "json"]) == 0
+        for report in json.loads(capsys.readouterr().out):
+            assert set(report) == {"relation", "maxViolation", "witness", "passed",
+                                   "tol", "checked"}
+        assert main(["verify", "--suite", "cuntz"]) == 0
+        assert all(line.endswith("checks)") for line in capsys.readouterr().out.splitlines())
+
+    def test_timings_flag(self, capsys):
+        assert main(["verify", "--suite", "cuntz", "--timings"]) == 0
+        *lines, total = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10
+        assert all(re.fullmatch(r"PASS .*checks\) \d+\.\d{3}s", line) for line in lines)
+        assert re.fullmatch(r"total \d+\.\d{3}s for 10 checks", total)
+        assert main(["verify", "--suite", "cuntz", "--timings", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["elapsedSeconds"] >= sum(r["elapsedSeconds"] for r in data["reports"]) > 0
+
+    def test_report_time_is_not_part_of_the_report(self):
+        timed = VerificationReport("r", True, 0.0, checked=3, elapsed_s=1.5)
+        plain = VerificationReport("r", True, 0.0, checked=3)
+        assert timed == plain
+        assert str(timed) == str(plain)
+        assert timed.to_json() == plain.to_json()
+        assert timed.to_json(timings=True)["elapsedSeconds"] == 1.5
 
     def test_tol_override_loosens_float_checks(self, capsys):
         assert main(["verify", "--suite", "sine", "--tol", "1e-6"]) == 0
