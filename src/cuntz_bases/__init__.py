@@ -76,8 +76,6 @@ from .cantor import (
     CantorStep,
     LambdaPoint,
     bessel_sum,
-    cantor_s_adjoint,
-    cantor_s_apply,
     coefficient_table,
     exp_coefficient,
     gram_exponentials,

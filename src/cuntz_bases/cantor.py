@@ -26,13 +26,14 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .dyadic import StepFunction, as_rational, as_word
-from .operators import s_adjoint, s_apply
+from .operators import s_apply
 from .reporting import VerificationReport
 
 
@@ -61,11 +62,7 @@ class CantorStep(StepFunction):
 
     def cell_left(self, cell: int) -> Fraction:
         """Left endpoint of cell ``cell`` at this level."""
-        t = Fraction(0)
-        for m in range(self.level):
-            bit = (cell >> (self.level - 1 - m)) & 1
-            t += Fraction(2 * bit, 4 ** (m + 1))
-        return t
+        return Fraction(_cell_left_numerator(self.level, cell), 1 << (2 * self.level))
 
     @staticmethod
     def cell_mass(level: int) -> Fraction:
@@ -76,18 +73,12 @@ class CantorStep(StepFunction):
         # the carrier set spans [0, 2/3]; each contraction shrinks by 4
         return Fraction(2, 3) / 4 ** level
 
-    def to_json(self) -> dict:
-        from .dyadic import rational_str
-        return {"level": self.level, "coeffs": [rational_str(c) for c in self.coeffs]}
 
-
-def cantor_s_apply(j: int, f: CantorStep) -> CantorStep:
-    """Isometry j on cylinder steps (same coefficient rule as the interval)."""
-    return s_apply(j, f)
-
-
-def cantor_s_adjoint(j: int, f: CantorStep) -> CantorStep:
-    return s_adjoint(j, f)
+def _cell_left_numerator(level: int, cell: int) -> int:
+    """T with cell_left(cell) = T / 4**level: bit b of the cell index is the
+    base-4 digit 2 at position b, so T is twice its binary digits read in
+    base 4 (only the low ``level`` bits of the index count)."""
+    return 2 * int(format(cell & ((1 << level) - 1), "b"), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -176,29 +167,47 @@ def lambda_set(p: int) -> list[LambdaPoint]:
     return points  # ascending already: the digit map is monotone in mask
 
 
-def gram_exponentials(p: int, threads: int = 1) -> VerificationReport:
+# bits 0, 2, 4, ..., 62: the lowest set bit of d lies in this mask exactly
+# when d is 4^a times an odd number, i.e. when mu_hat vanishes at d
+_EVEN_BITS = 0x5555_5555_5555_5555
+# values of at most 62 bits keep every pairwise difference inside int64
+_SCAN_LIMIT = 1 << 62
+
+
+def transform_vanishes(deltas: np.ndarray) -> np.ndarray:
+    """Elementwise ``mu_hat_is_zero`` on an int64 array (two's complement
+    keeps the lowest set bit of -d that of d, so negatives need no abs)."""
+    return (deltas & -deltas) & _EVEN_BITS != 0
+
+
+def orthogonality_report(relation: str, values: Sequence[int]) -> VerificationReport:
+    """Exact certificate that the exponentials at ``values`` are pairwise
+    orthogonal: every difference values[j] - values[i], i < j, is a zero of
+    the transform.  The witness is the first failing pair in row-major
+    order; each row i is scanned at once as values[i+1:] - values[i] in int64.
+    """
+    if any(not -_SCAN_LIMIT < v < _SCAN_LIMIT for v in values):
+        raise ValueError("values must lie strictly between -2**62 and 2**62")
+    vec = np.array(values, dtype=np.int64)
+    witness = None
+    for i in range(len(values) - 1):
+        bad = ~transform_vanishes(vec[i + 1:] - vec[i])
+        if bad.any():
+            witness = f"lambda pair {(values[i], values[i + 1 + int(bad.argmax())])}"
+            break
+    passed = witness is None
+    return VerificationReport(relation, passed, 0.0 if passed else 1.0, 0.0, witness,
+                              len(values) * (len(values) - 1) // 2)
+
+
+def gram_exponentials(p: int) -> VerificationReport:
     """Exact pairwise-orthogonality certificate for the depth-p spectrum.
 
     Off-diagonal differences of spectrum points must all pass the integer
     vanishing test; the diagonal is the transform at zero, which is one.
     """
-    values = [pt.value for pt in lambda_set(p)]
-    pairs = [(a, b) for i, a in enumerate(values) for b in values[i + 1:]]
-
-    def scan(chunk):
-        return [(a, b) for a, b in chunk if not mu_hat_is_zero(b - a)]
-
-    if threads > 1 and len(pairs) > 1024:
-        size = (len(pairs) + threads - 1) // threads
-        chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            failures = [f for part in pool.map(scan, chunks) for f in part]
-    else:
-        failures = scan(pairs)
-    passed = not failures
-    witness = None if passed else f"lambda pair {failures[0]}"
-    return VerificationReport(f"spectrum-orthogonality-p{p}", passed,
-                              0.0 if passed else 1.0, 0.0, witness, len(pairs))
+    return orthogonality_report(f"spectrum-orthogonality-p{p}",
+                                [pt.value for pt in lambda_set(p)])
 
 
 def exp_coefficient(lam, f: CantorStep, rel_tol: float = 1e-10) -> complex:
@@ -207,23 +216,26 @@ def exp_coefficient(lam, f: CantorStep, rel_tol: float = 1e-10) -> complex:
     Cell-wise self-similarity gives the closed form: each level-k cell
     contributes its coefficient times 2^-k exp(-2 i pi lam t_J) times the
     conjugated transform at lam * 4^-k, so the Cantor set is never sampled
-    pointwise.
+    pointwise.  With t_J = T / 4^k, an integer lam's angle -2 lam t_J mod 2
+    is reduced as an integer mod 2 * 4^k, then divided by 4^k once, which
+    rounds correctly, as float(Fraction) does.
     """
     if isinstance(lam, LambdaPoint):
         lam = lam.value
     k = f.level
     tail = mu_hat(lam * 4.0 ** (-k), rel_tol).conjugate()
     total = complex(0.0)
-    exact_lam = as_rational(lam) if isinstance(lam, int) else lam
+    four_k = 1 << (2 * k)
+    if isinstance(lam, int):
+        factor = -2 * as_rational(lam)
     for i, c in enumerate(f.coeffs):
         if c == 0:
             continue
-        t = f.cell_left(i)
-        if isinstance(exact_lam, int):
-            angle = Fraction(-2 * exact_lam) * t % 2
-            phase = cmath.exp(1j * math.pi * float(angle))
+        t = _cell_left_numerator(k, i)
+        if isinstance(lam, int):
+            phase = cmath.exp(1j * math.pi * (factor * t % (2 * four_k) / four_k))
         else:
-            phase = cmath.exp(-2j * math.pi * lam * float(t))
+            phase = cmath.exp(-2j * math.pi * lam * (t / four_k))
         total += float(c) * phase
     return total * tail / (1 << k)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -23,15 +22,13 @@ from typing import Optional, Sequence
 
 from .basis import ingest_signal, walsh, walsh_expand
 from .cantor import lambda_set, gram_exponentials, verify_lambda_partition
-from .dyadic import rational_str
+from .dyadic import Scalar, rational_str
 from .entropy import build_entropy_tree
 from .verification import SUITES, run_suite
 
-THREADS_ENV = "CUNTZ_BASES_THREADS"
-
 # size limits, checked before any input is read or memory allocated
 MAX_ENTROPY_DEPTH = 16  # the mass tree has 2**(depth + 1) - 1 nodes
-MAX_SPECTRUM_DEPTH = 11  # cantor gram holds all 4**p / 2 pairs of spectrum points
+MAX_SPECTRUM_DEPTH = 11  # cantor gram scans all 2**p (2**p - 1) / 2 pairs, one row at a time
 MAX_WALSH_INDEX = (1 << 16) - 1  # the step of index n has 2**bit_length(n) cells
 MAX_WALSH_FILES = 256  # walsh writes one file per index of the range
 
@@ -50,7 +47,6 @@ class RunConfig:
     suite: str = "all"
     index_range: Optional[str] = None
     cantor_sub: Optional[str] = None
-    threads: int = 1
     tol_overridden: bool = False
     timings: bool = False
 
@@ -76,7 +72,9 @@ def _parse_range(text: str) -> range:
         raise InputError(f"bad index range {text!r}; use N or LO..HI") from None
 
 
-def _read_samples(path: str) -> list[str]:
+def _read_samples(path: str) -> list[Scalar]:
+    """Parse each non-blank line once into a canonical exact scalar (an int
+    when integral, a Fraction otherwise), as ``as_rational`` would."""
     samples = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -85,10 +83,10 @@ def _read_samples(path: str) -> list[str]:
                 if not token:
                     continue
                 try:
-                    Fraction(token)
+                    value = Fraction(token)
                 except (ValueError, ZeroDivisionError):
                     raise InputError(f"{path}: malformed sample on line {lineno}: {token!r}")
-                samples.append(token)
+                samples.append(value.numerator if value.denominator == 1 else value)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     return samples
@@ -173,8 +171,8 @@ def _ingest(config: RunConfig) -> tuple:
         raise InputError(f"{config.input_path}: sample count {count} is not a power of two")
     level = count.bit_length() - 1
     if config.level is not None and config.level != level:
-        raise InputError(
-            f"--level {config.level} needs {1 << config.level} samples, file has {count}")
+        raise InputError(f"--level {config.level} does not match the file's "
+                         f"{count} samples (level {level})")
     return ingest_signal(samples, level), level
 
 
@@ -194,8 +192,7 @@ def cmd_expand(config: RunConfig) -> int:
             rows = [[n, repr(float(c))] for n, c in enumerate(coeffs)]
             _write_rows(config, ["index", "value"], rows)
         else:
-            rows = [[n, Fraction(c).numerator, Fraction(c).denominator]
-                    for n, c in enumerate(coeffs)]
+            rows = [[n, c.numerator, c.denominator] for n, c in enumerate(coeffs)]
             _write_rows(config, ["index", "num", "den"], rows)
     return 0
 
@@ -229,7 +226,7 @@ def cmd_cantor(config: RunConfig) -> int:
                         [[pt.value, _digit_string(pt, p)] for pt in points])
         return 0
     if sub == "gram":
-        report = gram_exponentials(p, threads=config.threads)
+        report = gram_exponentials(p)
         _emit_report(config, report)
         return 0 if report.passed else 1
     if sub == "partition":
@@ -269,8 +266,7 @@ def _emit_report(config: RunConfig, report) -> None:
 
 def cmd_verify(config: RunConfig) -> int:
     start = time.perf_counter()
-    reports = run_suite(config.suite, threads=config.threads,
-                        tol_override=config.tol if config.tol_overridden else None)
+    reports = run_suite(config.suite, tol_override=config.tol if config.tol_overridden else None)
     total_s = time.perf_counter() - start
     if config.out_format == "json":
         payload = [r.to_json(timings=config.timings) for r in reports]
@@ -371,12 +367,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if tol <= 0:
             raise InputError("--tol must be positive")
         config.tol = tol
-    raw_threads = os.environ.get(THREADS_ENV)
-    if raw_threads is not None:
-        try:
-            config.threads = max(1, int(raw_threads))
-        except ValueError:
-            raise InputError(f"{THREADS_ENV} must be an integer, got {raw_threads!r}")
     return config
 
 

@@ -128,6 +128,9 @@ class StepFunction:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    def to_json(self) -> dict:
+        return {"level": self.level, "coeffs": [rational_str(c) for c in self.coeffs]}
+
     # -- arithmetic ----------------------------------------------------
 
     def _binary_op(self, other, op):
@@ -230,9 +233,6 @@ class DyadicStep(StepFunction):
 
     def cell_left(self, cell: int) -> Scalar:
         return _ratio(cell, 1 << self.level)
-
-    def to_json(self) -> dict:
-        return {"level": self.level, "coeffs": [rational_str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "DyadicStep":

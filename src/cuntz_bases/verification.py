@@ -31,7 +31,6 @@ from .basis import (
 from .cantor import (
     CantorStep,
     bessel_sum,
-    cantor_s_apply,
     exp_coefficient,
     gram_exponentials,
     indicator_relation_check,
@@ -497,8 +496,8 @@ def check_branch_permutation():
 # cantor suite
 # ---------------------------------------------------------------------------
 
-def check_cantor_spectrum_gram(threads: int = 1):
-    report = gram_exponentials(8, threads=threads)
+def check_cantor_spectrum_gram():
+    report = gram_exponentials(8)
     return _report("spectrum-orthogonality-p8", 0.0 if report.passed else 1.0, 0.0,
                    report.witness, report.checked)
 
@@ -557,7 +556,7 @@ def check_exp_coefficient_scaling():
     worst = 0.0
     for _ in range(5):
         f = CantorStep(2, [rng.randint(-3, 3) for _ in range(4)])
-        g = cantor_s_apply(0, f)
+        g = s_apply(0, f)
         for lam in (0, 1, 5, 17, 21):
             worst = max(worst, abs(exp_coefficient(4 * lam, g) - exp_coefficient(lam, f)))
     return _report("exponential-frequency-scaling-under-isometry", worst, 1e-8,
@@ -624,8 +623,7 @@ CHECKS: list[tuple[str, Callable[[], VerificationReport]]] = [
 ]
 
 
-def run_suite(suite: str = "all", threads: int = 1,
-              tol_override: float | None = None) -> list[VerificationReport]:
+def run_suite(suite: str = "all", tol_override: float | None = None) -> list[VerificationReport]:
     """Run one suite (or all) and return the reports in registry order.
 
     ``tol_override`` replaces the tolerance of the float-based checks only;
@@ -639,7 +637,7 @@ def run_suite(suite: str = "all", threads: int = 1,
         if suite != "all" and name != suite:
             continue
         start = time.perf_counter()
-        report = fn(threads) if fn is check_cantor_spectrum_gram else fn()
+        report = fn()
         report = dataclasses.replace(report, elapsed_s=time.perf_counter() - start)
         if tol_override is not None and report.tol > 0:
             report = dataclasses.replace(report, passed=report.max_violation <= tol_override,

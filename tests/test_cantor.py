@@ -12,8 +12,6 @@ from cuntz_bases.cantor import (
     CantorStep,
     LambdaPoint,
     bessel_sum,
-    cantor_s_adjoint,
-    cantor_s_apply,
     coefficient_table,
     exp_coefficient,
     gram_exponentials,
@@ -21,25 +19,28 @@ from cuntz_bases.cantor import (
     lambda_set,
     mu_hat,
     mu_hat_is_zero,
+    orthogonality_report,
     verify_lambda_partition,
 )
 from cuntz_bases.dyadic import MultiIndex
-from cuntz_bases.operators import INTERVAL_REP, verify_cuntz
+from cuntz_bases.operators import INTERVAL_REP, s_adjoint, s_apply, verify_cuntz
 
 
 class TestCylinderSteps:
     def test_constant_fixed_by_first_isometry(self):
         chi = CantorStep.ones()
-        assert cantor_s_apply(0, chi) == chi
+        assert s_apply(0, chi) == chi
 
     def test_adjoint_difference(self):
-        assert cantor_s_adjoint(1, CantorStep(1, [1, -1])) == CantorStep(0, [1])
+        assert s_adjoint(1, CantorStep(1, [1, -1])) == CantorStep(0, [1])
 
     def test_cell_left_endpoints(self):
         f = CantorStep(2, [1, 0, 0, 0])
         # cells in endpoint order: 00, 01, 10, 11
         assert [f.cell_left(i) for i in range(4)] == [
             Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(5, 8)]
+        # only the low ``level`` bits of an index count
+        assert f.cell_left(6) == f.cell_left(2) and f.cell_left(-1) == f.cell_left(3)
 
     def test_cuntz_relations_exact_on_indicators(self):
         vectors = [CantorStep.indicator_cell(MultiIndex(tuple((i >> (3 - m)) & 1 for m in range(4))))
@@ -127,8 +128,24 @@ class TestSpectrum:
         report = gram_exponentials(6)
         assert report.checked == (64 * 63) // 2
 
-    def test_gram_threads_match(self):
-        assert gram_exponentials(6, threads=4).passed
+    def test_scan_witness_is_first_failing_pair_in_row_major_order(self):
+        # 2 - 0 = 2 and 3 - 1 = 2 fail, 1 - 0 = 1 and 3 - 0 = 3 pass; the
+        # first failure of row 0 comes before any failure of row 1
+        report = orthogonality_report("r", [0, 1, 2, 3])
+        assert not report.passed and report.max_violation == 1.0
+        assert report.witness == "lambda pair (0, 2)" and report.checked == 6
+        assert orthogonality_report("r", [0, 1, 4, 5]).passed
+        assert orthogonality_report("r", [5, 5]).witness == "lambda pair (5, 5)"  # mu_hat(0) = 1
+        assert orthogonality_report("r", [-3, 1]).passed  # 4 = 4 * 1
+        for values in ([7], []):
+            report = orthogonality_report("r", values)
+            assert report.passed and report.checked == 0
+
+    def test_scan_rejects_values_past_int64_differences(self):
+        with pytest.raises(ValueError):
+            orthogonality_report("r", [0, 1 << 62])
+        # the widest accepted difference, 2**63 - 2 = 2 * odd, still fails
+        assert not orthogonality_report("r", [-(1 << 62) + 1, (1 << 62) - 1]).passed
 
 
 class TestExpCoefficients:
@@ -156,7 +173,7 @@ class TestExpCoefficients:
         # composing with the first isometry multiplies the frequency by 4
         rng = random.Random(89)
         f = CantorStep(2, [rng.randint(-3, 3) for _ in range(4)])
-        g = cantor_s_apply(0, f)
+        g = s_apply(0, f)
         for lam in (0, 1, 5, 17):
             assert exp_coefficient(4 * lam, g) == pytest.approx(
                 exp_coefficient(lam, f), abs=1e-8)

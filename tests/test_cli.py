@@ -84,6 +84,18 @@ class TestExpandCommand:
         write_samples(src, ["1", "-1"])
         assert main(["expand", "--input", str(src), "--level", "2"]) == 2
 
+    def test_huge_or_negative_level_rejected_by_message(self, tmp_path, capsys):
+        # the message once formatted 1 << level: 100000 overflowed the int
+        # to str limit, and -1 raised on a negative shift
+        src = tmp_path / "sig.csv"
+        write_samples(src, ["1", "-1"])
+        for command in ("expand", "entropy"):
+            for level in ("100000", "-1"):
+                assert main([command, "--input", str(src), "--level", level]) == 2
+                err = capsys.readouterr().err
+                assert err == (f"error: --level {level} does not match the file's "
+                               f"2 samples (level 1)\n")
+
     def test_bad_row_cites_line(self, tmp_path, capsys):
         src = tmp_path / "sig.csv"
         write_samples(src, ["1", "oops", "3", "4"])
@@ -176,6 +188,22 @@ class TestCantorCommand:
         assert data["maxViolation"] == 0.0
 
 
+    def test_gram_output_pinned(self, capsys):
+        assert main(["cantor", "gram", "--p", "11"]) == 0
+        assert capsys.readouterr().out == (
+            "relation,maxViolation,witness,passed,checked\n"
+            "spectrum-orthogonality-p11,0.0,,1,2096128\n")
+        assert main(["cantor", "gram", "--p", "8", "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n'
+            '  "checked": 32640,\n'
+            '  "maxViolation": 0.0,\n'
+            '  "passed": true,\n'
+            '  "relation": "spectrum-orthogonality-p8",\n'
+            '  "tol": 0.0,\n'
+            '  "witness": null\n'
+            '}\n')
+
     def test_p_bounded(self, capsys):
         for sub in ("spectrum", "gram", "partition"):
             for p in ("-1", "12"):
@@ -195,13 +223,16 @@ class TestVerifyCommand:
         data = json.loads(capsys.readouterr().out)
         assert all(r["passed"] for r in data)
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUNTZ_BASES_THREADS", "2")
-        assert main(["verify", "--suite", "cantor"]) == 0
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUNTZ_BASES_THREADS", "many")
-        assert main(["verify", "--suite", "entropy"]) == 2
+    def test_threads_env_has_no_effect(self, capsys, monkeypatch):
+        # the pair scans once read a thread count from this variable
+        outputs = []
+        for value in (None, "many"):
+            if value is not None:
+                monkeypatch.setenv("CUNTZ_BASES_THREADS", value)
+            assert main(["verify", "--suite", "cantor"]) == 0
+            assert main(["cantor", "gram", "--p", "6"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def test_sine_suite_output_pinned(self, capsys):
         # the two float residues are the last bits of hybrid_inner's rounding

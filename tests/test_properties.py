@@ -1,16 +1,31 @@
 """Property tests of the exact fast paths: the lifted Walsh butterfly, the
-packet mass tree and the integer-phase ``hybrid_inner``, each against its
-definition; plus the isometry relations and canonical atom folding."""
+packet mass tree, the integer-phase ``hybrid_inner`` and the integer Cantor
+layer (vectorised spectrum certificate, integer-phase ``exp_coefficient``),
+each against its definition; plus the isometry relations and canonical atom
+folding."""
 
+import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuntz_bases.basis import walsh, walsh_butterfly, walsh_expand, walsh_synthesize
-from cuntz_bases.cantor import CantorStep
+from cuntz_bases.cantor import (
+    CantorStep,
+    LambdaPoint,
+    bessel_sum,
+    coefficient_table,
+    exp_coefficient,
+    lambda_set,
+    mu_hat,
+    mu_hat_is_zero,
+    orthogonality_report,
+    transform_vanishes,
+)
 from cuntz_bases.dyadic import DyadicStep
 from cuntz_bases.entropy import build_entropy_tree
 from cuntz_bases.operators import s_adjoint, s_apply
@@ -181,3 +196,97 @@ def test_make_atom_folding_is_idempotent(window, mode, freq, phase):
         return
     assert atom.freq >= 0 and 0 <= atom.phase < Fraction(1, 2)
     assert make_atom(atom.window, atom.mode, atom.freq, atom.phase) == atom
+
+
+# ---------------------------------------------------------------------------
+# the Cantor spectrum
+# ---------------------------------------------------------------------------
+
+INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+# 4^a times an odd number, signed: zeros of the transform, and twice those
+ZEROS = st.builds(lambda a, m, s: s * (4 ** a) * (2 * m + 1),
+                  st.integers(0, 20), st.integers(0, 1 << 20), st.sampled_from((1, -1)))
+DELTAS = st.one_of(INT64, ZEROS, st.builds(lambda d: 2 * d, ZEROS), st.just(0))
+
+
+@PROPERTY
+@given(deltas=st.lists(DELTAS, max_size=40))
+@example(deltas=[-(1 << 63), (1 << 63) - 1, -(1 << 62), 1 << 62, -1, 1, 0])
+def test_vectorised_zero_test_matches_mu_hat_is_zero(deltas):
+    got = transform_vanishes(np.array(deltas, dtype=np.int64)).tolist()
+    assert got == [mu_hat_is_zero(d) for d in deltas]
+
+
+def reference_gram(relation, values):
+    """The certificate pair by pair, as a list of pairs in row-major order."""
+    pairs = [(a, b) for i, a in enumerate(values) for b in values[i + 1:]]
+    failures = [(a, b) for a, b in pairs if not mu_hat_is_zero(b - a)]
+    passed = not failures
+    return (relation, passed, 0.0 if passed else 1.0,
+            None if passed else f"lambda pair {failures[0]}", len(pairs))
+
+
+# mostly spectrum points, so that a failing pair is not always the first
+SCAN_VALUES = st.one_of(st.sampled_from([pt.value for pt in lambda_set(6)]),
+                        st.integers(-(1 << 40), 1 << 40))
+
+
+@PROPERTY
+@given(values=st.lists(SCAN_VALUES, max_size=40))
+def test_gram_scan_matches_pair_by_pair_reference(values):
+    report = orthogonality_report("r", values)
+    assert (report.relation, report.passed, report.max_violation, report.witness,
+            report.checked) == reference_gram("r", values)
+
+
+def reference_exp_coefficient(lam, f, rel_tol=1e-10):
+    """The closed form with Fraction cell endpoints and Fraction phases."""
+    if isinstance(lam, LambdaPoint):
+        lam = lam.value
+    k = f.level
+    tail = mu_hat(lam * 4.0 ** (-k), rel_tol).conjugate()
+    total = complex(0.0)
+    for i, c in enumerate(f.coeffs):
+        if c == 0:
+            continue
+        t = Fraction(0)
+        for m in range(k):
+            t += Fraction(2 * ((i >> (k - 1 - m)) & 1), 4 ** (m + 1))
+        assert f.cell_left(i) == t and type(f.cell_left(i)) is Fraction
+        if isinstance(lam, int):
+            angle = Fraction(-2 * lam) * t % 2
+            phase = cmath.exp(1j * math.pi * float(angle))
+        else:
+            phase = cmath.exp(-2j * math.pi * lam * float(t))
+        total += float(c) * phase
+    return total * tail / (1 << k)
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+LAMBDAS = st.one_of(
+    st.integers(-(4 ** 12), 4 ** 12),
+    st.builds(LambdaPoint.from_value, st.sampled_from([pt.value for pt in lambda_set(8)])),
+    st.floats(-1000, 1000, allow_nan=False),
+    st.builds(Fraction, st.integers(-999, 999), st.integers(1, 50)))
+# sparse steps, as in the benchmark, and dense ones
+CANTOR_STEPS = st.one_of(
+    steps(st.one_of(INTS, FRACTIONS), CantorStep),
+    steps(st.one_of(st.just(0), st.just(0), st.just(0), INTS, FRACTIONS), CantorStep))
+
+
+@PROPERTY
+@given(lam=LAMBDAS, f=CANTOR_STEPS)
+def test_exp_coefficient_matches_fraction_closed_form(lam, f):
+    assert _hex(exp_coefficient(lam, f)) == _hex(reference_exp_coefficient(lam, f))
+
+
+@settings(max_examples=15, deadline=None)
+@given(f=CANTOR_STEPS, p=st.integers(0, 5))
+def test_table_and_bessel_sum_match_fraction_closed_form(f, p):
+    want = [reference_exp_coefficient(pt, f) for pt in lambda_set(p)]
+    rows = coefficient_table(f, p)
+    assert [(r["re"].hex(), r["im"].hex()) for r in rows] == [_hex(c) for c in want]
+    assert bessel_sum(f, p).hex() == sum(abs(c) ** 2 for c in want).hex()
