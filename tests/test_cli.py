@@ -227,7 +227,9 @@ class TestVerifyCommand:
         # the pair scans once read a thread count from this variable
         outputs = []
         for value in (None, "many"):
-            if value is not None:
+            if value is None:
+                monkeypatch.delenv("CUNTZ_BASES_THREADS", raising=False)
+            else:
                 monkeypatch.setenv("CUNTZ_BASES_THREADS", value)
             assert main(["verify", "--suite", "cantor"]) == 0
             assert main(["cantor", "gram", "--p", "6"]) == 0
