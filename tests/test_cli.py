@@ -223,18 +223,31 @@ class TestVerifyCommand:
         data = json.loads(capsys.readouterr().out)
         assert all(r["passed"] for r in data)
 
-    def test_threads_env_has_no_effect(self, capsys, monkeypatch):
-        # the pair scans once read a thread count from this variable
+    @staticmethod
+    def _outputs_with_threads_env(capsys, monkeypatch, value):
+        # the pair scans once read a thread count from CUNTZ_BASES_THREADS;
+        # returns (output without the variable, output with it set to value)
         outputs = []
-        for value in (None, "many"):
-            if value is None:
+        for setting in (None, value):
+            if setting is None:
                 monkeypatch.delenv("CUNTZ_BASES_THREADS", raising=False)
             else:
-                monkeypatch.setenv("CUNTZ_BASES_THREADS", value)
+                monkeypatch.setenv("CUNTZ_BASES_THREADS", setting)
             assert main(["verify", "--suite", "cantor"]) == 0
+            assert main(["verify", "--suite", "entropy"]) == 0
             assert main(["cantor", "gram", "--p", "6"]) == 0
             outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
+        return outputs
+
+    def test_threads_env(self, capsys, monkeypatch):
+        without, with_env = self._outputs_with_threads_env(capsys, monkeypatch, "2")
+        assert without == with_env
+
+    def test_bad_threads_env(self, capsys, monkeypatch):
+        # a value that is not a count is ignored too, it no longer exits 2
+        without, with_env = self._outputs_with_threads_env(capsys, monkeypatch, "many")
+        assert without == with_env
+        assert with_env.err == ""
 
     def test_sine_suite_output_pinned(self, capsys):
         # the two float residues are the last bits of hybrid_inner's rounding
