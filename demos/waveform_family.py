@@ -10,7 +10,6 @@ from cuntz_bases import (
     DyadicStep,
     apply_word,
     ingest_signal,
-    inner,
     walsh,
     walsh_expand,
     walsh_synthesize,
@@ -37,7 +36,7 @@ for n in (3, 7, 11, 13):
 print()
 print("Orthonormality is exact (a few Gram entries):")
 for i, j in [(0, 0), (3, 3), (3, 5), (7, 2)]:
-    print(f"  <w{i}, w{j}> = {inner(walsh(i), walsh(j))}")
+    print(f"  <w{i}, w{j}> = {walsh(i).inner(walsh(j))}")
 
 print()
 print("Expanding a sampled signal (8 samples, exact decimal ingestion):")

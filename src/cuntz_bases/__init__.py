@@ -9,18 +9,12 @@ Cantor measure with its exponential spectrum.
 from .dyadic import (
     DyadicStep,
     MultiIndex,
-    Rational,
     StepFunction,
     as_rational,
     digits_of,
     enumerate_words,
-    evaluate,
-    inner,
     multiindex_order,
-    normalize,
-    parse_rational,
     rational_str,
-    refine,
 )
 from .trig import (
     HybridFunction,

@@ -225,11 +225,11 @@ def compute_K(psi, rep=INTERVAL_REP, max_depth: int = 6, tol: float = 0.0) -> Op
     must satisfy S_0* psi = 0; violations raise ValueError.  ``tol = 0``
     demands exact zeros (appropriate for step seeds).
     """
-    norm_sq = abs(float(rep.norm_sq(psi)))
+    norm_sq = abs(float(psi.norm_sq()))
     if norm_sq == 0.0:
         raise ValueError("seed must be nonzero")
     threshold = tol * norm_sq if tol > 0 else 0.0
-    kernel_gap = abs(float(rep.norm_sq(rep.adjoint(0, psi))))
+    kernel_gap = abs(float(rep.adjoint(0, psi).norm_sq()))
     if kernel_gap > threshold:
         raise ValueError(
             f"seed not in the kernel of the first adjoint (residual {kernel_gap:.3e})")
@@ -238,7 +238,7 @@ def compute_K(psi, rep=INTERVAL_REP, max_depth: int = 6, tol: float = 0.0) -> Op
         vec = apply_word(k_word, psi, rep)
         hit = None
         for j_word, other in prior:
-            value = abs(float(rep.inner(other, vec)))
+            value = abs(float(other.inner(vec)))
             if value > threshold:
                 hit = j_word
                 break
@@ -257,11 +257,11 @@ class SubspaceFrame:
     words: tuple[MultiIndex, ...]
     vectors: tuple
 
-    def max_pairwise_inner(self, rep=INTERVAL_REP) -> float:
+    def max_pairwise_inner(self) -> float:
         worst = 0.0
         for i in range(len(self.vectors)):
             for j in range(i + 1, len(self.vectors)):
-                worst = max(worst, abs(float(rep.inner(self.vectors[i], self.vectors[j]))))
+                worst = max(worst, abs(float(self.vectors[i].inner(self.vectors[j]))))
         return worst
 
 
@@ -293,11 +293,11 @@ def build_frame(psi, K: Optional[MultiIndex], depth: int, rep=INTERVAL_REP) -> S
 
 
 def frames_orthogonal(frame_a: SubspaceFrame, frame_b: SubspaceFrame,
-                      tol: float = 1e-10, rep=INTERVAL_REP) -> bool:
+                      tol: float = 1e-10) -> bool:
     """True when every cross inner product between the frames is below tol."""
     for u in frame_a.vectors:
         for v in frame_b.vectors:
-            if abs(float(rep.inner(u, v))) >= tol:
+            if abs(float(u.inner(v))) >= tol:
                 return False
     return True
 

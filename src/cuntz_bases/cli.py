@@ -41,13 +41,12 @@ class RunConfig:
     level: Optional[int] = None
     depth: int = 6
     spectrum_depth: int = 4
-    tol: float = 1e-10
+    tol: Optional[float] = None  # verify --tol; None keeps each check's own
     out_format: str = "csv"
     as_float: bool = False
     suite: str = "all"
     index_range: Optional[str] = None
     cantor_sub: Optional[str] = None
-    tol_overridden: bool = False
     timings: bool = False
 
 
@@ -266,7 +265,7 @@ def _emit_report(config: RunConfig, report) -> None:
 
 def cmd_verify(config: RunConfig) -> int:
     start = time.perf_counter()
-    reports = run_suite(config.suite, tol_override=config.tol if config.tol_overridden else None)
+    reports = run_suite(config.suite, tol_override=config.tol)
     total_s = time.perf_counter() - start
     if config.out_format == "json":
         payload = [r.to_json(timings=config.timings) for r in reports]
@@ -296,13 +295,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Cantor spectrum.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
-        if output:
-            p.add_argument("--output", help="output file (default: stdout)")
+    def common(p):
+        p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default tolerance (1e-10)")
 
     p_walsh = sub.add_parser("walsh", help="emit basis steps as plot-ready files")
     p_walsh.add_argument("--range", dest="index_range", required=True,
@@ -311,13 +307,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_walsh.add_argument("--format", choices=("csv", "json"), default="csv")
     p_walsh.add_argument("--float", dest="as_float", action="store_true",
                          help="write decimal values instead of num/den")
-    p_walsh.add_argument("--tol", type=float, default=None)
 
     p_expand = sub.add_parser("expand", help="exact expansion of a sampled signal")
     p_expand.add_argument("--input", required=True, help="CSV, one sample per line")
     p_expand.add_argument("--level", type=int, default=None,
                           help="signal level (file must hold 2^level samples)")
-    p_expand.add_argument("--basis", choices=("walsh",), default="walsh")
     p_expand.add_argument("--float", dest="as_float", action="store_true")
     common(p_expand)
 
@@ -337,6 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p_verify.add_argument("--timings", action="store_true",
                           help="add each check's wall time and the suite total")
+    p_verify.add_argument("--tol", type=float, default=None,
+                          help="replace the tolerance of the float-based checks")
     common(p_verify)
 
     return parser
@@ -361,12 +357,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if config.command == "cantor" and not 0 <= config.spectrum_depth <= MAX_SPECTRUM_DEPTH:
         raise InputError(f"--p must be between 0 and {MAX_SPECTRUM_DEPTH}, "
                          f"got {config.spectrum_depth}")
-    tol = getattr(args, "tol", None)
-    config.tol_overridden = tol is not None
-    if tol is not None:
-        if tol <= 0:
-            raise InputError("--tol must be positive")
-        config.tol = tol
+    config.tol = getattr(args, "tol", None)
+    if config.tol is not None and config.tol <= 0:
+        raise InputError("--tol must be positive")
     return config
 
 

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 # int64 dot products are used as a fast path for inner products; keep a
@@ -60,10 +59,6 @@ def rational_str(value: Scalar) -> str:
     """Serialize an exact scalar as ``"num/den"``."""
     frac = Fraction(value)
     return f"{frac.numerator}/{frac.denominator}"
-
-
-def parse_rational(text: str) -> Scalar:
-    return as_rational(text)
 
 
 class StepFunction:
@@ -169,8 +164,14 @@ class StepFunction:
         return vec
 
     def inner(self, other: "StepFunction") -> Scalar:
-        """Exact inner product ``2**-K sum(a_i b_i)`` at the common level K."""
+        """Exact inner product ``2**-K sum(a_i b_i)`` at the common level K.
+
+        Against a carrier that is not a step (a trig hybrid), the other side
+        measures: the inner product is real and symmetric.
+        """
         if type(other) is not type(self):
+            if not isinstance(other, StepFunction):
+                return other.inner(self)
             raise TypeError("inner product requires matching function types")
         k = max(self.level, other.level)
         va, vb = self._int_vector(), other._int_vector()
@@ -236,24 +237,7 @@ class DyadicStep(StepFunction):
 
     @classmethod
     def from_json(cls, data: dict) -> "DyadicStep":
-        return cls(data["level"], [parse_rational(c) for c in data["coeffs"]])
-
-
-def inner(f: StepFunction, g: StepFunction) -> Scalar:
-    """Module-level alias for ``f.inner(g)``."""
-    return f.inner(g)
-
-
-def refine(f: StepFunction, target_level: int) -> StepFunction:
-    return f.refine(target_level)
-
-
-def normalize(f: StepFunction) -> StepFunction:
-    return f.normalize()
-
-
-def evaluate(f: DyadicStep, x) -> Scalar:
-    return f.evaluate(x)
+        return cls(data["level"], [as_rational(c) for c in data["coeffs"]])
 
 
 # ---------------------------------------------------------------------------

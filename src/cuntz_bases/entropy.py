@@ -55,14 +55,14 @@ def _mass_tree(f, depth: int, rep) -> dict[tuple[int, ...], object]:
     """
     if type(rep) is IntervalRep2 and isinstance(f, StepFunction):
         return _packet_mass_tree(f, depth)
-    total = rep.norm_sq(f)
+    total = f.norm_sq()
     if total <= 0.0:
         raise ValueError("cannot analyze the zero function")
     if isinstance(total, int):
         total = Fraction(total)
 
     def mass_of(g):
-        value = rep.norm_sq(g)
+        value = g.norm_sq()
         if isinstance(value, int):
             value = Fraction(value)
         return value / total
@@ -160,10 +160,10 @@ def verify_entropy_recursion(f, k: int, rep=INTERVAL_REP,
         raise ValueError("tol must be positive")
     lhs = entropy(f, k + 1, rep)
     rhs = entropy(f, 1, rep)
-    total = float(rep.norm_sq(f))
+    total = float(f.norm_sq())
     for digit in (0, 1):
         g = rep.adjoint(digit, f)
-        mass = float(rep.norm_sq(g)) / total
+        mass = float(g.norm_sq()) / total
         if mass > ZERO_MASS:
             rhs += mass * entropy(g, k, rep)
     gap = abs(lhs - rhs)
@@ -244,7 +244,7 @@ def best_basis(f, max_depth: int, rep=INTERVAL_REP) -> tuple[tuple[MultiIndex, .
     refinement (in particular cost <= every uniform-depth entropy number),
     with coarse antichains favored.
     """
-    tree = build_entropy_tree(f, max(max_depth, 1), rep) if max_depth >= 1 else None
     if max_depth < 1:
         return (MultiIndex(()),), 0.0
+    tree = build_entropy_tree(f, max_depth, rep)
     return tree.best_leaves, tree.best_cost

@@ -153,6 +153,12 @@ class HybridFunction:
     def is_zero(self) -> bool:
         return not self.atoms
 
+    def inner(self, other: "HybridFunction | DyadicStep") -> float:
+        return hybrid_inner(self, other)
+
+    def norm_sq(self) -> float:
+        return hybrid_inner(self, self)
+
     def __add__(self, other: "HybridFunction") -> "HybridFunction":
         return HybridFunction(self.atoms + other.atoms)
 

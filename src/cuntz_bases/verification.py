@@ -38,7 +38,7 @@ from .cantor import (
     mu_hat_is_zero,
     verify_lambda_partition,
 )
-from .dyadic import DyadicStep, MultiIndex, inner
+from .dyadic import DyadicStep, MultiIndex
 from .entropy import best_basis, build_entropy_tree, entropy, verify_entropy_recursion
 from .operators import (
     GeneralRepN,
@@ -140,7 +140,7 @@ def check_orthogonal_ranges():
     worst = Fraction(0)
     for _ in range(25):
         f, g = _random_step(rng, 4), _random_step(rng, 5)
-        worst = max(worst, abs(inner(s_apply(0, f), s_apply(1, g))))
+        worst = max(worst, abs(s_apply(0, f).inner(s_apply(1, g))))
     return _report("interval-range-orthogonality-exact", worst, 0.0, "overlap", 25)
 
 
@@ -234,7 +234,7 @@ def check_walsh_fast_vs_gram():
         f = _random_step(rng, 5)
         coeffs = walsh_expand(f)
         for n, c in enumerate(coeffs):
-            if c != inner(walsh(n), f):
+            if c != walsh(n).inner(f):
                 bad += 1
     return _report("fast-transform-matches-gram-definition", bad, 0, f"{bad} coeffs", 320)
 
@@ -347,7 +347,7 @@ def check_hybrid_exact_consistency():
     for _ in range(10):
         f = DyadicStep(3, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)])
         g = DyadicStep(2, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)])
-        if hybrid_inner(f, g) != float(inner(f, g)):
+        if hybrid_inner(f, g) != float(f.inner(g)):
             bad += 1
     return _report("hybrid-inner-matches-exact-on-steps", bad, 0, f"{bad} mismatches", 10)
 

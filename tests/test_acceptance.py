@@ -2,7 +2,10 @@
 
 Each test prints one PASS/FAIL line so a verbose run reads as a checklist.
 Tolerances are pinned here and nowhere else; "exact" means equality of
-exact arithmetic, not a small float.
+exact arithmetic, not a small float.  Where a criterion is the same
+computation as a check registered in ``verification.CHECKS``, the test runs
+that check and judges its report by this file's tolerances and counts; the
+parts with their own seeds or conditions are computed here.
 """
 
 import math
@@ -11,33 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from cuntz_bases.basis import (
-    WalshSystem,
-    gram_identity_gap,
-    greedy_generators,
-    verify_decomposition,
-    walsh_word,
-)
-from cuntz_bases.cantor import (
-    CantorStep,
-    bessel_sum,
-    gram_exponentials,
-    indicator_relation_check,
-    mu_hat,
-    verify_lambda_partition,
-)
+from cuntz_bases import verification
+from cuntz_bases.basis import WalshSystem, gram_identity_gap
+from cuntz_bases.cantor import CantorStep, bessel_sum, mu_hat
 from cuntz_bases.cli import main
-from cuntz_bases.dyadic import DyadicStep, MultiIndex, parse_rational
+from cuntz_bases.dyadic import DyadicStep, as_rational
 from cuntz_bases.entropy import entropy, verify_entropy_recursion
-from cuntz_bases.operators import (
-    GeneralRepN,
-    INTERVAL_REP,
-    apply_word,
-    s_adjoint_hybrid,
-    s_apply_hybrid,
-    verify_cuntz,
-)
-from cuntz_bases.trig import hybrid_inner, hybrid_norm_sq, make_sine
+from cuntz_bases.operators import GeneralRepN, s_adjoint_hybrid, verify_cuntz
+from cuntz_bases.trig import hybrid_norm_sq, make_sine
 
 
 def report(number, description, ok):
@@ -45,23 +29,28 @@ def report(number, description, ok):
     return ok
 
 
+def registered(check):
+    """The report of a check from ``verification.CHECKS``."""
+    assert check in [fn for _suite, fn in verification.CHECKS]
+    return check()
+
+
+def exact(r, checked):
+    return r.passed and r.max_violation == 0.0 and r.checked == checked
+
+
 class TestCriterion1Relations:
     def test_relation_algebra(self):
-        interval = verify_cuntz(
-            INTERVAL_REP, [DyadicStep.indicator(6, i) for i in range(64)], tol=0.0)
-        cantor = verify_cuntz(
-            INTERVAL_REP,
-            [CantorStep.indicator_cell(MultiIndex(tuple((i >> m) & 1 for m in range(6))))
-             for i in range(64)],
-            tol=0.0)
+        interval = registered(verification.check_interval_relations_level6)
+        cantor = registered(verification.check_cantor_relations_level6)
         general_ok = True
         for n in (3, 4):
             rep = GeneralRepN(n)
             rng = np.random.default_rng(2024 + n)
             vectors = [rep.random_step(2, rng) for _ in range(100)]
             general_ok &= verify_cuntz(rep, vectors, tol=1e-12).passed
-        ok = (interval.passed and interval.max_violation == 0.0
-              and cantor.passed and cantor.max_violation == 0.0 and general_ok)
+        # 64 vectors, 4 adjoint-of-apply pairs and 1 projection sum each
+        ok = exact(interval, 320) and exact(cantor, 320) and general_ok
         assert report(1, "relation algebra: exact on level-6 indicators "
                          "(interval and Cantor), 1e-12 for 3 and 4 branches", ok)
 
@@ -71,11 +60,8 @@ class TestCriterion2WalshBasis:
         system = WalshSystem()
         vectors = [system.walsh(n) for n in range(1024)]
         gap, _ = gram_identity_gap(vectors)
-        one = DyadicStep.ones()
-        mismatches = sum(
-            1 for n in range(4096)
-            if system.walsh(n) != apply_word(walsh_word(n), one))
-        ok = gap == 0.0 and mismatches == 0
+        two_paths = registered(verification.check_walsh_two_paths)
+        ok = gap == 0.0 and exact(two_paths, 4096)
         assert report(2, "square-wave system: 1024-vector Gram is the identity "
                          "exactly; recursion equals word path for n < 4096", ok)
 
@@ -100,8 +86,8 @@ class TestCriterion3EmittedWaveforms:
             rows = (out / f"walsh_{n:04d}.csv").read_text().strip().splitlines()[1:]
             for row in rows:
                 x_text, v_text = row.split(",")
-                x = Fraction(parse_rational(x_text))
-                value = parse_rational(v_text)
+                x = Fraction(as_rational(x_text))
+                value = as_rational(v_text)
                 if value != self.eval_recursive(n, x):
                     ok = False
         assert report(3, "emitted waveform files for n < 32 match the "
@@ -117,43 +103,25 @@ class TestCriterion4SineGenerators:
         for n in range(2, 99, 2):
             if math.sqrt(hybrid_norm_sq(s_adjoint_hybrid(0, make_sine(n)))) <= 0.1:
                 ok = False
-        worst = 0.0
-        for n in range(1, 21):
-            vec = s_apply_hybrid(1, make_sine(n))
-            for k in range(5):
-                for m in range(1, 21):
-                    worst = max(worst, abs(hybrid_inner(make_sine(m), vec)))
-                if k < 4:
-                    vec = s_apply_hybrid(0, vec)
-        ok = ok and worst < 1e-10
+        cross = registered(verification.check_sine_cross_inners)
+        ok = ok and cross.max_violation < 1e-10 and cross.checked == 2000
         assert report(4, "sine family: odd sines in the adjoint kernel (<1e-10), "
                          "even ones far from it (>0.1), cross terms <1e-10", ok)
 
 
 class TestCriterion5GeneratorCover:
     def test_first_generators_and_bijection(self):
-        cover = greedy_generators(12)
-        first = [g.digits for g in cover.generators[:4]]
-        ok = first == [(), (1, 1), (1, 1, 0), (1, 0, 1)]
-        counts = {}
-        for digits, (k, j) in cover.coverage.items():
-            counts[len(digits)] = counts.get(len(digits), 0) + 1
-            if k.digits + j.digits != digits or k.weight > 1:
-                ok = False
-        ok = ok and all(counts.get(length, 0) == 1 << length for length in range(13))
-        ok = ok and len(cover.coverage) == (1 << 13) - 1
+        # checked counts the covered words: all 2^13 - 1 of length <= 12
+        ok = exact(registered(verification.check_generator_cover), (1 << 13) - 1)
         assert report(5, "greedy cover: first generators (), (1,1), (1,1,0), "
                          "(1,0,1); bijection on all words of length <= 12", ok)
 
 
 class TestCriterion6Decomposition:
     def test_every_level_to_ten(self):
-        cover = greedy_generators(9)
-        ok = True
-        for level in range(1, 11):
-            r = verify_decomposition(cover, level)
-            if not (r.passed and r.max_violation == 0.0):
-                ok = False
+        # levels 1..10, each a Gram triangle of n(n+1)/2 pairs for n = 2^level
+        pairs = sum((1 << level) * ((1 << level) + 1) // 2 for level in range(1, 11))
+        ok = exact(registered(verification.check_decomposition_levels), pairs)
         assert report(6, "depth-bounded completeness: 2^k orthonormal vectors "
                          "with exact identity Gram for every k <= 10", ok)
 
@@ -178,8 +146,7 @@ class TestCriterion7EntropyRecursion:
 
 class TestCriterion8CantorSpectrum:
     def test_orthogonality_transform_bessel(self):
-        gram = gram_exponentials(8)
-        ok = gram.passed and gram.checked == (256 * 255) // 2
+        ok = exact(registered(verification.check_cantor_spectrum_gram), (256 * 255) // 2)
         rng = random.Random(301)
         worst = 0.0
         for _ in range(1000):
@@ -198,22 +165,13 @@ class TestCriterion8CantorSpectrum:
 
 class TestCriterion9IndicatorExpansion:
     def test_all_words_to_six(self):
-        ok = True
-        count = 0
-        for length in range(1, 7):
-            for mask in range(1 << length):
-                word = MultiIndex(tuple((mask >> m) & 1 for m in range(length)))
-                r = indicator_relation_check(word)
-                count += 1
-                if not (r.passed and r.max_violation == 0.0):
-                    ok = False
-        ok = ok and count == 126
+        ok = exact(registered(verification.check_indicator_expansions), 126)
         assert report(9, "cylinder indicator expansion with constant 2^-|J| "
                          "exact for all 126 words of length <= 6", ok)
 
 
 class TestCriterion10SpectrumPartition:
     def test_odd_orbits(self):
-        ok = all(verify_lambda_partition(p).passed for p in range(1, 9))
+        ok = exact(registered(verification.check_lambda_partitions), 8)
         assert report(10, "nonzero spectrum points split exactly into odd-times-"
                           "powers-of-four orbits for every p <= 8", ok)

@@ -20,9 +20,9 @@ from cuntz_bases.basis import (
     walsh_synthesize,
     walsh_word,
 )
-from cuntz_bases.dyadic import DyadicStep, MultiIndex, inner
+from cuntz_bases.dyadic import DyadicStep, MultiIndex
 from cuntz_bases.operators import INTERVAL_REP, apply_word, s_apply
-from cuntz_bases.trig import make_sine
+from cuntz_bases.trig import hybrid_inner, make_sine
 
 
 def eval_walsh_pointwise(n, x):
@@ -73,7 +73,7 @@ class TestWalsh:
         vectors = [walsh(n) for n in range(16)]
         for i, u in enumerate(vectors):
             for j, v in enumerate(vectors):
-                assert inner(u, v) == (1 if i == j else 0)
+                assert u.inner(v) == (1 if i == j else 0)
 
     def test_local_system_isolated(self):
         system = WalshSystem()
@@ -96,7 +96,7 @@ class TestTransform:
                                for _ in range(16)])
             coeffs = walsh_expand(f)
             for n, c in enumerate(coeffs):
-                assert c == inner(walsh(n), f)
+                assert c == walsh(n).inner(f)
 
     def test_round_trip_exact(self):
         rng = random.Random(33)
@@ -193,7 +193,7 @@ class TestFrames:
         assert frame.max_pairwise_inner() < 1e-10
         # and every vector keeps the seed's norm
         for v in frame.vectors:
-            assert INTERVAL_REP.norm_sq(v) == pytest.approx(0.5, abs=1e-10)
+            assert v.norm_sq() == pytest.approx(0.5, abs=1e-10)
 
     def test_sine_frames_mutually_orthogonal(self):
         f1 = build_frame(make_sine(1), compute_K(make_sine(1), tol=1e-10), 3)
@@ -207,6 +207,14 @@ class TestFrames:
                             for w in frame.words]
         expected = {walsh(n).coeffs for n in expected_indices}
         assert produced == expected
+
+    def test_step_and_sine_frames_compare_in_either_order(self):
+        steps = build_frame(walsh(1), None, 2)
+        sines = build_frame(make_sine(1), None, 2)
+        for u in steps.vectors:
+            for v in sines.vectors:
+                assert u.inner(v).hex() == v.inner(u).hex() == hybrid_inner(u, v).hex()
+        assert frames_orthogonal(steps, sines) == frames_orthogonal(sines, steps)
 
     def test_frame_words_deduplicated(self):
         frame = build_frame(make_sine(1), MultiIndex((1, 1)), 3)

@@ -3,6 +3,8 @@
 import json
 import re
 
+import pytest
+
 from cuntz_bases.cli import MAX_WALSH_FILES, MAX_WALSH_INDEX, main
 from cuntz_bases.reporting import VerificationReport
 
@@ -123,6 +125,21 @@ class TestExpandCommand:
         data = json.loads(dst.read_text())
         values = {c["index"]: c["value"] for c in data["coefficients"]}
         assert values == {0: "0/1", 1: "0/1", 2: "0/1", 3: "1/1"}
+
+    def test_options_nothing_reads_are_rejected(self, tmp_path, capsys):
+        # --tol is a verify option only; expand has a single basis
+        src = tmp_path / "sig.csv"
+        write_samples(src, ["1", "-1"])
+        for extra in (["--tol", "1e-3"], ["--basis", "walsh"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["expand", "--input", str(src), *extra])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        for command in (["walsh", "--range", "1"], ["entropy", "--input", str(src)],
+                        ["cantor", "gram"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--tol", "1e-3"])
+            assert exc.value.code == 2
 
 
 class TestEntropyCommand:
@@ -293,3 +310,8 @@ class TestVerifyCommand:
         # exact checks are untouched by the override
         out = capsys.readouterr().out
         assert "odd-sine-adjoint-kernel-exact" in out
+
+    def test_nonpositive_tol_rejected(self, capsys):
+        for value in ("0", "-1e-6"):
+            assert main(["verify", "--suite", "cuntz", f"--tol={value}"]) == 2
+            assert capsys.readouterr().err == "error: --tol must be positive\n"

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cuntz_bases.dyadic import DyadicStep, MultiIndex
+from cuntz_bases.cantor import CantorStep
+from cuntz_bases.dyadic import DyadicStep, MultiIndex, StepFunction
 from cuntz_bases.operators import (
     GeneralRepN,
     INTERVAL_REP,
@@ -19,7 +20,16 @@ from cuntz_bases.operators import (
     verify_cuntz,
     verify_unitary_matrix,
 )
-from cuntz_bases.trig import HybridFunction, hybrid_inner, make_sine
+from cuntz_bases.reporting import VerificationReport
+from cuntz_bases.trig import (
+    MODE_COS,
+    MODE_SIN,
+    HybridFunction,
+    hybrid_inner,
+    make_atom,
+    make_cos,
+    make_sine,
+)
 
 
 def random_step(rng, level):
@@ -201,3 +211,121 @@ class TestGeneralProjections:
         for a in range(4):
             for b in range(a + 1, 4):
                 assert abs(projections[a].inner(projections[b])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Carrier protocol: verify_cuntz measures with the carrier's own norm_sq
+# ---------------------------------------------------------------------------
+
+def reference_residual_norm(f, g) -> float:
+    """Norm of f - g by isinstance dispatch over the carriers, as
+    verify_cuntz measured it before every carrier had ``norm_sq``."""
+    if isinstance(f, HybridFunction) or isinstance(g, HybridFunction):
+        if isinstance(f, StepFunction):
+            f = HybridFunction.from_step(f)
+        if isinstance(g, StepFunction):
+            g = HybridFunction.from_step(g)
+        diff = f - g
+        return float(max(hybrid_inner(diff, diff), 0.0)) ** 0.5
+    diff = f - g
+    return float(diff.norm_sq()) ** 0.5
+
+
+def reference_zero_like(f):
+    if isinstance(f, HybridFunction):
+        return HybridFunction.zero()
+    if isinstance(f, NAdicStep):
+        return NAdicStep(f.base, 0, [0.0])
+    return type(f)(0, (0,))
+
+
+def reference_verify_cuntz(rep, test_vectors, tol=0.0) -> VerificationReport:
+    """verify_cuntz with the residual measured against an explicit zero vector."""
+    worst = 0.0
+    witness = None
+    checked = 0
+    n = rep.N
+    for idx, f in enumerate(test_vectors):
+        for k in range(n):
+            sk = rep.apply(k, f)
+            for j in range(n):
+                got = rep.adjoint(j, sk)
+                want = f if j == k else reference_zero_like(f)
+                gap = reference_residual_norm(got, want)
+                checked += 1
+                if gap > worst:
+                    worst, witness = gap, f"S_{j}* S_{k} on vector {idx}"
+        total = None
+        for k in range(n):
+            piece = rep.apply(k, rep.adjoint(k, f))
+            total = piece if total is None else total + piece
+        gap = reference_residual_norm(total, f)
+        checked += 1
+        if gap > worst:
+            worst, witness = gap, f"sum_k S_k S_k* on vector {idx}"
+    passed = worst <= tol
+    return VerificationReport("cuntz-relations", passed, worst, tol,
+                              None if passed else witness, checked)
+
+
+def random_hybrids(rng, count):
+    """Sums of sine and cosine atoms on random step windows, plus pure modes."""
+    vectors = [make_sine(n) for n in range(4)] + [make_cos(n) for n in range(3)]
+    for _ in range(count):
+        atoms = []
+        for _ in range(rng.randint(1, 3)):
+            window = random_step(rng, rng.randint(0, 3))
+            mode = rng.choice((MODE_SIN, MODE_COS))
+            freq = Fraction(rng.randint(-6, 6), 1 << rng.randint(0, 2))
+            phase = Fraction(rng.randint(-4, 4), 1 << rng.randint(0, 3))
+            atoms.append(make_atom(window, mode, freq, phase))
+        vectors.append(HybridFunction(atoms) + HybridFunction.from_step(random_step(rng, 2)))
+    return vectors
+
+
+class BrokenRep(IntervalRep2):
+    def adjoint(self, j, f):
+        return super().adjoint(0, f)
+
+
+class TestCarrierProtocol:
+    def assert_same_report(self, rep, vectors, tol):
+        got = verify_cuntz(rep, vectors, tol=tol)
+        want = reference_verify_cuntz(rep, vectors, tol=tol)
+        assert got == want
+        assert got.max_violation.hex() == want.max_violation.hex()
+        return got
+
+    def test_reports_match_reference_on_steps(self):
+        rng = random.Random(41)
+        dyadic = [random_step(rng, level) for level in range(5) for _ in range(3)]
+        cantor = [CantorStep(s.level, s.coeffs) for s in dyadic]
+        for vectors in (dyadic + [DyadicStep.zero()], cantor):
+            assert self.assert_same_report(INTERVAL_REP, vectors, 0.0).passed
+
+    def test_reports_match_reference_on_hybrids(self):
+        vectors = random_hybrids(random.Random(43), 12)
+        assert self.assert_same_report(INTERVAL_REP, vectors, 0.0).passed
+
+    def test_reports_match_reference_on_general_rep(self):
+        rep = GeneralRepN(3)
+        rng = np.random.default_rng(47)
+        vectors = [rep.random_step(level, rng) for level in (0, 1, 2) for _ in range(10)]
+        report = self.assert_same_report(rep, vectors, 1e-12)
+        assert report.passed and report.max_violation > 0.0
+
+    def test_broken_rep_witness_matches_reference(self):
+        rng = random.Random(53)
+        for vectors in ([DyadicStep.indicator(2, 1), random_step(rng, 3)],
+                        [CantorStep.indicator_cell(MultiIndex((1, 0)))],
+                        random_hybrids(rng, 3)):
+            report = self.assert_same_report(BrokenRep(), vectors, 0.0)
+            assert not report.passed and report.witness is not None
+
+    def test_hybrid_measures_itself_like_hybrid_inner(self):
+        rng = random.Random(59)
+        vectors = random_hybrids(rng, 8)
+        for f in vectors:
+            assert f.norm_sq().hex() == hybrid_inner(f, f).hex()
+            for g in vectors + [random_step(rng, 2)]:
+                assert f.inner(g).hex() == hybrid_inner(f, g).hex()
