@@ -79,7 +79,7 @@ from .cantor import (
     mu_hat_is_zero,
     verify_lambda_partition,
 )
-from .reporting import VerificationReport
+from .reporting import Tally, VerificationReport
 from .verification import run_suite
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -358,8 +359,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise InputError(f"--p must be between 0 and {MAX_SPECTRUM_DEPTH}, "
                          f"got {config.spectrum_depth}")
     config.tol = getattr(args, "tol", None)
-    if config.tol is not None and config.tol <= 0:
-        raise InputError("--tol must be positive")
+    if config.tol is not None:
+        if not config.tol > 0:  # NaN fails this too
+            raise InputError("--tol must be positive")
+        if math.isinf(config.tol):
+            raise InputError("--tol must be finite")
     return config
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .dyadic import StepFunction, _canon, as_word
-from .reporting import VerificationReport
+from .reporting import Tally, VerificationReport
 from .trig import HybridFunction, average_halves, compose_doubling
 
 Vector = Union[StepFunction, HybridFunction]
@@ -217,30 +217,21 @@ def verify_cuntz(rep, test_vectors: Iterable, tol: float = 0.0) -> VerificationR
     carriers may pass ``tol=0.0``; a failure is reported (with a witness),
     never raised.
     """
-    worst = 0.0
-    witness = None
-    checked = 0
+    tally = Tally()
     n = rep.N
     for idx, f in enumerate(test_vectors):
         for k in range(n):
             sk = rep.apply(k, f)
             for j in range(n):
                 got = rep.adjoint(j, sk)
-                gap = _norm(got - f) if j == k else _norm(got)
-                checked += 1
-                if gap > worst:
-                    worst, witness = gap, f"S_{j}* S_{k} on vector {idx}"
+                tally.record(_norm(got - f) if j == k else _norm(got),
+                             f"S_{j}* S_{k} on vector {idx}")
         total = None
         for k in range(n):
             piece = rep.apply(k, rep.adjoint(k, f))
             total = piece if total is None else total + piece
-        gap = _norm(total - f)
-        checked += 1
-        if gap > worst:
-            worst, witness = gap, f"sum_k S_k S_k* on vector {idx}"
-    passed = worst <= tol
-    return VerificationReport("cuntz-relations", passed, worst, tol,
-                              None if passed else witness, checked)
+        tally.record(_norm(total - f), f"sum_k S_k S_k* on vector {idx}")
+    return tally.report("cuntz-relations", tol)
 
 
 def verify_unitary_matrix(n: int, x_samples: Sequence[float], tol: float = 1e-12) -> VerificationReport:
@@ -251,19 +242,12 @@ def verify_unitary_matrix(n: int, x_samples: Sequence[float], tol: float = 1e-12
     N = 4 cases exact in floating point (entries are exact units).
     """
     rep = GeneralRepN(n)
-    worst = 0.0
-    witness = None
-    checked = 0
+    tally = Tally()
     for x in x_samples:
         m = np.empty((n, n), dtype=np.complex128)
         for k in range(n):
             y = (x + k) / n
             for j in range(n):
                 m[j, k] = rep.filter_value(j, y)
-        gap = float(np.abs(m @ m.conj().T - n * np.eye(n)).max()) / n
-        checked += 1
-        if gap > worst:
-            worst, witness = gap, f"x = {x}"
-    passed = worst <= tol
-    return VerificationReport(f"unitary-filter-matrix-N{n}", passed, worst, tol,
-                              None if passed else witness, checked)
+        tally.record(float(np.abs(m @ m.conj().T - n * np.eye(n)).max()) / n, f"x = {x}")
+    return tally.report(f"unitary-filter-matrix-N{n}", tol)

@@ -11,9 +11,9 @@ class VerificationReport:
     """Outcome of checking one named relation over a family of inputs.
 
     ``max_violation`` is 0.0 for an exact pass; ``witness`` names the first
-    offending input when the check fails.  ``elapsed_s`` is the check's wall
-    time when a suite runner measured it; it takes no part in equality, the
-    text line or the default JSON, so those stay deterministic.
+    case with the largest gap when the check fails.  ``elapsed_s`` is the
+    check's wall time when a suite runner measured it; it takes no part in
+    equality, the text line or the default JSON, so those stay deterministic.
     """
 
     relation: str
@@ -23,6 +23,10 @@ class VerificationReport:
     witness: Optional[str] = None
     checked: int = 0
     elapsed_s: Optional[float] = field(default=None, compare=False)
+
+    def judged(self, tol: float) -> "VerificationReport":
+        """This report judged again at ``tol`` (its time is not kept)."""
+        return _verdict(self.relation, self.max_violation, tol, self.witness, self.checked)
 
     def to_json(self, timings: bool = False) -> dict:
         data = {
@@ -46,3 +50,42 @@ class VerificationReport:
         if not self.passed and self.witness:
             msg += f" witness: {self.witness}"
         return msg
+
+
+def _verdict(relation, worst, tol, witness, checked) -> VerificationReport:
+    """The one pass rule of every check: worst <= tol, compared before the
+    gap is rounded to a float.  A pass carries no witness."""
+    passed = worst <= tol
+    return VerificationReport(relation, passed, float(worst), tol,
+                              None if passed else witness, checked)
+
+
+class Tally:
+    """Counts the cases a check ran and keeps its largest gap.
+
+    ``record`` counts one case; ``absorb`` takes in a sub-report's count,
+    gap and witness.  The witness kept is that of the first case to reach
+    the largest gap.
+    """
+
+    def __init__(self):
+        self.checked = 0
+        self.worst = 0
+        self.witness: Optional[str] = None
+
+    def _keep(self, gap, witness) -> None:
+        if gap > self.worst:
+            self.worst, self.witness = gap, witness
+
+    def record(self, gap, witness: str) -> None:
+        self.checked += 1
+        self._keep(gap, witness)
+
+    def absorb(self, report: VerificationReport, label: str) -> None:
+        self.checked += report.checked
+        self._keep(report.max_violation,
+                   f"{label}: {report.witness}" if report.witness else label)
+
+    def report(self, relation: str, tol: float = 0) -> VerificationReport:
+        # an equality check, whose gaps are booleans, keeps the integer tol 0
+        return _verdict(relation, self.worst, tol, self.witness, self.checked)

@@ -3,8 +3,9 @@
 Every invariant promised by the library has a check here: the relation
 algebra of the isometry pair, the square-wave system, the sine family,
 the entropy calculus, and the Cantor spectrum.  All randomness is seeded,
-so a run is deterministic.  The command line's ``verify`` subcommand runs
-these and fails (exit 1) if any line fails.
+so a run is deterministic.  Each check records its cases in a ``Tally``,
+so the count it reports is the number of cases it ran.  The command line's
+``verify`` subcommand runs these and fails (exit 1) if any line fails.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .operators import (
     verify_cuntz,
     verify_unitary_matrix,
 )
-from .reporting import VerificationReport
+from .reporting import Tally, VerificationReport
 from .trig import (
     ANTIPERIODIC_HALF,
     NEITHER,
@@ -66,11 +67,6 @@ from .trig import (
 )
 
 SUITES = ("cuntz", "walsh", "sine", "entropy", "cantor")
-
-
-def _report(name, worst, tol, witness=None, checked=0) -> VerificationReport:
-    return VerificationReport(name, worst <= tol, float(worst), tol,
-                              None if worst <= tol else witness, checked)
 
 
 def _random_step(rng, level, span=9) -> DyadicStep:
@@ -90,58 +86,51 @@ def _nonzero_step(rng, level) -> DyadicStep:
 
 def check_interval_relations_level6():
     vectors = [DyadicStep.indicator(6, i) for i in range(64)]
-    report = verify_cuntz(INTERVAL_REP, vectors, tol=0.0)
-    return _report("interval-relations-exact-level6-indicators",
-                   report.max_violation, 0.0, report.witness, report.checked)
+    return dataclasses.replace(verify_cuntz(INTERVAL_REP, vectors, tol=0.0),
+                               relation="interval-relations-exact-level6-indicators")
 
 
 def check_cantor_relations_level6():
     vectors = [CantorStep.indicator_cell(MultiIndex(tuple((i >> m) & 1 for m in range(6))))
                for i in range(64)]
-    report = verify_cuntz(INTERVAL_REP, vectors, tol=0.0)
-    return _report("cantor-relations-exact-level6-indicators",
-                   report.max_violation, 0.0, report.witness, report.checked)
+    return dataclasses.replace(verify_cuntz(INTERVAL_REP, vectors, tol=0.0),
+                               relation="cantor-relations-exact-level6-indicators")
 
 
 def _check_general_relations(n):
     rep = GeneralRepN(n)
     rng = np.random.default_rng(1000 + n)
     vectors = [rep.random_step(2, rng) for _ in range(100)]
-    report = verify_cuntz(rep, vectors, tol=1e-12)
-    return _report(f"general-branch{n}-relations", report.max_violation, 1e-12,
-                   report.witness, report.checked)
+    return dataclasses.replace(verify_cuntz(rep, vectors, tol=1e-12),
+                               relation=f"general-branch{n}-relations")
 
 
 def check_unitary_filters():
     rng = np.random.default_rng(17)
-    reports = [
-        verify_unitary_matrix(2, [i / 16 for i in range(16)], tol=0.0),
-        verify_unitary_matrix(3, rng.random(50), tol=1e-12),
-        verify_unitary_matrix(4, rng.random(50), tol=0.0),
-    ]
-    worst = max(r.max_violation for r in reports)
-    witness = next((r.witness for r in reports if not r.passed), None)
-    return _report("unitary-filter-matrices-n2-n3-n4", worst, 1e-12, witness,
-                   sum(r.checked for r in reports))
+    tally = Tally()
+    tally.absorb(verify_unitary_matrix(2, [i / 16 for i in range(16)], tol=0.0), "N2")
+    tally.absorb(verify_unitary_matrix(3, rng.random(50), tol=1e-12), "N3")
+    tally.absorb(verify_unitary_matrix(4, rng.random(50), tol=0.0), "N4")
+    return tally.report("unitary-filter-matrices-n2-n3-n4", 1e-12)
 
 
 def check_isometry_exact():
     rng = random.Random(101)
-    worst = Fraction(0)
-    for _ in range(25):
+    tally = Tally()
+    for i in range(25):
         f = _random_step(rng, 5)
         for j in (0, 1):
-            worst = max(worst, abs(s_apply(j, f).norm_sq() - f.norm_sq()))
-    return _report("interval-isometry-exact", worst, 0.0, "norm mismatch", 50)
+            tally.record(abs(s_apply(j, f).norm_sq() - f.norm_sq()), f"S_{j} on vector {i}")
+    return tally.report("interval-isometry-exact", 0.0)
 
 
 def check_orthogonal_ranges():
     rng = random.Random(103)
-    worst = Fraction(0)
-    for _ in range(25):
+    tally = Tally()
+    for i in range(25):
         f, g = _random_step(rng, 4), _random_step(rng, 5)
-        worst = max(worst, abs(s_apply(0, f).inner(s_apply(1, g))))
-    return _report("interval-range-orthogonality-exact", worst, 0.0, "overlap", 25)
+        tally.record(abs(s_apply(0, f).inner(s_apply(1, g))), f"pair {i}")
+    return tally.report("interval-range-orthogonality-exact", 0.0)
 
 
 def check_adjoint_kernel_reflection():
@@ -149,40 +138,35 @@ def check_adjoint_kernel_reflection():
     # antisymmetric pair differences; check both directions on a basis
     k = 6
     half = 1 << (k - 1)
-    bad = 0
+    tally = Tally()
     for i in range(half):
         anti = DyadicStep.indicator(k, i) - DyadicStep.indicator(k, i + half)
         sym = DyadicStep.indicator(k, i) + DyadicStep.indicator(k, i + half)
-        if not s_adjoint(0, anti).is_zero():
-            bad += 1
-        if s_adjoint(0, sym).is_zero():
-            bad += 1
-    return _report("adjoint-kernel-is-half-shift-reflection-level6", bad, 0,
-                   f"{bad} basis vectors misclassified", 2 * half)
+        tally.record(not s_adjoint(0, anti).is_zero(), f"difference at cell {i}")
+        tally.record(s_adjoint(0, sym).is_zero(), f"sum at cell {i}")
+    return tally.report("adjoint-kernel-is-half-shift-reflection-level6")
 
 
 def check_hybrid_partition_of_unity():
     f = make_sine(1) + HybridFunction.from_step(DyadicStep.ones())
     total = s_apply_hybrid(0, s_adjoint_hybrid(0, f)) + s_apply_hybrid(1, s_adjoint_hybrid(1, f))
     diff = total - f
-    gap = math.sqrt(max(hybrid_inner(diff, diff), 0.0))
-    return _report("hybrid-partition-of-unity", gap, 1e-10, "projection sum", 1)
+    tally = Tally()
+    tally.record(math.sqrt(max(hybrid_inner(diff, diff), 0.0)), "projection sum")
+    return tally.report("hybrid-partition-of-unity", 1e-10)
 
 
 def check_general_projections():
     rep = GeneralRepN(3)
     rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(20):
+    tally = Tally()
+    for i in range(20):
         f = rep.random_step(1, rng)
         pieces = [rep.apply(k, rep.adjoint(k, f)) for k in range(3)]
         total = pieces[0] + pieces[1] + pieces[2]
-        worst = max(worst, math.sqrt((total - f).norm_sq()))
-        for a in range(3):
-            for b in range(a + 1, 3):
-                worst = max(worst, abs(pieces[a].inner(pieces[b])))
-    return _report("general-branch3-orthogonal-idempotents", worst, 1e-12,
-                   "projection algebra", 20)
+        overlaps = [abs(pieces[a].inner(pieces[b])) for a in range(3) for b in range(a + 1, 3)]
+        tally.record(max(math.sqrt((total - f).norm_sq()), *overlaps), f"vector {i}")
+    return tally.report("general-branch3-orthogonal-idempotents", 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,87 +176,76 @@ def check_general_projections():
 def check_walsh_two_paths():
     system = WalshSystem()
     one = DyadicStep.ones()
-    bad = 0
+    tally = Tally()
     for n in range(4096):
-        if system.walsh(n) != apply_word(walsh_word(n), one):
-            bad += 1
-    return _report("square-wave-recursion-vs-word-path-4096", bad, 0,
-                   f"{bad} mismatches", 4096)
+        tally.record(system.walsh(n) != apply_word(walsh_word(n), one), f"n = {n}")
+    return tally.report("square-wave-recursion-vs-word-path-4096")
 
 
 def check_walsh_gram():
-    report = verify_decomposition(greedy_generators(9), 10)
-    return _report("square-wave-gram-identity-1024", report.max_violation, 0.0,
-                   report.witness, report.checked)
+    return dataclasses.replace(verify_decomposition(greedy_generators(9), 10),
+                               relation="square-wave-gram-identity-1024")
 
 
 def check_walsh_shift_identities():
-    bad = 0
+    tally = Tally()
     for n in range(256):
-        if s_apply(0, walsh(n)) != walsh(2 * n):
-            bad += 1
-        if s_apply(1, walsh(n)) != walsh(2 * n + 1):
-            bad += 1
-    return _report("square-wave-shift-identities", bad, 0, f"{bad} mismatches", 512)
+        tally.record(s_apply(0, walsh(n)) != walsh(2 * n), f"S_0 walsh({n})")
+        tally.record(s_apply(1, walsh(n)) != walsh(2 * n + 1), f"S_1 walsh({n})")
+    return tally.report("square-wave-shift-identities")
 
 
 def check_walsh_transform():
     rng = random.Random(107)
-    bad = 0
-    for _ in range(50):
+    tally = Tally()
+    for i in range(50):
         f = DyadicStep(6, [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
                            for _ in range(64)])
-        if walsh_synthesize(walsh_expand(f)) != f:
-            bad += 1
-    return _report("square-wave-transform-roundtrip-exact", bad, 0, f"{bad} failures", 50)
+        tally.record(walsh_synthesize(walsh_expand(f)) != f, f"step {i}")
+    return tally.report("square-wave-transform-roundtrip-exact")
 
 
 def check_walsh_fast_vs_gram():
     rng = random.Random(109)
-    bad = 0
-    for _ in range(10):
+    tally = Tally()
+    for i in range(10):
         f = _random_step(rng, 5)
-        coeffs = walsh_expand(f)
-        for n, c in enumerate(coeffs):
-            if c != walsh(n).inner(f):
-                bad += 1
-    return _report("fast-transform-matches-gram-definition", bad, 0, f"{bad} coeffs", 320)
+        for n, c in enumerate(walsh_expand(f)):
+            tally.record(c != walsh(n).inner(f), f"step {i}, coefficient {n}")
+    return tally.report("fast-transform-matches-gram-definition")
 
 
 def check_generator_cover():
+    # every word of length <= 12 is covered once, as a weight <= 1 word
+    # followed by a generator; the first generators are the greedy ones
     cover = greedy_generators(12)
-    first = [g.digits for g in cover.generators[:4]]
-    ok_first = first == [(), (1, 1), (1, 1, 0), (1, 0, 1)]
-    counts = {}
-    ok_factorization = True
-    for digits, (k, j) in cover.coverage.items():
-        counts[len(digits)] = counts.get(len(digits), 0) + 1
-        if k.digits + j.digits != digits or k.weight > 1:
-            ok_factorization = False
-    ok_counts = all(counts.get(length, 0) == 1 << length for length in range(13))
-    bad = (not ok_first) + (not ok_counts) + (not ok_factorization)
-    return _report("generator-cover-bijection-len12", bad, 0,
-                   f"first={first}", len(cover.coverage))
+    rank = {g.digits: i for i, g in enumerate(cover.generators)}
+    first = {(): 0, (1, 1): 1, (1, 1, 0): 2, (1, 0, 1): 3}
+    tally = Tally()
+    words = [()]  # all words of one length, in code order
+    for _ in range(13):
+        for digits in words:
+            k, j = cover.coverage.get(digits, (None, None))
+            tally.record(k is None or k.digits + j.digits != digits or k.weight > 1
+                         or (digits in first and rank.get(digits) != first[digits]),
+                         f"word {digits}")
+        words = [w + (0,) for w in words] + [w + (1,) for w in words]
+    return tally.report("generator-cover-bijection-len12")
 
 
 def check_generator_weights():
-    cover = greedy_generators(10)
-    bad = sum(1 for g in cover.generators if g.weight % 2)
-    return _report("generator-words-have-even-weight", bad, 0,
-                   f"{bad} odd-weight generators", len(cover.generators))
+    tally = Tally()
+    for g in greedy_generators(10).generators:
+        tally.record(g.weight % 2, f"generator {g.digits}")
+    return tally.report("generator-words-have-even-weight")
 
 
 def check_decomposition_levels():
     cover = greedy_generators(9)
-    worst = 0.0
-    witness = None
-    checked = 0
+    tally = Tally()
     for level in range(1, 11):
-        report = verify_decomposition(cover, level)
-        checked += report.checked
-        if report.max_violation > worst:
-            worst, witness = report.max_violation, f"level {level}: {report.witness}"
-    return _report("square-wave-decomposition-levels-1-10", worst, 0.0, witness, checked)
+        tally.absorb(verify_decomposition(cover, level), f"level {level}")
+    return tally.report("square-wave-decomposition-levels-1-10", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,52 +253,48 @@ def check_decomposition_levels():
 # ---------------------------------------------------------------------------
 
 def check_odd_sine_kernel():
-    bad = 0
+    tally = Tally()
     for n in range(1, 100, 2):
-        if not s_adjoint_hybrid(0, make_sine(n)).is_zero():
-            bad += 1
-    return _report("odd-sine-adjoint-kernel-exact", bad, 0, f"{bad} odd sines survive", 50)
+        tally.record(not s_adjoint_hybrid(0, make_sine(n)).is_zero(), f"sine {n}")
+    return tally.report("odd-sine-adjoint-kernel-exact")
 
 
 def check_even_sine_halving():
-    bad = 0
-    worst = 0.0
+    tally = Tally()
     for m in range(1, 50):
-        if s_adjoint_hybrid(0, make_sine(2 * m)) != make_sine(m):
-            bad += 1
-        norm = math.sqrt(hybrid_norm_sq(s_adjoint_hybrid(0, make_sine(2 * m))))
-        worst = max(worst, abs(norm - math.sqrt(0.5)))
-    return _report("even-sine-adjoint-halving-exact", bad + (worst > 1e-10), 0,
-                   f"{bad} atom mismatches, norm gap {worst:.2e}", 49)
+        half = s_adjoint_hybrid(0, make_sine(2 * m))
+        norm_gap = abs(math.sqrt(hybrid_norm_sq(half)) - math.sqrt(0.5))
+        tally.record(half != make_sine(m) or norm_gap > 1e-10,
+                     f"sine {2 * m}, norm gap {norm_gap:.2e}")
+    return tally.report("even-sine-adjoint-halving-exact")
 
 
 def check_sine_cross_inners():
-    worst = 0.0
+    sines = [make_sine(m) for m in range(1, 21)]
+    tally = Tally()
     for n in range(1, 21):
-        shifted = s_apply_hybrid(1, make_sine(n))
+        shifted = s_apply_hybrid(1, sines[n - 1])
         for k in range(5):
-            for m in range(1, 21):
-                worst = max(worst, abs(hybrid_inner(make_sine(m), shifted)))
+            for m, sine in enumerate(sines, 1):
+                tally.record(abs(hybrid_inner(sine, shifted)), f"sine {m} vs S_0^{k} S_1 sine {n}")
             shifted = s_apply_hybrid(0, shifted) if k < 4 else shifted
-    return _report("sine-vs-shifted-sine-inners", worst, 1e-10, "cross term", 2000)
+    return tally.report("sine-vs-shifted-sine-inners", 1e-10)
 
 
 def check_sine_frame_family():
     frames = [build_frame(make_sine(2 * n + 1), None, 4) for n in range(6)]
-    worst = 0.0
-    pairs = 0
     vectors = [v for fr in frames for v in fr.vectors]
+    tally = Tally()
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            worst = max(worst, abs(hybrid_inner(vectors[i], vectors[j])))
-            pairs += 1
-    return _report("sine-family-frame-orthogonality", worst, 1e-10, "frame pair", pairs)
+            tally.record(abs(hybrid_inner(vectors[i], vectors[j])), f"frame vectors {i} and {j}")
+    return tally.report("sine-family-frame-orthogonality", 1e-10)
 
 
 def check_parseval():
     rng = random.Random(113)
-    worst = 0.0
-    for _ in range(5):
+    tally = Tally()
+    for i in range(5):
         f = HybridFunction.zero()
         for n in range(1, 7):
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -337,19 +306,18 @@ def check_parseval():
             continue
         c, s = fourier_coeffs(f, 8)
         energy = c[0] ** 2 + 2 * sum(c[n] ** 2 + s[n] ** 2 for n in range(1, 9))
-        worst = max(worst, abs(energy - hybrid_norm_sq(f)))
-    return _report("trig-parseval", worst, 1e-10, "energy mismatch", 5)
+        tally.record(abs(energy - hybrid_norm_sq(f)), f"signal {i}")
+    return tally.report("trig-parseval", 1e-10)
 
 
 def check_hybrid_exact_consistency():
     rng = random.Random(127)
-    bad = 0
-    for _ in range(10):
+    tally = Tally()
+    for i in range(10):
         f = DyadicStep(3, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)])
         g = DyadicStep(2, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)])
-        if hybrid_inner(f, g) != float(f.inner(g)):
-            bad += 1
-    return _report("hybrid-inner-matches-exact-on-steps", bad, 0, f"{bad} mismatches", 10)
+        tally.record(hybrid_inner(f, g) != float(f.inner(g)), f"pair {i}")
+    return tally.report("hybrid-inner-matches-exact-on-steps")
 
 
 def check_reflection_classifier():
@@ -360,14 +328,16 @@ def check_reflection_classifier():
         (HybridFunction.from_step(walsh(1)), ANTIPERIODIC_HALF),
         (HybridFunction.from_step(walsh(2)), PERIODIC_HALF),
     ]
-    bad = sum(1 for f, want in cases if classify_reflection(f, 1e-10) != want)
-    return _report("reflection-classifier-cases", bad, 0, f"{bad} misclassified", len(cases))
+    tally = Tally()
+    for i, (f, want) in enumerate(cases):
+        tally.record(classify_reflection(f, 1e-10) != want, f"case {i}")
+    return tally.report("reflection-classifier-cases")
 
 
 def check_fourier_decimation():
     rng = random.Random(131)
-    worst = 0.0
-    for _ in range(3):
+    tally = Tally()
+    for i in range(3):
         f = HybridFunction.zero()
         for n in range(1, 7):
             f = f + make_cos(n).scale(rng.randint(-2, 2)) + make_sine(n).scale(rng.randint(-2, 2))
@@ -375,8 +345,9 @@ def check_fourier_decimation():
         c_f, s_f = fourier_coeffs(f, 12)
         c_g, s_g = fourier_coeffs(g, 6)
         for n in range(7):
-            worst = max(worst, abs(c_g[n] - c_f[2 * n]), abs(s_g[n] - s_f[2 * n]))
-    return _report("adjoint-decimates-fourier-coefficients", worst, 1e-10, "coefficient", 42)
+            tally.record(abs(c_g[n] - c_f[2 * n]), f"signal {i}, cosine {n}")
+            tally.record(abs(s_g[n] - s_f[2 * n]), f"signal {i}, sine {n}")
+    return tally.report("adjoint-decimates-fourier-coefficients", 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -385,59 +356,59 @@ def check_fourier_decimation():
 
 def check_mass_partition():
     rng = random.Random(137)
-    bad = 0
-    for _ in range(20):
+    tally = Tally()
+    for i in range(20):
         f = _nonzero_step(rng, 5)
         for k in (1, 2, 3):
             tree = build_entropy_tree(f, k)
-            if sum(m for w, m in tree.masses.items() if len(w) == k) != 1:
-                bad += 1
-    return _report("projection-masses-partition-unity-exact", bad, 0, f"{bad} levels", 60)
+            tally.record(sum(m for w, m in tree.masses.items() if len(w) == k) != 1,
+                         f"step {i}, level {k}")
+    return tally.report("projection-masses-partition-unity-exact")
 
 
 def check_mass_refinement():
     rng = random.Random(139)
-    bad = 0
-    for _ in range(20):
+    tally = Tally()
+    for i in range(20):
         tree = build_entropy_tree(_nonzero_step(rng, 5), 4)
         for word, mass in tree.masses.items():
-            if len(word) < 4 and mass != tree.masses[word + (0,)] + tree.masses[word + (1,)]:
-                bad += 1
-    return _report("child-masses-refine-parent-exact", bad, 0, f"{bad} nodes", 20 * 15)
+            if len(word) < 4:
+                tally.record(mass != tree.masses[word + (0,)] + tree.masses[word + (1,)],
+                             f"step {i}, node {word}")
+    return tally.report("child-masses-refine-parent-exact")
 
 
 def check_entropy_recursion():
     rng = random.Random(149)
-    worst = 0.0
-    for _ in range(100):
+    tally = Tally()
+    for i in range(100):
         f = _nonzero_step(rng, 6)
         for k in (1, 2, 3, 4):
-            report = verify_entropy_recursion(f, k, tol=1e-12)
-            worst = max(worst, report.max_violation)
-    return _report("entropy-chain-rule-random-level6", worst, 1e-12, "identity gap", 400)
+            tally.absorb(verify_entropy_recursion(f, k, tol=1e-12), f"step {i}, k {k}")
+    return tally.report("entropy-chain-rule-random-level6", 1e-12)
 
 
 def check_entropy_single_branch():
     rng = random.Random(151)
-    worst = 0.0
-    for _ in range(10):
+    tally = Tally()
+    for i in range(10):
         g = _nonzero_step(rng, 4)
         f = s_apply(0, g)
         for k in (1, 2, 3):
-            worst = max(worst, abs(entropy(f, k + 1) - entropy(g, k)))
-    return _report("single-branch-support-shifts-depth", worst, 1e-12, "entropy gap", 30)
+            tally.record(abs(entropy(f, k + 1) - entropy(g, k)), f"step {i}, depth {k}")
+    return tally.report("single-branch-support-shifts-depth", 1e-12)
 
 
 def check_entropy_bounds():
     rng = random.Random(157)
-    bad = 0
-    for _ in range(20):
+    tally = Tally()
+    for i in range(20):
         f = _nonzero_step(rng, 4)
         for k in (1, 2, 3):
             e = entropy(f, k)
-            if not -1e-12 <= e <= k * math.log(2) + 1e-12:
-                bad += 1
-    return _report("entropy-number-range", bad, 0, f"{bad} out of range", 60)
+            tally.record(not -1e-12 <= e <= k * math.log(2) + 1e-12,
+                         f"step {i}, depth {k}: {e!r}")
+    return tally.report("entropy-number-range")
 
 
 def check_best_basis_exhaustive():
@@ -449,8 +420,8 @@ def check_best_basis_exhaustive():
                     yield left + right
 
     rng = random.Random(163)
-    worst = 0.0
-    for _ in range(10):
+    tally = Tally()
+    for i in range(10):
         f = _nonzero_step(rng, 4)
         tree = build_entropy_tree(f, 3)
 
@@ -464,32 +435,31 @@ def check_best_basis_exhaustive():
 
         exhaustive = min(cost(chain) for chain in antichains((), 3))
         _, dp_cost = best_basis(f, 3)
-        worst = max(worst, abs(dp_cost - exhaustive))
-    return _report("best-basis-matches-exhaustive-depth3", worst, 1e-12, "cost gap", 10)
+        tally.record(abs(dp_cost - exhaustive), f"step {i}")
+    return tally.report("best-basis-matches-exhaustive-depth3", 1e-12)
 
 
 def check_best_basis_uniform_bound():
     rng = random.Random(167)
-    worst = 0.0
-    for _ in range(10):
+    tally = Tally()
+    for i in range(10):
         f = _nonzero_step(rng, 5)
         _, cost = best_basis(f, 5)
         for k in (1, 2, 3, 4, 5):
-            worst = max(worst, cost - entropy(f, k))
-    return _report("best-basis-beats-uniform-partitions", max(worst, 0.0), 1e-12,
-                   "cost above uniform", 50)
+            tally.record(cost - entropy(f, k), f"step {i}, depth {k}")
+    return tally.report("best-basis-beats-uniform-partitions", 1e-12)
 
 
 def check_branch_permutation():
     rng = random.Random(173)
-    worst = 0.0
-    for _ in range(10):
+    tally = Tally()
+    for i in range(10):
         f = _nonzero_step(rng, 4)
         half = len(f.coeffs) // 2
         swapped = DyadicStep(f.level, f.coeffs[half:] + f.coeffs[:half])
         for k in (1, 2, 3):
-            worst = max(worst, abs(entropy(f, k) - entropy(swapped, k)))
-    return _report("entropy-invariant-under-branch-swap", worst, 1e-12, "entropy gap", 30)
+            tally.record(abs(entropy(f, k) - entropy(swapped, k)), f"step {i}, depth {k}")
+    return tally.report("entropy-invariant-under-branch-swap", 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -497,80 +467,72 @@ def check_branch_permutation():
 # ---------------------------------------------------------------------------
 
 def check_cantor_spectrum_gram():
-    report = gram_exponentials(8)
-    return _report("spectrum-orthogonality-p8", 0.0 if report.passed else 1.0, 0.0,
-                   report.witness, report.checked)
+    return dataclasses.replace(gram_exponentials(8), relation="spectrum-orthogonality-p8")
 
 
 def check_mu_hat_functional_equation():
     rng = random.Random(179)
-    worst = 0.0
+    tally = Tally()
     for _ in range(1000):
         lam = rng.uniform(-100, 100)
         lhs = mu_hat(lam)
         rhs = 0.5 * (1 + complex(math.cos(math.pi * lam), math.sin(math.pi * lam))) * mu_hat(lam / 4)
-        worst = max(worst, abs(lhs - rhs))
-    return _report("measure-transform-functional-equation", worst, 1e-9, "equation gap", 1000)
+        tally.record(abs(lhs - rhs), f"lambda = {lam!r}")
+    return tally.report("measure-transform-functional-equation", 1e-9)
 
 
 def check_mu_hat_zero_consistency():
-    bad = 0
+    tally = Tally()
     for delta in range(-1000, 1001):
-        if (abs(mu_hat(delta)) < 1e-8) != mu_hat_is_zero(delta):
-            bad += 1
-    return _report("transform-zero-predicate-vs-numeric", bad, 0, f"{bad} integers", 2001)
+        tally.record((abs(mu_hat(delta)) < 1e-8) != mu_hat_is_zero(delta), f"delta = {delta}")
+    return tally.report("transform-zero-predicate-vs-numeric")
 
 
 def check_indicator_expansions():
-    worst = 0.0
-    checked = 0
+    tally = Tally()
     for length in range(1, 7):
         for mask in range(1 << length):
             word = MultiIndex(tuple((mask >> m) & 1 for m in range(length)))
-            report = indicator_relation_check(word)
-            worst = max(worst, report.max_violation)
-            checked += 1
-    return _report("cell-indicator-expansion-words-to-len6", worst, 0.0,
-                   "expansion mismatch", checked)
+            tally.record(indicator_relation_check(word).max_violation, f"word {word.digits}")
+    return tally.report("cell-indicator-expansion-words-to-len6", 0.0)
 
 
 def check_lambda_partitions():
-    bad = 0
+    tally = Tally()
     for p in range(1, 9):
-        if not verify_lambda_partition(p).passed:
-            bad += 1
-    return _report("spectrum-odd-orbit-partition-p1-8", bad, 0, f"{bad} depths", 8)
+        report = verify_lambda_partition(p)
+        tally.record(report.max_violation, f"p{p}: {report.witness}")
+    return tally.report("spectrum-odd-orbit-partition-p1-8")
 
 
 def check_bessel_monotone():
     f = CantorStep(1, [1, 0])
     sums = [2 * bessel_sum(f, p) for p in range(2, 9)]
-    worst_drop = max(max(a - b for a, b in zip(sums, sums[1:])), 0.0)
-    overshoot = max(max(sums) - 1.0, 0.0)
-    return _report("bessel-sums-monotone-and-bounded", max(worst_drop, overshoot),
-                   1e-10, f"sums={sums}", len(sums))
+    tally = Tally()
+    for p, (before, s) in enumerate(zip([-math.inf] + sums, sums), 2):
+        tally.record(max(before - s, s - 1.0), f"p{p}: sums={sums}")
+    return tally.report("bessel-sums-monotone-and-bounded", 1e-10)
 
 
 def check_exp_coefficient_scaling():
     rng = random.Random(181)
-    worst = 0.0
-    for _ in range(5):
+    tally = Tally()
+    for i in range(5):
         f = CantorStep(2, [rng.randint(-3, 3) for _ in range(4)])
         g = s_apply(0, f)
         for lam in (0, 1, 5, 17, 21):
-            worst = max(worst, abs(exp_coefficient(4 * lam, g) - exp_coefficient(lam, f)))
-    return _report("exponential-frequency-scaling-under-isometry", worst, 1e-8,
-                   "coefficient gap", 25)
+            tally.record(abs(exp_coefficient(4 * lam, g) - exp_coefficient(lam, f)),
+                         f"step {i}, lambda {lam}")
+    return tally.report("exponential-frequency-scaling-under-isometry", 1e-8)
 
 
 def check_cell_scaling():
-    bad = 0
+    tally = Tally()
     for k in range(6):
-        if CantorStep.cell_mass(k + 1) * 2 != CantorStep.cell_mass(k):
-            bad += 1
-        if CantorStep.cell_diameter(k + 1) * 4 != CantorStep.cell_diameter(k):
-            bad += 1
-    return _report("cell-mass-diameter-square-root-scaling", bad, 0, f"{bad} levels", 12)
+        tally.record(CantorStep.cell_mass(k + 1) * 2 != CantorStep.cell_mass(k), f"mass {k}")
+        tally.record(CantorStep.cell_diameter(k + 1) * 4 != CantorStep.cell_diameter(k),
+                     f"diameter {k}")
+    return tally.report("cell-mass-diameter-square-root-scaling")
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +600,7 @@ def run_suite(suite: str = "all", tol_override: float | None = None) -> list[Ver
             continue
         start = time.perf_counter()
         report = fn()
-        report = dataclasses.replace(report, elapsed_s=time.perf_counter() - start)
         if tol_override is not None and report.tol > 0:
-            report = dataclasses.replace(report, passed=report.max_violation <= tol_override,
-                                         tol=tol_override)
-        reports.append(report)
+            report = report.judged(tol_override)
+        reports.append(dataclasses.replace(report, elapsed_s=time.perf_counter() - start))
     return reports

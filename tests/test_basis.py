@@ -20,6 +20,7 @@ from cuntz_bases.basis import (
     walsh_synthesize,
     walsh_word,
 )
+from cuntz_bases import verification
 from cuntz_bases.dyadic import DyadicStep, MultiIndex
 from cuntz_bases.operators import INTERVAL_REP, apply_word, s_apply
 from cuntz_bases.trig import hybrid_inner, make_sine
@@ -251,3 +252,22 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             gram_identity_gap([DyadicStep(0, [1 << 30])])
         assert gram_identity_gap([walsh(0), walsh(3)]) == (0.0, None)
+
+
+# walsh-suite checks that no suite run or acceptance test pins: each must
+# report the number of cases its loop ran, so a shortened loop fails here
+WALSH_CHECK_COUNTS = [
+    (verification.check_walsh_gram, 1024 * 1025 // 2),
+    (verification.check_walsh_shift_identities, 2 * 256),
+    (verification.check_walsh_transform, 50),
+    (verification.check_walsh_fast_vs_gram, 10 * 32),
+    (verification.check_generator_weights, 512),
+]
+
+
+@pytest.mark.parametrize("check, checked", WALSH_CHECK_COUNTS,
+                         ids=[fn.__name__ for fn, _ in WALSH_CHECK_COUNTS])
+def test_walsh_check_counts_its_cases(check, checked):
+    assert check in [fn for _suite, fn in verification.CHECKS]
+    report = check()
+    assert report.passed and report.max_violation == 0.0 and report.checked == checked

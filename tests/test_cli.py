@@ -234,11 +234,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 8
         assert "FAIL" not in out
+        # each count is the number of cases the check's loop recorded
+        assert [int(n) for n in re.findall(r", (\d+) checks\)", out)] == [
+            20 * 3, 20 * 15, 100 * 4, 10 * 3, 20 * 3, 10, 10 * 5, 10 * 3]
 
     def test_json_format(self, capsys):
         assert main(["verify", "--suite", "cantor", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert all(r["passed"] for r in data)
+        assert [r["checked"] for r in data] == [
+            256 * 255 // 2, 1000, 2001, 126, 8, 7, 5 * 5, 6 * 2]
 
     @staticmethod
     def _outputs_with_threads_env(capsys, monkeypatch, value):
@@ -281,9 +286,13 @@ class TestVerifyCommand:
 
     def test_default_output_has_no_timings(self, capsys):
         assert main(["verify", "--suite", "cuntz", "--format", "json"]) == 0
-        for report in json.loads(capsys.readouterr().out):
+        data = json.loads(capsys.readouterr().out)
+        for report in data:
             assert set(report) == {"relation", "maxViolation", "witness", "passed",
                                    "tol", "checked"}
+        # relations: 64 vectors x 5, then 100 vectors x (N^2 + 1) for N = 3, 4
+        assert [r["checked"] for r in data] == [
+            320, 320, 1000, 1700, 16 + 50 + 50, 25 * 2, 25, 64, 1, 20]
         assert main(["verify", "--suite", "cuntz"]) == 0
         assert all(line.endswith("checks)") for line in capsys.readouterr().out.splitlines())
 
@@ -312,6 +321,9 @@ class TestVerifyCommand:
         assert "odd-sine-adjoint-kernel-exact" in out
 
     def test_nonpositive_tol_rejected(self, capsys):
-        for value in ("0", "-1e-6"):
+        for value in ("0", "-1e-6", "nan"):
             assert main(["verify", "--suite", "cuntz", f"--tol={value}"]) == 2
             assert capsys.readouterr().err == "error: --tol must be positive\n"
+        # an infinite tolerance would pass every float check unchecked
+        assert main(["verify", "--suite", "cuntz", "--tol=inf"]) == 2
+        assert "--tol" in capsys.readouterr().err

@@ -1,18 +1,20 @@
 """Property tests of the exact fast paths: the lifted Walsh butterfly, the
 packet mass tree, the integer-phase ``hybrid_inner`` and the integer Cantor
 layer (vectorised spectrum certificate, integer-phase ``exp_coefficient``),
-each against its definition; plus the isometry relations and canonical atom
-folding."""
+each against its definition; plus the isometry relations, canonical atom
+folding, and the tally that every verification report comes from."""
 
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cuntz_bases import verification
 from cuntz_bases.basis import walsh, walsh_butterfly, walsh_expand, walsh_synthesize
 from cuntz_bases.cantor import (
     CantorStep,
@@ -29,6 +31,7 @@ from cuntz_bases.cantor import (
 from cuntz_bases.dyadic import DyadicStep
 from cuntz_bases.entropy import build_entropy_tree
 from cuntz_bases.operators import s_adjoint, s_apply
+from cuntz_bases.reporting import Tally, VerificationReport
 from cuntz_bases.trig import (
     MODE_CONST,
     MODE_COS,
@@ -290,3 +293,84 @@ def test_table_and_bessel_sum_match_fraction_closed_form(f, p):
     rows = coefficient_table(f, p)
     assert [(r["re"].hex(), r["im"].hex()) for r in rows] == [_hex(c) for c in want]
     assert bessel_sum(f, p).hex() == sum(abs(c) ** 2 for c in want).hex()
+
+
+# gaps of both kinds the checks record: small pools so that maxima tie
+GAPS = st.one_of(st.sampled_from([0, 0.0, 1e-13, Fraction(1, 3), 0.5, Fraction(1, 2), 1]),
+                 st.floats(0, 2), FRACTIONS.map(abs))
+SUB_REPORTS = st.builds(
+    lambda checked, gap, witness: VerificationReport("sub", gap == 0, float(gap), 0.0,
+                                                     witness, checked),
+    st.integers(0, 5), GAPS, st.sampled_from([None, "", "x = 0.25"]))
+TOLS = st.sampled_from([0, 0.0, 1e-12, 0.4, 0.5, 1.0])
+
+
+def reference_tally(relation, events, tol):
+    """The bookkeeping each check once kept by hand: count, keep the first
+    case to reach the largest gap, judge once at the end."""
+    worst = 0.0
+    witness = None
+    checked = 0
+    for i, event in enumerate(events):
+        if isinstance(event, VerificationReport):
+            checked += event.checked
+            gap = event.max_violation
+            case = f"case {i}: {event.witness}" if event.witness else f"case {i}"
+        else:
+            checked += 1
+            gap, case = event, f"case {i}"
+        if gap > worst:
+            worst, witness = gap, case
+    passed = worst <= tol
+    return VerificationReport(relation, passed, float(worst), tol,
+                              None if passed else witness, checked)
+
+
+def tallied(events, tol):
+    tally = Tally()
+    for i, event in enumerate(events):
+        if isinstance(event, VerificationReport):
+            tally.absorb(event, f"case {i}")
+        else:
+            tally.record(event, f"case {i}")
+    return tally.report("r", tol)
+
+
+@PROPERTY
+@given(events=st.lists(st.one_of(GAPS, SUB_REPORTS), max_size=30), tol=TOLS)
+@example(events=[0.5, Fraction(1, 2), 0.25, 0.5], tol=0.4)
+def test_tally_matches_hand_kept_bookkeeping(events, tol):
+    report = tallied(events, tol)
+    assert report == reference_tally("r", events, tol)
+    gaps = [e.max_violation if isinstance(e, VerificationReport) else e for e in events]
+    assert report.checked == sum(e.checked if isinstance(e, VerificationReport) else 1
+                                 for e in events)
+    worst = max(gaps + [0])
+    assert report.max_violation == float(worst)
+    assert report.passed == (worst <= tol)
+    if report.passed:
+        assert report.witness is None
+    else:
+        first = gaps.index(worst)  # the first of the tied maxima
+        assert report.witness.split(":")[0] == f"case {first}"
+
+
+@PROPERTY
+@given(checks=st.lists(st.tuples(GAPS, st.sampled_from([0, 0.0, 1e-12, 0.5])),
+                       min_size=1, max_size=8),
+       override=st.sampled_from([1e-13, 0.25, 0.5, 2.0]))
+def test_run_suite_tol_override_rejudges_float_checks(checks, override):
+    registry = [("cuntz", lambda i=i, gap=gap, tol=tol: tallied([gap] * i + [gap], tol))
+                for i, (gap, tol) in enumerate(checks)]
+    with mock.patch.object(verification, "CHECKS", registry):
+        reports = verification.run_suite("cuntz", tol_override=override)
+    assert len(reports) == len(checks)
+    for i, ((gap, tol), report) in enumerate(zip(checks, reports)):
+        own = tallied([gap] * (i + 1), tol)
+        if tol == 0:  # exact checks keep their own verdict
+            assert report == own
+            continue
+        assert report.tol == override and report.checked == i + 1
+        assert report.passed == (float(gap) <= override)
+        # a pass has no witness; a failure keeps the one judged at its own tol
+        assert report.witness == (None if report.passed else own.witness)
