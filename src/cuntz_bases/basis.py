@@ -10,7 +10,6 @@ depth-bounded orthonormal frames grown from a seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -21,9 +20,9 @@ from .dyadic import (
     MultiIndex,
     Scalar,
     _ratio,
-    as_rational,
     as_word,
     enumerate_words,
+    lift,
 )
 from .operators import INTERVAL_REP, apply_word, s_apply
 from .reporting import VerificationReport
@@ -77,21 +76,21 @@ def walsh_word(n: int) -> MultiIndex:
 # Gram definition in the test suite)
 # ---------------------------------------------------------------------------
 
-def walsh_butterfly(values: Sequence[Scalar], stages: int) -> tuple[np.ndarray, int]:
+def walsh_butterfly(values: Sequence, stages: int) -> tuple[np.ndarray, int]:
     """Lift exact values to integers and run ``stages`` unnormalized butterfly stages.
 
     Returns ``(rows, den)``: ``den`` is the common denominator of the values
-    and ``rows`` has shape ``(2**stages, len(values) >> stages)``.  Stage s
-    splits every row into its halves (lo, hi) and puts lo + hi at row r,
-    lo - hi at row r + 2**s, so row ``code`` holds den * 2**stages times the
-    cell values of S_J* f for the word J with that code (first letter = least
-    significant bit).  After all stages row n is den * 2**level times
-    <walsh(n) | f>; the transform matrix is symmetric, so the same stages also
-    synthesize.  The arithmetic is int64 while every partial sum stays below
+    as :func:`~cuntz_bases.dyadic.lift` finds it, and ``rows`` has shape
+    ``(2**stages, len(values) >> stages)``.  Stage s splits every row into
+    its halves (lo, hi) and puts lo + hi at row r, lo - hi at row r + 2**s,
+    so row ``code`` holds den * 2**stages times the cell values of S_J* f
+    for the word J with that code (first letter = least significant bit).
+    After all stages row n is den * 2**level times <walsh(n) | f>; the
+    transform matrix is symmetric, so the same stages also synthesize.  The
+    arithmetic is int64 while every partial sum stays below
     2**62, numpy ``object`` (exact Python ints) otherwise.
     """
-    den = math.lcm(*[c.denominator for c in values])
-    ints = values if den == 1 else [c.numerator * (den // c.denominator) for c in values]
+    ints, den = lift(values)
     wide = max(map(abs, ints)) << stages >= 1 << 62
     rows = np.array(ints, dtype=object if wide else np.int64).reshape(1, -1)
     for _ in range(stages):
@@ -101,10 +100,10 @@ def walsh_butterfly(values: Sequence[Scalar], stages: int) -> tuple[np.ndarray, 
     return rows, den
 
 
-def _exact_quotients(rows: np.ndarray, den: int) -> list[Scalar]:
+def _exact_quotients(ints: list[int], den: int) -> list[Scalar]:
     if den == 1:
-        return rows.ravel().tolist()
-    return [_ratio(u, den) for u in rows.ravel().tolist()]
+        return ints
+    return [_ratio(u, den) for u in ints]
 
 
 def walsh_expand(f: DyadicStep, level: Optional[int] = None) -> list[Scalar]:
@@ -118,33 +117,29 @@ def walsh_expand(f: DyadicStep, level: Optional[int] = None) -> list[Scalar]:
     if level is None:
         level = f.level
     rows, den = walsh_butterfly(f.refine(level).coeffs, level)
-    return _exact_quotients(rows, den << level)
+    return _exact_quotients(rows.ravel().tolist(), den << level)
 
 
 def walsh_synthesize(coeffs: Sequence) -> DyadicStep:
     """Inverse of :func:`walsh_expand`; input length must be a power of two."""
-    coeffs = [as_rational(c) for c in coeffs]
     if len(coeffs) & (len(coeffs) - 1) or not coeffs:
         raise ValueError("coefficient table length must be a power of two")
     level = (len(coeffs) - 1).bit_length()
     rows, den = walsh_butterfly(coeffs, level)
-    return DyadicStep._trusted(level, tuple(_exact_quotients(rows, den)))
+    return DyadicStep._trusted(level, tuple(_exact_quotients(rows.ravel().tolist(), den)))
 
 
 def ingest_signal(samples: Sequence, level: int) -> DyadicStep:
     """Turn 2**level samples into an exact step, one sample per cell.
 
     Decimal strings and floats are rationalized from their decimal notation
-    verbatim ("0.1" becomes 1/10, never the binary float).
+    verbatim ("0.1" becomes 1/10, never the binary float).  A malformed
+    string raises :class:`~cuntz_bases.dyadic.SampleError`.
     """
     if len(samples) != 1 << level:
         raise ValueError(f"expected {1 << level} samples, got {len(samples)}")
-    coeffs = []
-    for s in samples:
-        if isinstance(s, float):
-            s = repr(s)
-        coeffs.append(as_rational(s))
-    return DyadicStep._trusted(level, tuple(coeffs))
+    ints, den = lift([repr(s) if isinstance(s, float) else s for s in samples])
+    return DyadicStep._trusted(level, tuple([_ratio(u, den) for u in ints]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,14 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .basis import ingest_signal, walsh, walsh_expand
+import numpy as np
+
+from .basis import walsh, walsh_butterfly
 from .cantor import lambda_set, gram_exponentials, verify_lambda_partition
-from .dyadic import Scalar, rational_str
+from .dyadic import DyadicStep, SampleError, lift, rational_str
 from .entropy import build_entropy_tree
 from .verification import SUITES, run_suite
 
@@ -72,24 +73,19 @@ def _parse_range(text: str) -> range:
         raise InputError(f"bad index range {text!r}; use N or LO..HI") from None
 
 
-def _read_samples(path: str) -> list[Scalar]:
-    """Parse each non-blank line once into a canonical exact scalar (an int
-    when integral, a Fraction otherwise), as ``as_rational`` would."""
-    samples = []
+def _read_samples(path: str) -> tuple[list[int], int]:
+    """The samples of a file, one per non-blank line, lifted to integer
+    numerators over their least common denominator (``dyadic.lift``)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                token = line.strip()
-                if not token:
-                    continue
-                try:
-                    value = Fraction(token)
-                except (ValueError, ZeroDivisionError):
-                    raise InputError(f"{path}: malformed sample on line {lineno}: {token!r}")
-                samples.append(value.numerator if value.denominator == 1 else value)
+            lines = [line.strip() for line in handle]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    return samples
+    try:
+        return lift([token for token in lines if token])
+    except SampleError as exc:
+        lineno = [n for n, token in enumerate(lines, start=1) if token][exc.index]
+        raise InputError(f"{path}: {exc.reason} on line {lineno}: {exc.value!r}") from None
 
 
 def _open_output(config: RunConfig):
@@ -104,6 +100,15 @@ def _write_rows(config: RunConfig, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    finally:
+        if close:
+            handle.close()
+
+
+def _write_text(config: RunConfig, text: str) -> None:
+    handle, close = _open_output(config)
+    try:
+        handle.write(text)
     finally:
         if close:
             handle.close()
@@ -162,46 +167,82 @@ def cmd_walsh(config: RunConfig) -> int:
     return 0
 
 
-def _ingest(config: RunConfig) -> tuple:
+def _ingest(config: RunConfig) -> tuple[tuple[list[int], int], int]:
+    """The input's samples as ``(ints, den)``, and its level."""
     if config.input_path is None:
         raise InputError("missing --input FILE")
-    samples = _read_samples(config.input_path)
-    count = len(samples)
+    ints, den = _read_samples(config.input_path)
+    count = len(ints)
     if count == 0 or count & (count - 1):
         raise InputError(f"{config.input_path}: sample count {count} is not a power of two")
     level = count.bit_length() - 1
     if config.level is not None and config.level != level:
         raise InputError(f"--level {config.level} does not match the file's "
                          f"{count} samples (level {level})")
-    return ingest_signal(samples, level), level
+    return (ints, den), level
+
+
+def _lowest_terms(rows: np.ndarray, den: int) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of ``rows / den`` in lowest terms."""
+    if rows.dtype == np.int64 and den < 1 << 63:
+        common = np.gcd(rows, den)
+        return (rows // common).tolist(), (den // common).tolist()
+    nums = rows.tolist()
+    common = [math.gcd(num, den) for num in nums]
+    return [num // g for num, g in zip(nums, common)], [den // g for g in common]
+
+
+def _coefficients(rows: np.ndarray, den: int, as_float: bool, sep: str) -> list:
+    """Each coefficient ``rows[n] / den`` as written: a float with ``as_float``,
+    else the text "num{sep}den" in lowest terms.
+
+    The float divides Python ints, which rounds correctly as float(Fraction)
+    does; a float64 division would not past 2**53.  A coefficient that
+    cannot be written raises InputError naming it, before any output opens.
+    """
+    values = []
+    n = 0
+    try:
+        if as_float:
+            for n, num in enumerate(rows.tolist()):
+                values.append(num / den)
+        else:
+            for n, (num, d) in enumerate(zip(*_lowest_terms(rows, den))):
+                values.append(f"{num}{sep}{d}")
+    except OverflowError:
+        raise InputError(f"coefficient {n} is too large for --float") from None
+    except ValueError:  # past the int to str digit limit
+        raise InputError(f"coefficient {n} has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    return values
 
 
 def cmd_expand(config: RunConfig) -> int:
-    signal, level = _ingest(config)
-    coeffs = walsh_expand(signal, level=level)
-    if config.out_format == "json":
+    (ints, den), level = _ingest(config)
+    rows, _one = walsh_butterfly(ints, level)  # integer samples: its den is 1
+    json_out = config.out_format == "json"
+    values = _coefficients(rows.ravel(), den << level, config.as_float,
+                           "/" if json_out else ",")
+    if json_out:
         _write_json(config, {
             "basis": "walsh", "level": level,
-            "coefficients": [
-                {"index": n,
-                 "value": float(c) if config.as_float else rational_str(c)}
-                for n, c in enumerate(coeffs)],
+            "coefficients": [{"index": n, "value": v} for n, v in enumerate(values)],
         })
     else:
-        if config.as_float:
-            rows = [[n, repr(float(c))] for n, c in enumerate(coeffs)]
-            _write_rows(config, ["index", "value"], rows)
-        else:
-            rows = [[n, c.numerator, c.denominator] for n, c in enumerate(coeffs)]
-            _write_rows(config, ["index", "num", "den"], rows)
+        header = "index,value" if config.as_float else "index,num,den"
+        fields = map(repr, values) if config.as_float else values
+        _write_text(config, "".join([f"{header}\n"]
+                                    + [f"{n},{v}\n" for n, v in enumerate(fields)]))
     return 0
 
 
 def cmd_entropy(config: RunConfig) -> int:
-    signal, _level = _ingest(config)
-    if signal.normalize().is_zero():
+    (ints, _den), level = _ingest(config)
+    if not any(ints):
         raise InputError("cannot analyze the zero signal")
-    tree = build_entropy_tree(signal, config.depth)
+    # the step den * f: every mass is a ratio of sums of squares, so the
+    # scale leaves the tree unchanged
+    tree = build_entropy_tree(DyadicStep._trusted(level, tuple(ints)), config.depth)
     if config.out_format == "json":
         _write_json(config, tree.to_json())
     else:

@@ -9,9 +9,10 @@ threads without coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -25,10 +26,11 @@ _INT_FAST_LIMIT = 1 << 20
 def as_rational(value) -> Scalar:
     """Coerce to an exact scalar (int when integral, Fraction otherwise).
 
-    Accepts ints, Fractions and strings such as ``"3/4"`` or ``"0.25"``.
-    Floats are rejected: convert them explicitly (e.g. via
-    :func:`cuntz_bases.basis.ingest_signal`) so no binary-float surprises
-    sneak into exact computations.
+    Accepts ints, Fractions and strings such as ``"3/4"`` or ``"0.25"``
+    (read as ``Fraction`` reads them, with the exponent bound of
+    :func:`_parse_token`).  Floats are rejected: convert them explicitly
+    (e.g. via :func:`cuntz_bases.basis.ingest_signal`) so no binary-float
+    surprises sneak into exact computations.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
@@ -37,9 +39,118 @@ def as_rational(value) -> Scalar:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
-        frac = Fraction(value)
-        return int(frac) if frac.denominator == 1 else frac
+        return _ratio(*_parse_token(value))
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
+
+
+# The largest decimal exponent a token may carry: Fraction("1e10000000")
+# computes a ten-million-digit power of ten before anything could check it.
+MAX_EXPONENT = 100_000
+
+
+def _parse_token(token: str) -> tuple[int, int]:
+    """The value of ``Fraction(token)`` as (numerator, positive denominator),
+    not necessarily in lowest terms.
+
+    Integer tokens go through ``int``, plain decimals are split at the '.'
+    and ``a/b`` is read as two ints, each only where ``int`` accepts exactly
+    what the ``Fraction`` grammar does there.  Every other token, and every
+    token with a '_' digit separator (which ``Fraction`` reads only since
+    Python 3.11), falls back to ``Fraction(token)`` and raises what it
+    raises; only an exponent beyond ``MAX_EXPONENT`` raises OverflowError
+    first, before any power of ten is computed.
+    """
+    if "_" not in token:
+        head, dot, tail = token.partition(".")
+        num, slash, den = token.partition("/")
+        try:
+            if dot:
+                if tail.isdecimal():
+                    return int(head + tail), 10 ** len(tail)
+            elif slash:
+                # Fraction allows no space or sign next to the slash; int() would
+                if num[-1:].isdecimal() and den[:1].isdecimal() and int(den):
+                    return int(num), int(den)
+            else:
+                return int(token), 1
+        except ValueError:
+            pass
+    mark = max(token.rfind("e"), token.rfind("E"))
+    if mark >= 0 and not token[mark + 1:mark + 2].isspace():
+        try:
+            exponent = int(token[mark + 1:])
+        except ValueError:
+            exponent = 0  # not an exponent Fraction reads either
+        if abs(exponent) > MAX_EXPONENT:
+            Fraction(token[:mark + 1] + "0")  # a malformed token raises as before
+            raise OverflowError(f"exponent of {token!r} exceeds {MAX_EXPONENT}")
+    value = Fraction(token)
+    return value.numerator, value.denominator
+
+
+class SampleError(ValueError):
+    """A value that is not an exact rational: ``index`` is its position and
+    ``reason`` says what is wrong with it."""
+
+    def __init__(self, index: int, value, reason: str):
+        super().__init__(f"{reason} at index {index}: {value!r}")
+        self.index, self.value, self.reason = index, value, reason
+
+
+def lift(values: Sequence) -> tuple[Sequence[int], int]:
+    """Exact values as integer numerators over their least common denominator.
+
+    ``values`` holds ints, Fractions and sample tokens (strings, read as
+    ``Fraction(token)`` reads them, by :func:`_parse_token`).  Returns
+    ``(ints, den)`` with ``values[i] == ints[i] / den``; when ``den`` is 1
+    and no token was given, ``ints`` is ``values`` itself, so the many small
+    butterflies of the library pay no copy.  No Fraction is built for a
+    token of integer, decimal or ``a/b`` form.  A token that is not an
+    exact rational, or whose exponent exceeds ``MAX_EXPONENT``, raises
+    :class:`SampleError` naming its index; any other non-scalar raises
+    TypeError, as :func:`as_rational` does.
+    """
+    try:
+        dens = [v.denominator for v in values]
+    except AttributeError:  # a token among the values
+        return _lift_tokens(values)
+    den = math.lcm(*dens)
+    if den == 1:
+        return values, 1
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
+
+
+def _lift_tokens(values: Sequence) -> tuple[list[int], int]:
+    try:  # all integer tokens; join raises TypeError unless all are tokens
+        if "_" not in "".join(values):
+            return list(map(int, values)), 1
+    except (TypeError, ValueError):
+        pass
+    nums, dens = [], []
+    for index, value in enumerate(values):
+        try:
+            if type(value) is str:
+                num, den = _parse_token(value)
+            else:
+                value = as_rational(value)
+                num, den = value.numerator, value.denominator
+        except OverflowError:
+            raise SampleError(index, value,
+                              f"sample exponent beyond {MAX_EXPONENT}") from None
+        except (ValueError, ZeroDivisionError):
+            raise SampleError(index, value, "malformed sample") from None
+        nums.append(num)
+        dens.append(den)
+    distinct = set(dens)
+    den = math.lcm(*distinct)
+    if len(distinct) > 1:
+        nums = [num * (den // d) for num, d in zip(nums, dens)]
+    # decimal denominators are powers of ten, not yet the least common one
+    common = math.gcd(den, *nums)
+    if common > 1:
+        nums = [num // common for num in nums]
+        den //= common
+    return nums, den
 
 
 def _canon(value: Scalar) -> Scalar:

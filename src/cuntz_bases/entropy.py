@@ -25,7 +25,7 @@ from typing import Sequence
 from .basis import walsh_butterfly
 from .dyadic import MultiIndex, StepFunction
 from .operators import INTERVAL_REP, IntervalRep2
-from .reporting import VerificationReport
+from .reporting import Tally, VerificationReport
 
 # below this, a mass is an exact zero for the 0*ln(0) = 0 convention
 ZERO_MASS = 1e-15
@@ -166,9 +166,9 @@ def verify_entropy_recursion(f, k: int, rep=INTERVAL_REP,
         mass = float(g.norm_sq()) / total
         if mass > ZERO_MASS:
             rhs += mass * entropy(g, k, rep)
-    gap = abs(lhs - rhs)
-    return VerificationReport(f"entropy-chain-rule-k{k}", gap < tol, gap, tol,
-                              None if gap < tol else f"lhs={lhs!r} rhs={rhs!r}", 1)
+    tally = Tally()
+    tally.record(abs(lhs - rhs), f"lhs={lhs!r} rhs={rhs!r}")
+    return tally.report(f"entropy-chain-rule-k{k}", tol)
 
 
 # ---------------------------------------------------------------------------

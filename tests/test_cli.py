@@ -1,11 +1,18 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import csv
+import io
 import json
+import random
 import re
+from fractions import Fraction
 
 import pytest
 
+from cuntz_bases.basis import walsh, walsh_butterfly
 from cuntz_bases.cli import MAX_WALSH_FILES, MAX_WALSH_INDEX, main
+from cuntz_bases.dyadic import MAX_EXPONENT, DyadicStep, lift
+from cuntz_bases.entropy import build_entropy_tree
 from cuntz_bases.reporting import VerificationReport
 
 
@@ -104,6 +111,55 @@ class TestExpandCommand:
         assert main(["expand", "--input", str(src)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_malformed_sample_message_counts_blank_lines(self, tmp_path, capsys):
+        src = tmp_path / "sig.csv"
+        write_samples(src, ["1", "", "  ", " 1/0 ", "2", "3"])
+        assert main(["expand", "--input", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: malformed sample on line 4: '1/0'\n"
+
+    def test_float_overflow_exits_2_before_output(self, tmp_path, capsys):
+        # float(Fraction) raised OverflowError: a traceback and exit 1
+        src, dst = tmp_path / "sig.csv", tmp_path / "out"
+        write_samples(src, ["1e400", "1"])
+        for fmt in ("csv", "json"):
+            for output in ([], ["--output", str(dst)]):
+                assert main(["expand", "--input", str(src), "--float", "--format", fmt,
+                             *output]) == 2
+                assert capsys.readouterr() == (
+                    "", "error: coefficient 0 is too large for --float\n")
+                assert not dst.exists()
+
+    def test_digit_limit_exits_2_before_output(self, tmp_path, capsys):
+        # the header was written before str(int) hit the digit limit
+        src, dst = tmp_path / "sig.csv", tmp_path / "out"
+        write_samples(src, ["1", "1e5000"])
+        for fmt in ("csv", "json"):
+            for output in ([], ["--output", str(dst)]):
+                assert main(["expand", "--input", str(src), "--format", fmt, *output]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: coefficient 0 has more than ")
+                assert not dst.exists()
+
+    def test_huge_exponent_rejected_naming_the_line(self, tmp_path, capsys):
+        # Fraction("1e10000000") would build a ten-million-digit power first
+        src = tmp_path / "sig.csv"
+        for token in ("1e10000000", "-2.5E-999999", f"1e{MAX_EXPONENT + 1}"):
+            write_samples(src, ["0", "", token])
+            for command in ("expand", "entropy"):
+                assert main([command, "--input", str(src)]) == 2
+                assert capsys.readouterr().err == (
+                    f"error: {src}: sample exponent beyond {MAX_EXPONENT} "
+                    f"on line 3: {token!r}\n")
+        # a malformed token stays malformed, whatever its exponent
+        write_samples(src, ["0", "1.2.3e99999999"])
+        assert main(["entropy", "--input", str(src)]) == 2
+        assert "malformed sample on line 2" in capsys.readouterr().err
+        # the bound itself is accepted
+        write_samples(src, [f"1e{MAX_EXPONENT}", "0"])
+        assert main(["entropy", "--input", str(src), "--depth", "1", "--float"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            ",1.0,0.0,1", "0,0.5,0.34657359027997264,0", "1,0.5,0.34657359027997264,0"]
+
     def test_non_power_of_two(self, tmp_path):
         src = tmp_path / "sig.csv"
         write_samples(src, ["1", "2", "3"])
@@ -140,6 +196,96 @@ class TestExpandCommand:
             with pytest.raises(SystemExit) as exc:
                 main([*command, "--tol", "1e-3"])
             assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# expand and entropy against a Fraction reference: every sample parsed with
+# Fraction(token), every coefficient an inner product with walsh(n)
+# ---------------------------------------------------------------------------
+
+def reference_expand(tokens, fmt, as_float):
+    values = [Fraction(t) for t in tokens]
+    level = len(values).bit_length() - 1
+    coeffs = [Fraction(sum(w * v for w, v in zip(walsh(n).refine(level).coeffs, values)),
+                       1 << level) for n in range(len(values))]
+    if fmt == "json":
+        payload = {"basis": "walsh", "level": level, "coefficients": [
+            {"index": n, "value": float(c) if as_float else f"{c.numerator}/{c.denominator}"}
+            for n, c in enumerate(coeffs)]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if as_float:
+        return "index,value\n" + "".join(f"{n},{float(c)!r}\n" for n, c in enumerate(coeffs))
+    return "index,num,den\n" + "".join(f"{n},{c.numerator},{c.denominator}\n"
+                                        for n, c in enumerate(coeffs))
+
+
+def reference_entropy(tokens, depth, fmt, as_float):
+    values = [Fraction(t) for t in tokens]
+    tree = build_entropy_tree(DyadicStep(len(values).bit_length() - 1, values), depth)
+    if fmt == "json":
+        return json.dumps(tree.to_json(), indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["word", "mass", "entropy", "best_leaf"])
+    for word, mass, ent, best in tree.rows():
+        mass = repr(float(mass)) if as_float else f"{mass.numerator}/{mass.denominator}"
+        writer.writerow([str(word), mass, repr(ent), int(best)])
+    return out.getvalue()
+
+
+def random_tokens(rng, kind, count):
+    def one(kind):
+        if kind == "int":
+            return str(rng.randint(-99, 99))
+        if kind == "decimal":
+            places = rng.randint(0, 5)
+            return f"{rng.randint(-10 ** 6, 10 ** 6) / 10 ** places:.{places}f}"
+        if kind == "ratio":
+            return f"{rng.randint(-60, 60)}/{rng.randint(1, 30)}"
+        return one(rng.choice(["int", "decimal", "ratio"]))
+    return [one(kind) for _ in range(count)]
+
+
+EXPAND_FORMATS = [("csv", False), ("csv", True), ("json", False), ("json", True)]
+
+
+def assert_matches_reference(tmp_path, capsys, tokens):
+    src = tmp_path / "sig.csv"
+    write_samples(src, tokens)
+    for fmt, as_float in EXPAND_FORMATS:
+        flags = ["--format", fmt] + (["--float"] if as_float else [])
+        assert main(["expand", "--input", str(src), *flags]) == 0
+        assert capsys.readouterr().out == reference_expand(tokens, fmt, as_float), flags
+    if not any(Fraction(t) for t in tokens):
+        return
+    for depth in (1, 3):
+        for fmt, as_float in (("csv", False), ("csv", True), ("json", False)):
+            flags = ["--depth", str(depth), "--format", fmt] + (["--float"] if as_float else [])
+            assert main(["entropy", "--input", str(src), *flags]) == 0
+            assert capsys.readouterr().out == reference_entropy(tokens, depth, fmt, as_float), flags
+
+
+class TestLiftedSignalIO:
+    @pytest.mark.parametrize("kind", ["int", "decimal", "ratio", "mixed"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_outputs_match_fraction_reference(self, tmp_path, capsys, kind, seed):
+        rng = random.Random(f"{kind}-{seed}")
+        tokens = random_tokens(rng, kind, 1 << rng.randint(0, 5))
+        assert_matches_reference(tmp_path, capsys, tokens)
+
+    def test_rows_past_2_62_take_the_object_path(self, tmp_path, capsys):
+        big = (1 << 61) + 12345
+        tokens = [str(big), str(-big), "3", str(big - 7)] * 2
+        ints, _den = lift(tokens)
+        assert walsh_butterfly(ints, 3)[0].dtype == object
+        assert_matches_reference(tmp_path, capsys, tokens)
+        # --float rounds once: float(num) / float(den) gives ...203e+16 here
+        assert_matches_reference(tmp_path, capsys, ["455680953273994267/7"])
+        # int64 rows over a denominator past 2**63 reduce as Python ints
+        tokens = ["0." + "0" * 18 + "1", "0", "-0." + "0" * 18 + "3", "0"]
+        ints, den = lift(tokens)
+        assert walsh_butterfly(ints, 2)[0].dtype == "int64" and den >= 1 << 63
+        assert_matches_reference(tmp_path, capsys, tokens)
 
 
 class TestEntropyCommand:

@@ -106,6 +106,17 @@ class TestChainRule:
                 worst = max(worst, report.max_violation)
         assert worst < 1e-12
 
+    def test_gap_equal_to_tol_passes(self):
+        # the one pass rule of every report is worst <= tol, not worst < tol
+        f = random_unit_mixture(random.Random(61), 6)
+        gap = verify_entropy_recursion(f, 4).max_violation
+        assert gap > 0
+        at_gap = verify_entropy_recursion(f, 4, tol=gap)
+        assert at_gap.passed and at_gap.witness is None and at_gap.checked == 1
+        below = verify_entropy_recursion(f, 4, tol=gap / 2)
+        assert not below.passed and below.max_violation == gap
+        assert below.witness.startswith("lhs=")
+
     def test_constant_trivial(self):
         report = verify_entropy_recursion(walsh(0), 2)
         assert report.passed and report.max_violation < 1e-15

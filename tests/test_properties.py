@@ -2,7 +2,8 @@
 packet mass tree, the integer-phase ``hybrid_inner`` and the integer Cantor
 layer (vectorised spectrum certificate, integer-phase ``exp_coefficient``),
 each against its definition; plus the isometry relations, canonical atom
-folding, and the tally that every verification report comes from."""
+folding, the tally that every verification report comes from, and the
+lifted parse of sample tokens against ``Fraction(token)``."""
 
 import cmath
 import math
@@ -28,7 +29,14 @@ from cuntz_bases.cantor import (
     orthogonality_report,
     transform_vanishes,
 )
-from cuntz_bases.dyadic import DyadicStep
+from cuntz_bases.dyadic import (
+    MAX_EXPONENT,
+    DyadicStep,
+    SampleError,
+    _parse_token,
+    as_rational,
+    lift,
+)
 from cuntz_bases.entropy import build_entropy_tree
 from cuntz_bases.operators import s_adjoint, s_apply
 from cuntz_bases.reporting import Tally, VerificationReport
@@ -374,3 +382,122 @@ def test_run_suite_tol_override_rejudges_float_checks(checks, override):
         assert report.passed == (float(gap) <= override)
         # a pass has no witness; a failure keeps the one judged at its own tol
         assert report.witness == (None if report.passed else own.witness)
+
+
+# ---------------------------------------------------------------------------
+# sample tokens: the lifted parse against Fraction(token)
+# ---------------------------------------------------------------------------
+
+# non-ASCII decimal digits read as digits; superscript two does not
+DIGIT_CHARS = "0123456789" + "٣߁५" + "²_"
+DIGIT_RUNS = st.one_of(st.text("0123456789", min_size=1, max_size=5),
+                       st.text(DIGIT_CHARS, max_size=5))
+SPACES = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003"])
+TAILS = st.one_of(
+    st.just(""),
+    st.builds("{}.{}".format, SPACES, DIGIT_RUNS),
+    st.builds(".{}".format, DIGIT_RUNS),
+    st.builds("/{}{}{}".format, SPACES, st.sampled_from(["", "-", "+"]), DIGIT_RUNS),
+    st.builds("{}/{}".format, SPACES, DIGIT_RUNS),
+    st.builds("/{}".format, DIGIT_RUNS),
+)
+# at most three exponent digits: Fraction itself builds the power
+EXPONENTS = st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from(["e", "E", " e"]),
+                                             st.sampled_from(["", "-", "+", "_"]),
+                                             st.text(DIGIT_CHARS, max_size=3)))
+TOKENS = st.one_of(
+    st.builds("{}{}{}{}{}{}".format, SPACES, st.sampled_from(["", "-", "+", "+-", "- "]),
+              DIGIT_RUNS, TAILS, EXPONENTS, SPACES),
+    st.text(DIGIT_CHARS + " .-+/eE", max_size=8),
+    st.text(max_size=6),
+)
+
+
+def parsed(parse, token):
+    """The value a parse returns, or the type and message of what it raises."""
+    try:
+        return parse(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(token=TOKENS)
+@example(token=" 1_000 ")
+@example(token=".5")
+@example(token="5.")
+@example(token="-.5")
+@example(token="+5.25 ")
+@example(token="1_.5")
+@example(token="5 .")
+@example(token="1 /2")
+@example(token="1/ 2")
+@example(token="1/-2")
+@example(token="1/+2")
+@example(token="-3/4")
+@example(token="1/0")
+@example(token="1/2/3")
+@example(token="٣.٥")
+@example(token="²")
+@example(token="1e3")
+@example(token="-1.5E-2")
+@example(token="1e 3")
+@example(token="5.d")
+@example(token="")
+@example(token="nan")
+@example(token="0x10")
+def test_token_parse_matches_fraction(token):
+    want = parsed(Fraction, token)
+    got = parsed(lambda t: Fraction(*_parse_token(t)), token)
+    assert got == want
+    if not isinstance(want, tuple):
+        assert as_rational(token) == want
+        assert type(as_rational(token)) is (int if want.denominator == 1 else Fraction)
+
+
+VALID_TOKENS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.builds(lambda m, places: f"{m / 10 ** places:.{places}f}", st.integers(-10**6, 10**6),
+              st.integers(0, 6)),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 99)),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-20, 20)),
+)
+
+
+@PROPERTY
+@given(tokens=st.lists(VALID_TOKENS, min_size=1, max_size=16),
+       exact=st.lists(st.one_of(INTS, FRACTIONS), max_size=4))
+def test_lift_is_exact_over_the_least_common_denominator(tokens, exact):
+    values = [Fraction(t) for t in tokens] + list(exact)
+    ints, den = lift(tokens + exact)
+    assert den == math.lcm(*(v.denominator for v in values))
+    assert [Fraction(u, den) for u in ints] == values
+    assert all(type(u) is int for u in ints)
+
+
+def test_lift_names_the_bad_sample():
+    for values, index, reason in (
+            (["1", "0.5", "oops", "2"], 2, "malformed sample"),
+            (["1/0", "1"], 0, "malformed sample"),
+            ([Fraction(1, 3), "2", f"1e{MAX_EXPONENT + 1}"], 2,
+             f"sample exponent beyond {MAX_EXPONENT}"),
+            (["7", "-2.5E-999999"], 1, f"sample exponent beyond {MAX_EXPONENT}")):
+        with pytest.raises(SampleError) as exc:
+            lift(values)
+        assert (exc.value.index, exc.value.value, exc.value.reason) == (
+            index, values[index], reason)
+    with pytest.raises(TypeError):
+        lift(["1", 0.5])  # floats are not exact scalars
+
+
+def test_exponent_bound_before_any_power():
+    # the bound itself is accepted; one past it raises before 10**exponent
+    for token in (f"1e{MAX_EXPONENT}", f"-2.5E-{MAX_EXPONENT}", "3e+10"):
+        assert Fraction(*_parse_token(token)) == Fraction(token)
+    for token in ("1e10000000", "1E-10000000", "-0.5e+99_999_999"):
+        with pytest.raises(OverflowError, match=f"exceeds {MAX_EXPONENT}"):
+            _parse_token(token)
+    # a malformed token keeps Fraction's own error, however large its exponent
+    for token in ("1.2.3e99999999", "xe10000000", "1/2e10000000"):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            _parse_token(token)
