@@ -10,22 +10,26 @@ depth-bounded orthonormal frames grown from a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .dyadic import (
+    _WIDE,
     DyadicStep,
     MultiIndex,
     Scalar,
+    _as_array,
+    _peak,
     _ratio,
     as_word,
     enumerate_words,
     lift,
 )
 from .operators import INTERVAL_REP, apply_word, s_apply
-from .reporting import VerificationReport
+from .reporting import Tally, VerificationReport
 
 
 class WalshSystem:
@@ -80,30 +84,34 @@ def walsh_butterfly(values: Sequence, stages: int) -> tuple[np.ndarray, int]:
     """Lift exact values to integers and run ``stages`` unnormalized butterfly stages.
 
     Returns ``(rows, den)``: ``den`` is the common denominator of the values
-    as :func:`~cuntz_bases.dyadic.lift` finds it, and ``rows`` has shape
-    ``(2**stages, len(values) >> stages)``.  Stage s splits every row into
-    its halves (lo, hi) and puts lo + hi at row r, lo - hi at row r + 2**s,
-    so row ``code`` holds den * 2**stages times the cell values of S_J* f
-    for the word J with that code (first letter = least significant bit).
-    After all stages row n is den * 2**level times <walsh(n) | f>; the
-    transform matrix is symmetric, so the same stages also synthesize.  The
-    arithmetic is int64 while every partial sum stays below
-    2**62, numpy ``object`` (exact Python ints) otherwise.
+    as :func:`~cuntz_bases.dyadic.lift` finds it, and ``rows`` is
+    :func:`butterfly` of the numerators.
     """
     ints, den = lift(values)
-    wide = max(map(abs, ints)) << stages >= 1 << 62
-    rows = np.array(ints, dtype=object if wide else np.int64).reshape(1, -1)
+    return butterfly(_as_array(ints), stages), den
+
+
+def butterfly(num: np.ndarray, stages: int) -> np.ndarray:
+    """``stages`` unnormalized butterfly stages on integer numerators.
+
+    ``rows`` has shape ``(2**stages, len(num) >> stages)``.  Stage s splits
+    every row into its halves (lo, hi) and puts lo + hi at row r, lo - hi
+    at row r + 2**s, so row ``code`` holds 2**stages times the numerators
+    of S_J* f for the word J with that code (first letter = least
+    significant bit).  After all stages row n is 2**level times the
+    numerator of <walsh(n) | f>; the transform matrix is symmetric, so the
+    same stages also synthesize.  The arithmetic is int64 while every
+    partial sum stays below 2**62, numpy ``object`` (exact Python ints)
+    otherwise.
+    """
+    if num.dtype != object and _peak(num) << stages >= _WIDE:
+        num = num.astype(object)
+    rows = num.reshape(1, -1)
     for _ in range(stages):
         half = rows.shape[1] // 2
         lo, hi = rows[:, :half], rows[:, half:]
         rows = np.concatenate((lo + hi, lo - hi))
-    return rows, den
-
-
-def _exact_quotients(ints: list[int], den: int) -> list[Scalar]:
-    if den == 1:
-        return ints
-    return [_ratio(u, den) for u in ints]
+    return rows
 
 
 def walsh_expand(f: DyadicStep, level: Optional[int] = None) -> list[Scalar]:
@@ -116,8 +124,9 @@ def walsh_expand(f: DyadicStep, level: Optional[int] = None) -> list[Scalar]:
     f = f.normalize()
     if level is None:
         level = f.level
-    rows, den = walsh_butterfly(f.refine(level).coeffs, level)
-    return _exact_quotients(rows.ravel().tolist(), den << level)
+    rows = butterfly(f.refine(level).num, level)
+    den = f.den << level
+    return [_ratio(u, den) for u in rows.ravel().tolist()]
 
 
 def walsh_synthesize(coeffs: Sequence) -> DyadicStep:
@@ -126,7 +135,7 @@ def walsh_synthesize(coeffs: Sequence) -> DyadicStep:
         raise ValueError("coefficient table length must be a power of two")
     level = (len(coeffs) - 1).bit_length()
     rows, den = walsh_butterfly(coeffs, level)
-    return DyadicStep._trusted(level, tuple(_exact_quotients(rows.ravel().tolist(), den)))
+    return DyadicStep._reduced(level, rows.ravel(), den)
 
 
 def ingest_signal(samples: Sequence, level: int) -> DyadicStep:
@@ -139,7 +148,7 @@ def ingest_signal(samples: Sequence, level: int) -> DyadicStep:
     if len(samples) != 1 << level:
         raise ValueError(f"expected {1 << level} samples, got {len(samples)}")
     ints, den = lift([repr(s) if isinstance(s, float) else s for s in samples])
-    return DyadicStep._trusted(level, tuple([_ratio(u, den) for u in ints]))
+    return DyadicStep._trusted(level, _as_array(ints), den)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +322,14 @@ def gram_identity_gap(vectors: Sequence[DyadicStep]) -> tuple[float, Optional[st
     k = max(v.level for v in vectors)
     if k > 22:
         raise ValueError("level too large for the exact integer Gram path")
-    rows = [np.asarray(v.coeffs) for v in vectors]
-    if any(row.dtype.kind != "i" for row in rows):
+    if any(v.den != 1 for v in vectors):
         raise ValueError("gram_identity_gap needs integer-valued steps")
-    peak = max(int(np.abs(row).max()) for row in rows)
+    peak = max(_peak(v.num) for v in vectors)
     if peak * peak << k >= 1 << 53:
         raise ValueError("values too large for the exact float64 Gram path")
     mat = np.empty((len(vectors), 1 << k), dtype=np.float64)
-    for i, (row, v) in enumerate(zip(rows, vectors)):
-        mat[i] = np.repeat(row, 1 << (k - v.level))
+    for i, v in enumerate(vectors):
+        mat[i] = v._cells(k)
     gram = (mat @ mat.T) / (1 << k)
     gap = np.abs(gram - np.eye(len(vectors)))
     worst = float(gap.max())
@@ -345,11 +353,10 @@ def verify_decomposition(cover: GeneratorCover, level: int) -> VerificationRepor
     for digits in sorted(cover.coverage, key=lambda d: MultiIndex(d).sort_key):
         if len(digits) < level:
             vectors.append(apply_word(MultiIndex(digits), psi))
-    name = f"square-wave-decomposition-level-{level}"
+    tally = Tally()
     if len(vectors) != 1 << level:
-        return VerificationReport(name, False, float("inf"), 0.0,
-                                  f"expected {1 << level} vectors, got {len(vectors)}",
-                                  len(vectors))
-    worst, witness = gram_identity_gap(vectors)
-    return VerificationReport(name, worst == 0.0, worst, 0.0, witness,
-                              len(vectors) * (len(vectors) + 1) // 2)
+        tally.record(math.inf, f"expected {1 << level} vectors, got {len(vectors)}",
+                     cases=len(vectors))
+    else:
+        tally.record(*gram_identity_gap(vectors), cases=len(vectors) * (len(vectors) + 1) // 2)
+    return tally.report(f"square-wave-decomposition-level-{level}", 0.0)

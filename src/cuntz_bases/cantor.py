@@ -34,7 +34,7 @@ import numpy as np
 
 from .dyadic import StepFunction, as_rational, as_word
 from .operators import s_apply
-from .reporting import VerificationReport
+from .reporting import Tally, VerificationReport
 
 
 class CantorStep(StepFunction):
@@ -189,15 +189,14 @@ def orthogonality_report(relation: str, values: Sequence[int]) -> VerificationRe
     if any(not -_SCAN_LIMIT < v < _SCAN_LIMIT for v in values):
         raise ValueError("values must lie strictly between -2**62 and 2**62")
     vec = np.array(values, dtype=np.int64)
-    witness = None
+    tally = Tally()
     for i in range(len(values) - 1):
         bad = ~transform_vanishes(vec[i + 1:] - vec[i])
+        witness = None
         if bad.any():
             witness = f"lambda pair {(values[i], values[i + 1 + int(bad.argmax())])}"
-            break
-    passed = witness is None
-    return VerificationReport(relation, passed, 0.0 if passed else 1.0, 0.0, witness,
-                              len(values) * (len(values) - 1) // 2)
+        tally.record(witness is not None, witness, cases=len(bad))
+    return tally.report(relation, 0.0)
 
 
 def gram_exponentials(p: int) -> VerificationReport:
@@ -228,15 +227,16 @@ def exp_coefficient(lam, f: CantorStep, rel_tol: float = 1e-10) -> complex:
     four_k = 1 << (2 * k)
     if isinstance(lam, int):
         factor = -2 * as_rational(lam)
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
+    den = f.den
+    for i, u in enumerate(f.num.tolist()):
+        if u == 0:
             continue
         t = _cell_left_numerator(k, i)
         if isinstance(lam, int):
             phase = cmath.exp(1j * math.pi * (factor * t % (2 * four_k) / four_k))
         else:
             phase = cmath.exp(-2j * math.pi * lam * (t / four_k))
-        total += float(c) * phase
+        total += u / den * phase
     return total * tail / (1 << k)
 
 
@@ -270,22 +270,22 @@ def indicator_relation_check(word) -> VerificationReport:
     word = as_word(word)
     k = len(word.digits)
     expected = CantorStep.indicator_cell(word)
-    total = None
+    total = np.zeros(1 << k, dtype=np.int64)
     for mask in range(1 << k):
         digits = tuple((mask >> (k - 1 - m)) & 1 for m in range(k))
         dot = sum(a * b for a, b in zip(word.digits, digits))
         term = CantorStep.ones()
         for d in reversed(digits):
             term = s_apply(d, term)
+        # every term is +-1 valued at level k: sum the numerators
         if dot % 2:
-            term = -term
-        total = term if total is None else total + term
-    total = total.scale(Fraction(1, 1 << k))
-    gap = (total - expected).norm_sq()
-    passed = gap == 0
-    return VerificationReport(f"cell-indicator-expansion-{word or 'root'}", passed,
-                              float(gap) ** 0.5, 0.0,
-                              None if passed else f"word {word.digits}", 1 << k)
+            total -= term.num
+        else:
+            total += term.num
+    gap = (CantorStep._reduced(k, total, 1 << k) - expected).norm_sq()
+    tally = Tally()
+    tally.record(float(gap) ** 0.5, f"word {word.digits}", cases=1 << k)
+    return tally.report(f"cell-indicator-expansion-{word or 'root'}", 0.0)
 
 
 def verify_lambda_partition(p: int) -> VerificationReport:
@@ -308,9 +308,8 @@ def verify_lambda_partition(p: int) -> VerificationReport:
             point *= 4
     missing = sorted(target - set(seen))
     extra = sorted(set(seen) - target)
-    passed = not duplicates and not missing and not extra
-    witness = None
-    if not passed:
-        witness = f"duplicated={duplicates[:3]} missing={missing[:3]} extra={extra[:3]}"
-    return VerificationReport(f"spectrum-odd-orbit-partition-p{p}", passed,
-                              0.0 if passed else 1.0, 0.0, witness, len(target))
+    tally = Tally()
+    tally.record(bool(duplicates or missing or extra),
+                 f"duplicated={duplicates[:3]} missing={missing[:3]} extra={extra[:3]}",
+                 cases=len(target))
+    return tally.report(f"spectrum-odd-orbit-partition-p{p}", 0.0)

@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import walsh, walsh_butterfly
+from .basis import butterfly, walsh
 from .cantor import lambda_set, gram_exponentials, verify_lambda_partition
-from .dyadic import DyadicStep, SampleError, lift, rational_str
+from .dyadic import DyadicStep, SampleError, _as_array, lift, rational_str
 from .entropy import build_entropy_tree
 from .verification import SUITES, run_suite
 
@@ -219,7 +219,7 @@ def _coefficients(rows: np.ndarray, den: int, as_float: bool, sep: str) -> list:
 
 def cmd_expand(config: RunConfig) -> int:
     (ints, den), level = _ingest(config)
-    rows, _one = walsh_butterfly(ints, level)  # integer samples: its den is 1
+    rows = butterfly(_as_array(ints), level)
     json_out = config.out_format == "json"
     values = _coefficients(rows.ravel(), den << level, config.as_float,
                            "/" if json_out else ",")
@@ -242,14 +242,18 @@ def cmd_entropy(config: RunConfig) -> int:
         raise InputError("cannot analyze the zero signal")
     # the step den * f: every mass is a ratio of sums of squares, so the
     # scale leaves the tree unchanged
-    tree = build_entropy_tree(DyadicStep._trusted(level, tuple(ints)), config.depth)
+    tree = build_entropy_tree(DyadicStep._trusted(level, _as_array(ints), 1), config.depth)
     if config.out_format == "json":
         _write_json(config, tree.to_json())
     else:
         rows = []
         for word, mass, ent, best in tree.rows():
-            rows.append([str(word), _scalar_str(mass, config.as_float),
-                         repr(ent), int(best)])
+            try:
+                mass = _scalar_str(mass, config.as_float)
+            except ValueError:  # past the int to str digit limit
+                raise InputError(f"mass of word {word} has more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
+            rows.append([str(word), mass, repr(ent), int(best)])
         _write_rows(config, ["word", "mass", "entropy", "best_leaf"], rows)
     return 0
 

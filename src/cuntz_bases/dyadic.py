@@ -1,10 +1,11 @@
 """Exact arithmetic core: rational scalars, dyadic step functions, index words.
 
-Everything in this module is exact.  Step coefficients are Python ints or
-``fractions.Fraction`` (never floats), so mathematical identities hold as
-``==`` in code.  Values are immutable after construction and all
-operations are pure functions; the module is safe to use from any number of
-threads without coordination.
+Everything in this module is exact.  A step keeps its cell values as
+integer numerators over one positive denominator (never floats), so
+mathematical identities hold as ``==`` in code; ``coeffs`` gives the values
+as Python ints or ``fractions.Fraction``.  Values are immutable after
+construction and all operations are pure functions; the module is safe to
+use from any number of threads without coordination.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 Scalar = Union[int, Fraction]
-
-# int64 dot products are used as a fast path for inner products; keep a
-# conservative bound so products summed over 2^level cells cannot overflow.
-_INT_FAST_LIMIT = 1 << 20
-
 
 def as_rational(value) -> Scalar:
     """Coerce to an exact scalar (int when integral, Fraction otherwise).
@@ -57,8 +53,9 @@ def _parse_token(token: str) -> tuple[int, int]:
     what the ``Fraction`` grammar does there.  Every other token, and every
     token with a '_' digit separator (which ``Fraction`` reads only since
     Python 3.11), falls back to ``Fraction(token)`` and raises what it
-    raises; only an exponent beyond ``MAX_EXPONENT`` raises OverflowError
-    first, before any power of ten is computed.
+    raises; only a well-formed token whose exponent is beyond
+    ``MAX_EXPONENT`` raises OverflowError instead, before any power of ten
+    is computed.
     """
     if "_" not in token:
         head, dot, tail = token.partition(".")
@@ -82,8 +79,12 @@ def _parse_token(token: str) -> tuple[int, int]:
         except ValueError:
             exponent = 0  # not an exponent Fraction reads either
         if abs(exponent) > MAX_EXPONENT:
-            Fraction(token[:mark + 1] + "0")  # a malformed token raises as before
-            raise OverflowError(f"exponent of {token!r} exceeds {MAX_EXPONENT}")
+            try:
+                Fraction(token[:mark + 1] + "0")  # the same token with a small exponent
+            except ValueError:
+                pass  # malformed: Fraction(token) below fails before any power
+            else:
+                raise OverflowError(f"exponent of {token!r} exceeds {MAX_EXPONENT}")
     value = Fraction(token)
     return value.numerator, value.denominator
 
@@ -97,14 +98,13 @@ class SampleError(ValueError):
         self.index, self.value, self.reason = index, value, reason
 
 
-def lift(values: Sequence) -> tuple[Sequence[int], int]:
+def lift(values: Sequence) -> tuple[list[int], int]:
     """Exact values as integer numerators over their least common denominator.
 
     ``values`` holds ints, Fractions and sample tokens (strings, read as
     ``Fraction(token)`` reads them, by :func:`_parse_token`).  Returns
-    ``(ints, den)`` with ``values[i] == ints[i] / den``; when ``den`` is 1
-    and no token was given, ``ints`` is ``values`` itself, so the many small
-    butterflies of the library pay no copy.  No Fraction is built for a
+    ``(ints, den)``: a list of Python ints with ``values[i] == ints[i] / den``.
+    No Fraction is built for a
     token of integer, decimal or ``a/b`` form.  A token that is not an
     exact rational, or whose exponent exceeds ``MAX_EXPONENT``, raises
     :class:`SampleError` naming its index; any other non-scalar raises
@@ -115,8 +115,6 @@ def lift(values: Sequence) -> tuple[Sequence[int], int]:
     except AttributeError:  # a token among the values
         return _lift_tokens(values)
     den = math.lcm(*dens)
-    if den == 1:
-        return values, 1
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
@@ -153,13 +151,6 @@ def _lift_tokens(values: Sequence) -> tuple[list[int], int]:
     return nums, den
 
 
-def _canon(value: Scalar) -> Scalar:
-    """Canonical form of an exact scalar: an int whenever it is integral."""
-    if type(value) is int or value.denominator != 1:
-        return value
-    return value.numerator
-
-
 def _ratio(num: int, den: int) -> Scalar:
     """The exact quotient num/den of two ints, in canonical form."""
     q, r = divmod(num, den)
@@ -172,16 +163,73 @@ def rational_str(value: Scalar) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
+# Step numerators are int64 while every |numerator| is below this, numpy
+# ``object`` (exact Python ints) past it: the rule of the Walsh butterfly.
+# Any sum or difference of two int64 numerators then still fits in int64.
+_WIDE = 1 << 62
+
+
+def _peak(num: np.ndarray) -> int:
+    """The largest |numerator| of an int64 or ``object`` array."""
+    return int(np.abs(num).max())
+
+
+def _as_array(ints: Sequence[int]) -> np.ndarray:
+    """Python ints as step numerators: int64 below ``_WIDE``, object past it."""
+    wide = max(map(abs, ints)) >= _WIDE
+    return np.array(ints, dtype=object if wide else np.int64)
+
+
+def _lowest(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """``num / den`` as a step keeps it: in lowest terms, with the numerators
+    int64 below ``_WIDE`` and ``object`` past it.  ``num`` is ``object`` or
+    int64 with every |value| below 2**63."""
+    if den > 1:
+        whole = int(np.gcd.reduce(num))  # 0 when every numerator is 0
+        common = math.gcd(whole, den)
+        if common > 1:
+            den //= common
+            if whole:
+                num = num // common
+    wide = _peak(num) >= _WIDE
+    if wide != (num.dtype == object):
+        num = num.astype(object if wide else np.int64)
+    return num, den
+
+
+def _inner_parts(a: "StepFunction", b: "StepFunction") -> tuple[int, int]:
+    """``(total, den)`` with ``<a, b> = total / den``, exactly.
+
+    The numerators of the finer step are summed over the cells of the
+    coarser one and dotted with its numerators; ``den`` is the product of
+    the denominators shifted by the finer level.  The arithmetic is int64
+    while the dot product is bounded below 2**63, ``object`` otherwise.
+    """
+    if a.level > b.level:
+        a, b = b, a
+    x, y = a.num, b.num
+    if _peak(x) * _peak(y) << b.level >= 1 << 63:
+        x, y = x.astype(object), y.astype(object)
+    if b.level > a.level:
+        y = y.reshape(len(x), -1).sum(axis=1)
+    return int(np.dot(x, y)), a.den * b.den << b.level
+
+
 class StepFunction:
     """Piecewise-constant function on the 2^level cells of a binary coding.
 
-    ``coeffs[i]`` is the exact value on cell ``i``.  Cells all carry measure
-    ``2**-level``, so ``inner`` is ``2**-level * sum(a_i * b_i)`` once both
-    arguments are refined to a common level.  Subclasses fix the geometric
-    meaning of a cell (dyadic subinterval, Cantor cylinder set).
+    The value on cell ``i`` is ``num[i] / den``: ``num`` is a read-only
+    numpy array of integer numerators, int64 while every |numerator| is
+    below 2**62 and numpy ``object`` (exact Python ints) past it, and
+    ``den`` is a positive int.  The pair is kept in lowest terms (the gcd of
+    all numerators and ``den`` is 1), so a function has one representation
+    at each level.  ``coeffs`` gives the cell values as exact scalars.
+    Cells all carry measure ``2**-level``, so ``inner`` is
+    ``2**-level * sum(a_i * b_i)`` at the common level.  Subclasses fix the
+    geometric meaning of a cell (dyadic subinterval, Cantor cylinder set).
     """
 
-    __slots__ = ("level", "coeffs", "_intvec")
+    __slots__ = ("level", "num", "den", "_coeffs")
 
     def __init__(self, level: int, coeffs: Iterable):
         coeffs = tuple(as_rational(c) for c in coeffs)
@@ -189,90 +237,112 @@ class StepFunction:
             raise ValueError("level must be nonnegative")
         if len(coeffs) != 1 << level:
             raise ValueError(f"expected {1 << level} coefficients, got {len(coeffs)}")
+        ints, den = lift(coeffs)
+        num = _as_array(ints)
+        num.setflags(write=False)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_intvec", None)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     @classmethod
-    def _trusted(cls, level: int, coeffs: tuple):
-        """Build from a tuple of 2**level canonical exact scalars, unchecked.
+    def _trusted(cls, level: int, num: np.ndarray, den: int):
+        """Build from 2**level numerators over ``den``, unchecked.
 
-        For results of the library's own exact operations, whose values are
-        already ints or non-integral Fractions; public input goes through
-        ``__init__``.
+        For results of the library's own exact operations, which are already
+        in lowest terms and of the right dtype (see ``_lowest``); ``num``
+        becomes read-only.  Public input goes through ``__init__``.
         """
+        num.setflags(write=False)
         self = object.__new__(cls)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_intvec", None)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
         return self
+
+    @classmethod
+    def _reduced(cls, level: int, num: np.ndarray, den: int):
+        """``_trusted`` of ``num / den`` brought to lowest terms first."""
+        return cls._trusted(level, *_lowest(num, den))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- representation ------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The cell values as exact scalars: an int when integral, a
+        Fraction otherwise.  Built on first use."""
+        if self._coeffs is None:
+            nums, den = self.num.tolist(), self.den
+            values = tuple(nums) if den == 1 else tuple([_ratio(u, den) for u in nums])
+            object.__setattr__(self, "_coeffs", values)
+        return self._coeffs
+
+    def _cells(self, level: int) -> np.ndarray:
+        """The numerators on the level-``level`` partition (not coarser)."""
+        if level == self.level:
+            return self.num
+        return np.repeat(self.num, 1 << (level - self.level))
+
     def refine(self, target_level: int) -> "StepFunction":
         """Re-express on the finer level-``target_level`` partition."""
         if target_level < self.level:
             raise ValueError("refine cannot reduce the level (lossy)")
-        reps = 1 << (target_level - self.level)
-        if reps == 1:
+        if target_level == self.level:
             return self
-        return self._trusted(target_level, tuple([c for c in self.coeffs for _ in range(reps)]))
+        return self._trusted(target_level, self._cells(target_level), self.den)
 
     def normalize(self) -> "StepFunction":
         """Minimal-level representation of the same function."""
-        level, coeffs = self.level, self.coeffs
-        while level > 0 and coeffs[0::2] == coeffs[1::2]:
+        level, num = self.level, self.num
+        while level > 0 and (num[0::2] == num[1::2]).all():
             level -= 1
-            coeffs = coeffs[0::2]
+            num = num[0::2]
         if level == self.level:
             return self
-        return self._trusted(level, coeffs)
+        return self._trusted(level, num, self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.num.any()
 
     def to_json(self) -> dict:
         return {"level": self.level, "coeffs": [rational_str(c) for c in self.coeffs]}
 
     # -- arithmetic ----------------------------------------------------
 
-    def _binary_op(self, other, op):
+    def _combine(self, other, sign: int):
+        """self + sign * other over the common level and denominator."""
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         k = max(self.level, other.level)
-        a = self.refine(k).coeffs
-        b = other.refine(k).coeffs
-        return self._trusted(k, tuple([_canon(op(x, y)) for x, y in zip(a, b)]))
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        a, b = self._cells(k), other._cells(k)
+        if (_peak(a) + 1) * fa + (_peak(b) + 1) * fb >= 1 << 63:
+            a, b = a.astype(object), b.astype(object)
+        return self._reduced(k, a * fa + b * (sign * fb), den)
 
     def __add__(self, other):
-        return self._binary_op(other, lambda x, y: x + y)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._binary_op(other, lambda x, y: x - y)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self._trusted(self.level, tuple([-c for c in self.coeffs]))
+        return self._trusted(self.level, -self.num, self.den)
 
     def scale(self, factor) -> "StepFunction":
         factor = as_rational(factor)
-        return self._trusted(self.level, tuple([_canon(factor * c) for c in self.coeffs]))
+        p, q = factor.numerator, factor.denominator
+        num = self.num
+        if (_peak(num) + 1) * abs(p) >= 1 << 63:
+            num = num.astype(object)
+        return self._reduced(self.level, num * p, self.den * q)
 
     # -- inner product ---------------------------------------------------
-
-    def _int_vector(self):
-        """Cached int64 view when all coefficients are smallish integers."""
-        vec = self._intvec
-        if vec is None:
-            if all(isinstance(c, int) and -_INT_FAST_LIMIT < c < _INT_FAST_LIMIT
-                   for c in self.coeffs):
-                vec = np.array(self.coeffs, dtype=np.int64)
-            else:
-                vec = False
-            object.__setattr__(self, "_intvec", vec)
-        return vec
 
     def inner(self, other: "StepFunction") -> Scalar:
         """Exact inner product ``2**-K sum(a_i b_i)`` at the common level K.
@@ -284,16 +354,7 @@ class StepFunction:
             if not isinstance(other, StepFunction):
                 return other.inner(self)
             raise TypeError("inner product requires matching function types")
-        k = max(self.level, other.level)
-        va, vb = self._int_vector(), other._int_vector()
-        if va is not False and vb is not False and k <= 22:
-            va = np.repeat(va, 1 << (k - self.level))
-            vb = np.repeat(vb, 1 << (k - other.level))
-            return _ratio(int(np.dot(va, vb)), 1 << k)
-        a = self.refine(k).coeffs
-        b = other.refine(k).coeffs
-        total = sum(x * y for x, y in zip(a, b))
-        return _canon(Fraction(total) / (1 << k))
+        return _ratio(*_inner_parts(self, other))
 
     def norm_sq(self) -> Scalar:
         return self.inner(self)
@@ -303,16 +364,19 @@ class StepFunction:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        a, b = self.normalize(), other.normalize()
-        return a.level == b.level and a.coeffs == b.coeffs
+        if self.den != other.den:
+            return False
+        k = max(self.level, other.level)
+        return bool((self._cells(k) == other._cells(k)).all())
 
     def __hash__(self):
         n = self.normalize()
-        return hash((type(self).__name__, n.level, n.coeffs))
+        num = n.num.tobytes() if n.num.dtype == np.int64 else tuple(n.num.tolist())
+        return hash((type(self).__name__, n.level, n.den, num))
 
     def __repr__(self):
-        vals = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if len(self.coeffs) > 8 else ""
+        vals = ", ".join(str(_ratio(u, self.den)) for u in self.num[:8].tolist())
+        tail = ", ..." if len(self.num) > 8 else ""
         return f"{type(self).__name__}(level={self.level}, [{vals}{tail}])"
 
 
@@ -341,7 +405,7 @@ class DyadicStep(StepFunction):
         if not 0 <= x < 1:
             raise ValueError("x must lie in [0, 1)")
         cell = (x.numerator << self.level) // x.denominator
-        return self.coeffs[cell]
+        return _ratio(int(self.num[cell]), self.den)
 
     def cell_left(self, cell: int) -> Scalar:
         return _ratio(cell, 1 << self.level)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .basis import walsh_butterfly
+from .basis import butterfly
 from .dyadic import MultiIndex, StepFunction
 from .operators import INTERVAL_REP, IntervalRep2
 from .reporting import Tally, VerificationReport
@@ -84,15 +84,15 @@ def _mass_tree(f, depth: int, rep) -> dict[tuple[int, ...], object]:
 def _packet_mass_tree(f: StepFunction, depth: int) -> dict[tuple[int, ...], Fraction]:
     """The mass tree of a step as sums of squared Walsh-packet coefficients.
 
-    Row J of the lifted butterfly after |J| stages is den * 2**|J| * S_J* f,
-    so mass(J) = (sum of its squares) / (total << |J|), where total is the
-    root's sum of squares.  The squares are summed at the deepest stage only:
+    Row J of the butterfly on the step's numerators after |J| stages is
+    den * 2**|J| * S_J* f, so mass(J) = (sum of its squares) / (total << |J|),
+    where total is the root's sum of squares.  The squares are summed at the deepest stage only:
     a parent's sum is half the sum of its two children's.  Past the step's
     level the adjoints act on constants: child 0 keeps the parent's mass and
     child 1 gets none.
     """
     stages = min(depth, f.level)
-    rows, _den = walsh_butterfly(f.coeffs, stages)
+    rows = butterfly(f.num, stages)
     sums = [(rows.astype(object) ** 2).sum(axis=1)]
     while len(sums[-1]) > 1:
         deeper = sums[-1]

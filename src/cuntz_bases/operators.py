@@ -1,11 +1,13 @@
 """The pair of subdivision isometries, their adjoints, and relation checks.
 
-On step functions the two operators are pure coefficient combinatorics:
+On step functions the two operators are pure coefficient combinatorics on
+the integer numerators over one denominator:
 
     S0: (a_0..a_m) -> (a_0..a_m, a_0..a_m)          one level deeper
     S1: (a_0..a_m) -> (a_0..a_m, -a_0..-a_m)
 
-and the adjoints average/difference the two halves one level up.  The same
+and the adjoints average/difference the two halves one level up (the
+denominator doubles, then the pair is brought to lowest terms).  The same
 rules drive the general case of N branches, where the k-th branch block is
 twisted by the unit root exp(2i pi jk / N); that carrier uses complex floats
 because the roots are irrational for N not in {1, 2, 4}.
@@ -14,12 +16,11 @@ because the roots are irrational for N not in {1, 2, 4}.
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .dyadic import StepFunction, _canon, as_word
+from .dyadic import StepFunction, as_word
 from .reporting import Tally, VerificationReport
 from .trig import HybridFunction, average_halves, compose_doubling
 
@@ -30,11 +31,8 @@ def s_apply(j: int, f: StepFunction) -> StepFunction:
     """Apply isometry j in {0,1} to a step function (exact, level + 1)."""
     if j not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
-    a = f.coeffs
-    # a list, not a generator: the tuple is then allocated at its final size
-    # in one piece, which keeps long s_apply chains from fragmenting the heap
-    second = a if j == 0 else tuple([-c for c in a])
-    return f._trusted(f.level + 1, a + second)
+    num = f.num
+    return f._trusted(f.level + 1, np.concatenate((num, num if j == 0 else -num)), f.den)
 
 
 def s_adjoint(j: int, f: StepFunction) -> StepFunction:
@@ -42,19 +40,10 @@ def s_adjoint(j: int, f: StepFunction) -> StepFunction:
     if j not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
     if f.level == 0:
-        c = f.coeffs[0]
-        return f._trusted(0, (c if j == 0 else 0,))
-    half = len(f.coeffs) // 2
-    lo, hi = f.coeffs[:half], f.coeffs[half:]
-    sums = [x + y for x, y in zip(lo, hi)] if j == 0 else [x - y for x, y in zip(lo, hi)]
-    return f._trusted(f.level - 1, tuple([_half(s) for s in sums]))
-
-
-def _half(value):
-    """value / 2 in canonical form (an int whenever it is integral)."""
-    if type(value) is int:
-        return Fraction(value, 2) if value & 1 else value >> 1
-    return _canon(value / 2)
+        return f if j == 0 else f._trusted(0, np.zeros(1, dtype=np.int64), 1)
+    half = len(f.num) // 2
+    lo, hi = f.num[:half], f.num[half:]
+    return f._reduced(f.level - 1, lo + hi if j == 0 else lo - hi, 2 * f.den)
 
 
 def s_apply_hybrid(j: int, f: HybridFunction) -> HybridFunction:

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .dyadic import DyadicStep, as_rational
+import numpy as np
+
+from .dyadic import DyadicStep, _inner_parts, as_rational
 
 MODE_CONST = "const"
 MODE_COS = "cos"
@@ -221,18 +223,17 @@ class HybridFunction:
 
 def _embed_half(step: DyadicStep, branch: int) -> DyadicStep:
     """The window seen through branch ``branch`` of the doubling map."""
-    zeros = (0,) * len(step.coeffs)
-    if branch == 0:
-        return DyadicStep._trusted(step.level + 1, step.coeffs + zeros)
-    return DyadicStep._trusted(step.level + 1, zeros + step.coeffs)
+    zeros = np.zeros_like(step.num)
+    halves = (step.num, zeros) if branch == 0 else (zeros, step.num)
+    return DyadicStep._trusted(step.level + 1, np.concatenate(halves), step.den)
 
 
 def _window_halves(step: DyadicStep) -> tuple[DyadicStep, DyadicStep]:
     if step.level == 0:
         return step, step
-    half = len(step.coeffs) // 2
-    lo = DyadicStep._trusted(step.level - 1, step.coeffs[:half])
-    hi = DyadicStep._trusted(step.level - 1, step.coeffs[half:])
+    half = len(step.num) // 2
+    lo = DyadicStep._reduced(step.level - 1, step.num[:half], step.den)
+    hi = DyadicStep._reduced(step.level - 1, step.num[half:], step.den)
     return lo, hi
 
 
@@ -242,8 +243,8 @@ def compose_doubling(f: HybridFunction, second_sign: int) -> HybridFunction:
     for a in f.atoms:
         if a.mode == MODE_CONST:
             w = a.window
-            second = tuple([second_sign * c for c in w.coeffs])
-            atoms.append(make_atom(DyadicStep._trusted(w.level + 1, w.coeffs + second), MODE_CONST))
+            doubled = np.concatenate((w.num, second_sign * w.num))
+            atoms.append(make_atom(DyadicStep._trusted(w.level + 1, doubled, w.den), MODE_CONST))
             continue
         atoms.append(make_atom(_embed_half(a.window, 0), a.mode, 2 * a.freq, a.phase))
         atoms.append(make_atom(
@@ -343,23 +344,22 @@ def hybrid_inner(f: HybridFunction | DyadicStep, g: HybridFunction | DyadicStep)
     approx = 0.0
     for a in f.atoms:
         for b in g.atoms:
-            k = max(a.window.level, b.window.level)
-            wa = a.window.refine(k).coeffs
-            wb = b.window.refine(k).coeffs
             terms = _product_terms(a, b)
-            cells = 1 << k
             if terms is None:
-                exact += Fraction(sum(x * y for x, y in zip(wa, wb)), cells)
+                exact += Fraction(*_inner_parts(a.window, b.window))
                 continue
-            support = [i for i in range(cells) if wa[i] and wb[i]]
+            k = max(a.window.level, b.window.level)
+            wa = a.window._cells(k).tolist()
+            wb = b.window._cells(k).tolist()
+            support = [i for i in range(1 << k) if wa[i] and wb[i]]
             columns = [(coef.numerator, coef.denominator,
                         _cell_integrals(kind, freq, phase, k, support))
                        for coef, kind, freq, phase in terms]
-            # float(w * coef) as one correctly rounded integer division
+            # float(w * coef) as one correctly rounded integer division; the
+            # cell weight w is (wa[i] / den_a) * (wb[i] / den_b)
+            wd = a.window.den * b.window.den
             for pos, i in enumerate(support):
-                x, y = wa[i], wb[i]
-                wn = x.numerator * y.numerator
-                wd = x.denominator * y.denominator
+                wn = wa[i] * wb[i]
                 for cn, cd, integrals in columns:
                     approx += (wn * cn) / (wd * cd) * integrals[pos]
     return float(exact) + approx

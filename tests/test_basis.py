@@ -1,5 +1,7 @@
 """Square-wave system, exact transform, generator cover, seed frames."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -238,6 +240,13 @@ class TestDecomposition:
     def test_level_three_exact(self):
         report = verify_decomposition(greedy_generators(4), 3)
         assert report.passed and report.max_violation == 0.0
+
+    def test_missing_words_fail_with_the_count(self):
+        cover = greedy_generators(2)
+        thin = dataclasses.replace(cover, coverage=dict(list(cover.coverage.items())[:2]))
+        report = verify_decomposition(thin, 2)
+        assert not report.passed and report.max_violation == math.inf
+        assert (report.witness, report.checked) == ("expected 4 vectors, got 3", 3)
 
     def test_shallow_cover_rejected(self):
         with pytest.raises(ValueError):

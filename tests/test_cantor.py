@@ -211,6 +211,13 @@ class TestWordIdentities:
                 word = MultiIndex(tuple((mask >> m) & 1 for m in range(length)))
                 assert indicator_relation_check(word).passed
 
+    def test_failed_expansion_names_the_word(self, monkeypatch):
+        # with the branches swapped the expansion gives another cell
+        monkeypatch.setattr("cuntz_bases.cantor.s_apply", lambda j, f: s_apply(1 - j, f))
+        report = indicator_relation_check(MultiIndex((0, 1)))
+        assert not report.passed and report.max_violation == 1.0
+        assert (report.witness, report.checked, report.tol) == ("word (0, 1)", 4, 0.0)
+
     def test_partition_small(self):
         assert verify_lambda_partition(2).passed
         assert verify_lambda_partition(3).passed

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -313,6 +314,20 @@ class TestEntropyCommand:
         assert main(["entropy", "--input", str(src)]) == 2
 
 
+    def test_digit_limit_exits_2_naming_the_node(self, tmp_path, capsys):
+        # the mass of word 0 is (10**5000 + 1)**2 / (2 (10**10000 + 1)), whose
+        # num/den text passes the int to str digit limit
+        src, dst = tmp_path / "sig.csv", tmp_path / "out"
+        write_samples(src, ["1e5000", "1"])
+        for output in ([], ["--output", str(dst)]):
+            assert main(["entropy", "--input", str(src), "--depth", "1", *output]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: mass of word 0 has more than {sys.get_int_max_str_digits()} digits\n")
+            assert not dst.exists()
+        # --float and JSON write the masses as floats
+        assert main(["entropy", "--input", str(src), "--depth", "1", "--float"]) == 0
+        assert capsys.readouterr().out.splitlines()[2].startswith("0,0.5,")
+
     def test_depth_bounded_before_reading(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.csv")
         for depth in ("0", "17", "40"):
@@ -465,6 +480,23 @@ class TestVerifyCommand:
         # exact checks are untouched by the override
         out = capsys.readouterr().out
         assert "odd-sine-adjoint-kernel-exact" in out
+
+    def test_tight_tol_failures_name_their_worst_case(self, capsys):
+        # these checks pass at their own tolerance: failed by the override,
+        # each must still name its worst case
+        assert main(["verify", "--suite", "cuntz", "--tol", "1e-17"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert [line.split()[1] for line in failed] == [
+            "general-branch3-relations", "general-branch4-relations",
+            "unitary-filter-matrices-n2-n3-n4", "general-branch3-orthogonal-idempotents"]
+        assert failed[0].endswith(" witness: sum_k S_k S_k* on vector 74")
+        assert " witness: N3: x = " in failed[2]
+        assert failed[3].endswith(" witness: vector 15")
+        # JSON names the witness of a failed report only
+        assert main(["verify", "--suite", "cuntz", "--tol", "1e-17", "--format", "json"]) == 1
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["witness"] is None for r in reports] == [r["passed"] for r in reports]
 
     def test_nonpositive_tol_rejected(self, capsys):
         for value in ("0", "-1e-6", "nan"):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cuntz_bases.dyadic import (
@@ -48,8 +49,8 @@ class TestConstruction:
             DyadicStep(2, [1, 2, 3])
 
     def test_internal_results_are_canonical(self):
-        # every internal constructor keeps integral values as ints, which is
-        # what keeps the int64 path of inner reachable
+        # every internal constructor keeps integral values as ints, and an
+        # integer step as int64 numerators over the denominator 1
         f = DyadicStep(2, [Fraction(1, 2), Fraction(3, 2), 2, Fraction(-1, 2)])
         g = DyadicStep(1, [Fraction(1, 2), Fraction(-1, 2)])
         results = [f + g, f - g, -f, f.scale(2), f.scale("1/3"), f.refine(4),
@@ -60,7 +61,8 @@ class TestConstruction:
                     assert type(c) is int, (h, c)
         assert (f + g).coeffs == (1, 2, Fraction(3, 2), -1)
         doubled = f.scale(2)
-        assert doubled._int_vector() is not False
+        assert doubled.num.dtype == np.int64 and doubled.den == 1
+        assert doubled.num.tolist() == [1, 3, 4, -1]
         assert type(doubled.inner(DyadicStep(0, [4]))) is int
 
 

@@ -6,6 +6,7 @@ folding, the tally that every verification report comes from, and the
 lifted parse of sample tokens against ``Fraction(token)``."""
 
 import cmath
+import fractions
 import math
 from fractions import Fraction
 from unittest import mock
@@ -380,8 +381,10 @@ def test_run_suite_tol_override_rejudges_float_checks(checks, override):
             continue
         assert report.tol == override and report.checked == i + 1
         assert report.passed == (float(gap) <= override)
-        # a pass has no witness; a failure keeps the one judged at its own tol
-        assert report.witness == (None if report.passed else own.witness)
+        # a pass shows no witness; a failure names the worst case, also when
+        # the check passed at its own tol
+        assert report.witness == (None if report.passed else own.worst_case)
+        assert report.worst_case == own.worst_case == ("case 0" if gap else None)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +404,8 @@ TAILS = st.one_of(
     st.builds("{}/{}".format, SPACES, DIGIT_RUNS),
     st.builds("/{}".format, DIGIT_RUNS),
 )
-# at most three exponent digits: Fraction itself builds the power
+# at most three exponent digits here; the free-text strategies below also
+# draw exponents beyond MAX_EXPONENT
 EXPONENTS = st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from(["e", "E", " e"]),
                                              st.sampled_from(["", "-", "+", "_"]),
                                              st.text(DIGIT_CHARS, max_size=3)))
@@ -446,7 +450,19 @@ def parsed(parse, token):
 @example(token="")
 @example(token="nan")
 @example(token="0x10")
+@example(token="E100001")
+@example(token="1/2e100001")
+@example(token="1.5.e200000")
+@example(token="0E100001")
 def test_token_parse_matches_fraction(token):
+    # the documented contract: a well-formed token (Fraction's own grammar)
+    # whose exponent is beyond MAX_EXPONENT raises OverflowError; every
+    # other token parses, or raises, exactly as Fraction(token) does
+    form = fractions._RATIONAL_FORMAT.match(token)
+    if form and form["exp"] and abs(int(form["exp"])) > MAX_EXPONENT:
+        with pytest.raises(OverflowError):
+            _parse_token(token)
+        return
     want = parsed(Fraction, token)
     got = parsed(lambda t: Fraction(*_parse_token(t)), token)
     assert got == want
