@@ -25,10 +25,11 @@ from .dyadic import (
     _peak,
     _ratio,
     as_word,
-    enumerate_words,
     lift,
+    word_code,
+    word_keys,
 )
-from .operators import INTERVAL_REP, apply_word, s_apply
+from .operators import INTERVAL_REP, apply_word, s_apply, s_word
 from .reporting import Tally, VerificationReport
 
 
@@ -67,12 +68,11 @@ def walsh(n: int) -> DyadicStep:
 
 
 def walsh_word(n: int) -> MultiIndex:
-    """The operator word that produces walsh(n) from the constant function."""
-    digits = []
-    while n:
-        n, d = divmod(n, 2)
-        digits.append(d)
-    return MultiIndex(tuple(digits))
+    """The operator word that produces walsh(n) from the constant function:
+    the bits of n, lowest first."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    return MultiIndex._from_code(n.bit_length(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +155,6 @@ def ingest_signal(samples: Sequence, level: int) -> DyadicStep:
 # Greedy generator cover
 # ---------------------------------------------------------------------------
 
-def _weight_one_words(max_len: int) -> Iterable[MultiIndex]:
-    """Words of weight <= 1 and length <= max_len, in (length, code) order."""
-    for length in range(max_len + 1):
-        yield MultiIndex((0,) * length)
-        for pos in range(length):
-            digits = [0] * length
-            digits[pos] = 1
-            yield MultiIndex(tuple(digits))
-
-
 class CoverCollisionError(ValueError):
     """A word received two factorizations; the orthogonal cover is broken."""
 
@@ -200,17 +190,27 @@ def greedy_generators(max_word_len: int) -> GeneratorCover:
     """
     if max_word_len < 0:
         raise ValueError("max_word_len must be nonnegative")
+    # the words of weight <= 1, as (length, code, word), in (length, code) order
+    prefixes = [(length, code, MultiIndex._from_code(length, code))
+                for length in range(max_word_len + 1)
+                for code in [0] + [1 << pos for pos in range(length)]]
+    covered: set[tuple[int, int]] = set()
     coverage: dict[tuple[int, ...], tuple[MultiIndex, MultiIndex]] = {}
     generators: list[MultiIndex] = []
-    for u in enumerate_words(max_word_len):
-        if u.digits in coverage:
+    for length, code in word_keys(max_word_len):
+        if (length, code) in covered:
             continue
+        u = MultiIndex._from_code(length, code)
         generators.append(u)
-        for k in _weight_one_words(max_word_len - len(u)):
+        for k_len, k_code, k in prefixes:
+            if k_len + length > max_word_len:
+                break
+            key = (k_len + length, k_code | code << k_len)
             w = k.digits + u.digits
-            if w in coverage:
+            if key in covered:
                 raise CoverCollisionError(
                     f"word {w} covered by both {coverage[w]} and ({k}, {u})")
+            covered.add(key)
             coverage[w] = (k, u)
     return GeneratorCover(max_word_len, tuple(generators), coverage)
 
@@ -237,18 +237,13 @@ def compute_K(psi, rep=INTERVAL_REP, max_depth: int = 6, tol: float = 0.0) -> Op
     if kernel_gap > threshold:
         raise ValueError(
             f"seed not in the kernel of the first adjoint (residual {kernel_gap:.3e})")
-    prior: list[tuple[MultiIndex, object]] = []
-    for k_word in enumerate_words(max_depth):
+    prior: list = []
+    for length, code in word_keys(max_depth):
+        k_word = MultiIndex._from_code(length, code)
         vec = apply_word(k_word, psi, rep)
-        hit = None
-        for j_word, other in prior:
-            value = abs(float(other.inner(vec)))
-            if value > threshold:
-                hit = j_word
-                break
-        if hit is not None:
+        if any(abs(float(other.inner(vec))) > threshold for other in prior):
             return k_word
-        prior.append((k_word, vec))
+        prior.append(vec)
     return None
 
 
@@ -277,21 +272,14 @@ def build_frame(psi, K: Optional[MultiIndex], depth: int, rep=INTERVAL_REP) -> S
     as 0^m and 0^(m-1)(0) collapse.  With ``K = None`` the words are every
     word of weight <= 1 up to the depth.
     """
-    seen: dict[tuple[int, ...], MultiIndex] = {}
-    if K is None:
-        for w in enumerate_words(depth):
-            if w.weight <= 1:
-                seen.setdefault(w.digits, w)
+    if K is None:  # weight <= 1: the code is zero or a power of two
+        keys = {(length, code) for length, code in word_keys(depth) if not code & (code - 1)}
     else:
-        below = [j for j in enumerate_words(max(len(K.digits), depth)) if j < K]
-        for m in range(depth + 1):
-            prefix = (0,) * m
-            for j in below:
-                if len(j.digits) > depth:
-                    continue
-                w = prefix + j.digits
-                seen.setdefault(w, MultiIndex(w))
-    words = tuple(sorted(seen.values(), key=lambda w: w.sort_key))
+        # 0^m J has the code of J shifted past the m leading zeros
+        below = [(length, code) for length, code in word_keys(depth)
+                 if (length, code) < K.sort_key]
+        keys = {(m + length, code << m) for m in range(depth + 1) for length, code in below}
+    words = tuple(MultiIndex._from_code(length, code) for length, code in sorted(keys))
     vectors = tuple(apply_word(w, psi, rep) for w in words)
     return SubspaceFrame(psi, K, words, vectors)
 
@@ -349,10 +337,9 @@ def verify_decomposition(cover: GeneratorCover, level: int) -> VerificationRepor
     if cover.max_word_len < level - 1:
         raise ValueError("cover is too shallow for the requested level")
     psi = walsh(1)
-    vectors = [DyadicStep.ones()]
-    for digits in sorted(cover.coverage, key=lambda d: MultiIndex(d).sort_key):
-        if len(digits) < level:
-            vectors.append(apply_word(MultiIndex(digits), psi))
+    keys = sorted((len(digits), word_code(digits)) for digits in cover.coverage
+                  if len(digits) < level)
+    vectors = [DyadicStep.ones()] + [s_word(length, code, psi) for length, code in keys]
     tally = Tally()
     if len(vectors) != 1 << level:
         tally.record(math.inf, f"expected {1 << level} vectors, got {len(vectors)}",

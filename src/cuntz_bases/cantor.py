@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import StepFunction, as_rational, as_word
-from .operators import s_apply
+from .dyadic import StepFunction, as_rational, as_word, binary_words
+from .operators import s_word
 from .reporting import Tally, VerificationReport
 
 
@@ -46,10 +46,6 @@ class CantorStep(StepFunction):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def ones(cls) -> "CantorStep":
-        return cls(0, [1])
 
     @classmethod
     def indicator_cell(cls, word) -> "CantorStep":
@@ -160,11 +156,12 @@ def lambda_set(p: int) -> list[LambdaPoint]:
     """All 2**p spectrum points with at most p base-4 digits, ascending."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    points = []
-    for mask in range(1 << p):
-        digits = tuple((mask >> i) & 1 for i in range(p))
-        points.append(LambdaPoint.from_digits(digits))
-    return points  # ascending already: the digit map is monotone in mask
+    # digit i of the point with index mask is bit i of the mask, so its value
+    # spreads the mask's bits to the even positions: the mask's binary digits
+    # read in base 4
+    *_, digits = binary_words(p)
+    return [LambdaPoint(int(f"{mask:b}", 4), d)
+            for mask, d in enumerate(digits)]  # ascending: the spread is monotone in mask
 
 
 # bits 0, 2, 4, ..., 62: the lowest set bit of d lies in this mask exactly
@@ -268,17 +265,15 @@ def indicator_relation_check(word) -> VerificationReport:
     images sum to twice the first-cell indicator.
     """
     word = as_word(word)
-    k = len(word.digits)
+    k, j_code = len(word.digits), word.code
     expected = CantorStep.indicator_cell(word)
+    one = CantorStep.ones()
     total = np.zeros(1 << k, dtype=np.int64)
-    for mask in range(1 << k):
-        digits = tuple((mask >> (k - 1 - m)) & 1 for m in range(k))
-        dot = sum(a * b for a, b in zip(word.digits, digits))
-        term = CantorStep.ones()
-        for d in reversed(digits):
-            term = s_apply(d, term)
-        # every term is +-1 valued at level k: sum the numerators
-        if dot % 2:
+    for code in range(1 << k):
+        term = s_word(k, code, one)
+        # every term is +-1 valued at level k: sum the numerators; J.K is
+        # the parity of the letters the two codes share
+        if bin(code & j_code).count("1") % 2:
             total -= term.num
         else:
             total += term.num

@@ -266,6 +266,16 @@ class StepFunction:
         """``_trusted`` of ``num / den`` brought to lowest terms first."""
         return cls._trusted(level, *_lowest(num, den))
 
+    @classmethod
+    def ones(cls):
+        """The constant function 1 (level 0)."""
+        return cls._trusted(0, np.ones(1, dtype=np.int64), 1)
+
+    @classmethod
+    def zero(cls):
+        """The zero function (level 0)."""
+        return cls._trusted(0, np.zeros(1, dtype=np.int64), 1)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -386,14 +396,6 @@ class DyadicStep(StepFunction):
     __slots__ = ()
 
     @classmethod
-    def ones(cls) -> "DyadicStep":
-        return cls(0, [1])
-
-    @classmethod
-    def zero(cls) -> "DyadicStep":
-        return cls(0, [0])
-
-    @classmethod
     def indicator(cls, level: int, cell: int) -> "DyadicStep":
         if not 0 <= cell < 1 << level:
             raise ValueError("cell index out of range")
@@ -439,6 +441,29 @@ class MultiIndex:
         if any(not 0 <= d < self.alphabet for d in self.digits):
             raise ValueError("digit out of alphabet range")
 
+    @classmethod
+    def _trusted(cls, digits: tuple[int, ...], alphabet: int = 2) -> "MultiIndex":
+        """Build from a tuple of Python int digits, unchecked.
+
+        Inside the library a word is its ``(length, code)`` pair (or the
+        digit tuple of a tree key); this is the one way such a word leaves
+        as a ``MultiIndex``, for digits the library made itself.  Public
+        input goes through ``__init__``, which validates every digit.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "alphabet", alphabet)
+        return self
+
+    @classmethod
+    def _from_code(cls, length: int, code: int, alphabet: int = 2) -> "MultiIndex":
+        """The word ``(length, code)``, for ``0 <= code < alphabet**length``, unchecked."""
+        digits = []
+        for _ in range(length):
+            code, d = divmod(code, alphabet)
+            digits.append(d)
+        return cls._trusted(tuple(digits), alphabet)
+
     def __len__(self) -> int:
         return len(self.digits)
 
@@ -451,10 +476,7 @@ class MultiIndex:
 
     @property
     def code(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.alphabet + d
-        return total
+        return word_code(self.digits, self.alphabet)
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -475,7 +497,7 @@ class MultiIndex:
         return self.sort_key <= other.sort_key
 
     def __str__(self) -> str:
-        return "".join(str(d) for d in self.digits)
+        return "".join(map(str, self.digits))
 
 
 EMPTY_WORD = MultiIndex(())
@@ -487,16 +509,37 @@ def multiindex_order(a: MultiIndex, b: MultiIndex) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def enumerate_words(max_len: int, alphabet_size: int = 2) -> Iterator[MultiIndex]:
-    """All words of length <= max_len, in (length, code) order, each once."""
+def word_keys(max_len: int, alphabet_size: int = 2) -> Iterator[tuple[int, int]]:
+    """The ``(length, code)`` pairs of all words of length <= max_len, in order."""
+    if alphabet_size < 1:
+        raise ValueError("alphabet size must be positive")
     for length in range(max_len + 1):
         for code in range(alphabet_size ** length):
-            digits = []
-            rest = code
-            for _ in range(length):
-                rest, d = divmod(rest, alphabet_size)
-                digits.append(d)
-            yield MultiIndex(tuple(digits), alphabet_size)
+            yield length, code
+
+
+def binary_words(max_len: int) -> Iterator[list[tuple[int, ...]]]:
+    """For each length 0 .. max_len, the digit tuples of all binary words of
+    that length in code order (the last letter is the top bit of the code)."""
+    words: list[tuple[int, ...]] = [()]
+    yield words
+    for _ in range(max_len):
+        words = [w + (0,) for w in words] + [w + (1,) for w in words]
+        yield words
+
+
+def word_code(digits: Sequence[int], alphabet: int = 2) -> int:
+    """The code of a word given by its digits: the first is the lowest digit."""
+    code = 0
+    for d in reversed(digits):
+        code = code * alphabet + d
+    return code
+
+
+def enumerate_words(max_len: int, alphabet_size: int = 2) -> Iterator[MultiIndex]:
+    """All words of length <= max_len, in (length, code) order, each once."""
+    for length, code in word_keys(max_len, alphabet_size):
+        yield MultiIndex._from_code(length, code, alphabet_size)
 
 
 def digits_of(n: int, alphabet_size: int = 2) -> MultiIndex:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .basis import butterfly
-from .dyadic import MultiIndex, StepFunction
+from .dyadic import MultiIndex, StepFunction, binary_words
 from .operators import INTERVAL_REP, IntervalRep2
 from .reporting import Tally, VerificationReport
 
@@ -45,16 +45,17 @@ def _nlogn(mass) -> float:
     return -mass * math.log(mass) + 0.0  # + 0.0 normalizes -0.0 away
 
 
-def _mass_tree(f, depth: int, rep) -> dict[tuple[int, ...], object]:
+def _mass_levels(f, depth: int, rep) -> list[list]:
     """Normalized masses ||S_J* f||^2 / ||f||^2 for all |J| <= depth.
 
-    Keys are inserted level by level, each level in the parent's order with
-    digit 0 before 1; float sums over the masses follow that order.  Masses
-    stay exact rationals on exact carriers (the adjoints and norms are exact
-    there) and are floats on trig hybrids.
+    ``levels[k][code]`` is the mass of the length-k word with that code
+    (first letter = lowest bit, the butterfly's row index), so the children
+    of ``(k, code)`` are ``(k + 1, code)`` and ``(k + 1, code | 1 << k)``.
+    Masses stay exact rationals on exact carriers (the adjoints and norms
+    are exact there) and are floats on trig hybrids.
     """
     if type(rep) is IntervalRep2 and isinstance(f, StepFunction):
-        return _packet_mass_tree(f, depth)
+        return _packet_mass_levels(f, depth)
     total = f.norm_sq()
     if total <= 0.0:
         raise ValueError("cannot analyze the zero function")
@@ -67,22 +68,16 @@ def _mass_tree(f, depth: int, rep) -> dict[tuple[int, ...], object]:
             value = Fraction(value)
         return value / total
 
-    masses: dict[tuple[int, ...], object] = {(): mass_of(f)}
-    frontier = {(): f}
+    frontier = [f]
+    levels = [[mass_of(f)]]
     for _ in range(depth):
-        next_frontier = {}
-        for word, g in frontier.items():
-            for digit in (0, 1):
-                child = rep.adjoint(digit, g)
-                key = word + (digit,)
-                masses[key] = mass_of(child)
-                next_frontier[key] = child
-        frontier = next_frontier
-    return masses
+        frontier = [rep.adjoint(digit, g) for digit in (0, 1) for g in frontier]
+        levels.append([mass_of(g) for g in frontier])
+    return levels
 
 
-def _packet_mass_tree(f: StepFunction, depth: int) -> dict[tuple[int, ...], Fraction]:
-    """The mass tree of a step as sums of squared Walsh-packet coefficients.
+def _packet_mass_levels(f: StepFunction, depth: int) -> list[list[Fraction]]:
+    """The mass levels of a step as sums of squared Walsh-packet coefficients.
 
     Row J of the butterfly on the step's numerators after |J| stages is
     den * 2**|J| * S_J* f, so mass(J) = (sum of its squares) / (total << |J|),
@@ -102,19 +97,22 @@ def _packet_mass_tree(f: StepFunction, depth: int) -> dict[tuple[int, ...], Frac
     total = sums[0][0]
     if total == 0:
         raise ValueError("cannot analyze the zero function")
+    levels = [[Fraction(s, total << k) for s in sums[k].tolist()] for k in range(stages + 1)]
     zero = Fraction(0)
-    masses = {(): Fraction(1)}
-    frontier = [((), 0)]  # (word, code); the code indexes the butterfly rows
-    for k in range(1, depth + 1):
-        frontier = [(word + (d,), code | d << (k - 1)) for word, code in frontier for d in (0, 1)]
-        if k <= stages:
-            level_sums = sums[k]
-            for word, code in frontier:
-                masses[word] = Fraction(level_sums[code], total << k)
-        else:
-            for word, _code in frontier:
-                masses[word] = masses[word[:-1]] if word[-1] == 0 else zero
-    return masses
+    for _ in range(stages, depth):
+        levels.append(levels[-1] + [zero] * len(levels[-1]))
+    return levels
+
+
+def _lex_keys(depth: int):
+    """For k = 0 .. depth, the length-k words as (digits, code) pairs in
+    lexicographic order (first letter most significant): the order of the
+    public mass dicts and of every float sum over a level."""
+    frontier = [((), 0)]
+    yield frontier
+    for k in range(depth):
+        frontier = [(word + (d,), code | d << k) for word, code in frontier for d in (0, 1)]
+        yield frontier
 
 
 def projection_masses(f, k: int, rep=INTERVAL_REP) -> dict[MultiIndex, object]:
@@ -124,8 +122,9 @@ def projection_masses(f, k: int, rep=INTERVAL_REP) -> dict[MultiIndex, object]:
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    masses = _mass_tree(f, k, rep)
-    return {MultiIndex(w): m for w, m in masses.items() if len(w) == k}
+    level = _mass_levels(f, k, rep)[k]
+    *_, frontier = _lex_keys(k)
+    return {MultiIndex._trusted(word): level[code] for word, code in frontier}
 
 
 def entropy(f, k: int, rep=INTERVAL_REP) -> float:
@@ -191,12 +190,13 @@ class EntropyTree:
         return self.masses[word]
 
     def rows(self):
-        """(word, mass, entropy term) rows in (length, code) order."""
-        words = sorted((MultiIndex(w) for w in self.masses), key=lambda w: w.sort_key)
+        """(word, mass, entropy term, best leaf) rows in (length, code) order,
+        one for every word of length <= depth (the tree holds them all)."""
         best = {w.digits for w in self.best_leaves}
-        for word in words:
-            m = self.masses[word.digits]
-            yield word, m, _nlogn(m), word.digits in best
+        for level in binary_words(self.depth):
+            for digits in level:
+                m = self.masses[digits]
+                yield MultiIndex._trusted(digits), m, _nlogn(m), digits in best
 
     def to_json(self) -> dict:
         return {
@@ -211,25 +211,32 @@ class EntropyTree:
 def build_entropy_tree(f, depth: int, rep=INTERVAL_REP) -> EntropyTree:
     if depth < 1:
         raise ValueError("depth must be at least one")
-    masses = _mass_tree(f, depth, rep)
-    # one pass, keeping insertion order within each level for the float sums
-    terms = [[] for _ in range(depth + 1)]
-    for w, m in masses.items():
-        terms[len(w)].append(_nlogn(m))
-    levels = tuple(sum(level_terms) for level_terms in terms[1:])
-    leaves, cost = _best_antichain(masses, (), depth)
-    return EntropyTree(depth, masses, levels,
-                       tuple(MultiIndex(w) for w in leaves), cost)
+    levels = _mass_levels(f, depth, rep)
+    masses: dict[tuple[int, ...], object] = {}
+    level_entropy = []
+    # one pass in lexicographic order per level, the order of the float sums
+    for k, frontier in enumerate(_lex_keys(depth)):
+        level = levels[k]
+        terms = []
+        for word, code in frontier:
+            m = masses[word] = level[code]
+            terms.append(_nlogn(m))
+        if k:
+            level_entropy.append(sum(terms))
+    leaves, cost = _best_antichain(levels, 0, 0, depth)
+    return EntropyTree(depth, masses, tuple(level_entropy),
+                       tuple(MultiIndex._from_code(k, code) for k, code in leaves), cost)
 
 
-def _best_antichain(masses, word, depth_left) -> tuple[list[tuple[int, ...]], float]:
-    keep_cost = _nlogn(masses[word])
-    if depth_left == 0 or _is_zero_mass(masses[word]):
-        return [word], keep_cost
-    left, cl = _best_antichain(masses, word + (0,), depth_left - 1)
-    right, cr = _best_antichain(masses, word + (1,), depth_left - 1)
+def _best_antichain(levels, k, code, depth_left) -> tuple[list[tuple[int, int]], float]:
+    mass = levels[k][code]
+    keep_cost = _nlogn(mass)
+    if depth_left == 0 or _is_zero_mass(mass):
+        return [(k, code)], keep_cost
+    left, cl = _best_antichain(levels, k + 1, code, depth_left - 1)
+    right, cr = _best_antichain(levels, k + 1, code | 1 << k, depth_left - 1)
     if keep_cost <= cl + cr:
-        return [word], keep_cost
+        return [(k, code)], keep_cost
     return left + right, cl + cr
 
 

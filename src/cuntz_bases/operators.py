@@ -20,11 +20,49 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .dyadic import StepFunction, as_word
+from .dyadic import StepFunction, as_word, word_code
 from .reporting import Tally, VerificationReport
 from .trig import HybridFunction, average_halves, compose_doubling
 
 Vector = Union[StepFunction, HybridFunction]
+
+
+# row m, entry t is (-1)**popcount(t & m) for 8-bit m and t: the sign rows
+# of all words of up to 8 letters (a Sylvester Hadamard matrix)
+_SIGN_ROWS = np.ones((1, 1), dtype=np.int8)
+for _ in range(8):
+    _SIGN_ROWS = np.block([[_SIGN_ROWS, _SIGN_ROWS], [_SIGN_ROWS, -_SIGN_ROWS]])
+_SIGN_ROWS.setflags(write=False)
+
+
+def word_signs(length: int, code: int) -> np.ndarray:
+    """The +-1 row of the binary word (length, code) on the constant 1.
+
+    Entry t is (-1)**popcount(t & m), where m holds the word's letters with
+    the first letter as the top bit (``code`` has it as the lowest bit): the
+    top bit of a cell index says which branch the outermost operator put it
+    in.  The parity splits over 8-bit chunks of t and m, so the row is the
+    Kronecker product of rows of the 8-bit table (read-only).
+    """
+    mask = int(f"{code:0{length}b}"[::-1], 2)
+    row = _SIGN_ROWS[mask & 0xFF, :1 << min(length, 8)]
+    for low in range(8, length, 8):
+        high = _SIGN_ROWS[mask >> low & 0xFF, :1 << min(length - low, 8)]
+        row = np.multiply.outer(high, row).ravel()
+    return row
+
+
+def s_word(length: int, code: int, f: StepFunction) -> StepFunction:
+    """S_J f for the binary word J = (length, code), exact, at level + length.
+
+    A word acts on a step as one Kronecker product: cell ``t * 2**level + i``
+    of the result is ``word_signs(J)[t] * f[i]``.  This is the letter-by-letter
+    chain of :func:`s_apply` in one outer product, with the same ``den`` and
+    numerator dtype (the int8 signs widen to int64, or become Python ints
+    against ``object`` numerators).
+    """
+    num = np.multiply.outer(word_signs(length, code), f.num).ravel()
+    return f._trusted(f.level + length, num, f.den)
 
 
 def s_apply(j: int, f: StepFunction) -> StepFunction:
@@ -85,8 +123,17 @@ INTERVAL_REP = IntervalRep2()
 
 
 def apply_word(word, f: Vector, rep=INTERVAL_REP) -> Vector:
-    """S_{j1} S_{j2} ... S_{jk} f: the rightmost letter acts first."""
+    """S_{j1} S_{j2} ... S_{jk} f: the rightmost letter acts first.
+
+    A binary word on a step under the interval representation is one
+    :func:`s_word` product; hybrids and other representations apply it one
+    letter at a time.
+    """
     word = as_word(word)
+    if type(rep) is IntervalRep2 and isinstance(f, StepFunction):
+        if max(word.digits, default=0) > 1:
+            raise ValueError("branch index must be 0 or 1")
+        return s_word(len(word.digits), word_code(word.digits), f)
     for j in reversed(word.digits):
         f = rep.apply(j, f)
     return f

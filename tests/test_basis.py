@@ -23,7 +23,7 @@ from cuntz_bases.basis import (
     walsh_word,
 )
 from cuntz_bases import verification
-from cuntz_bases.dyadic import DyadicStep, MultiIndex
+from cuntz_bases.dyadic import DyadicStep, MultiIndex, enumerate_words
 from cuntz_bases.operators import INTERVAL_REP, apply_word, s_apply
 from cuntz_bases.trig import hybrid_inner, make_sine
 
@@ -59,6 +59,11 @@ class TestWalsh:
     def test_matches_word_path(self):
         for n in range(256):
             assert walsh(n) == apply_word(walsh_word(n), DyadicStep.ones())
+
+    def test_negative_word_index_rejected(self):
+        # a negative index has no bits to read (divmod by 2 never reaches 0)
+        with pytest.raises(ValueError):
+            walsh_word(-1)
 
     def test_recursion_operator_form(self):
         for n in range(32):
@@ -222,6 +227,24 @@ class TestFrames:
     def test_frame_words_deduplicated(self):
         frame = build_frame(make_sine(1), MultiIndex((1, 1)), 3)
         assert len(set(frame.words)) == len(frame.words)
+
+    @pytest.mark.parametrize("k_digits", [None, (1, 1), (1, 0, 1), (0, 1, 1, 0)])
+    def test_frame_words_are_zero_prefixed_words_below_K(self, k_digits):
+        # the words 0^m J, J before K (or of weight <= 1 without K), as digit
+        # tuples from validated words, sorted by the validated sort key
+        depth = 3
+        K = None if k_digits is None else MultiIndex(k_digits)
+        if K is None:
+            digits = {w.digits for w in enumerate_words(depth) if w.weight <= 1}
+        else:
+            digits = {(0,) * m + j.digits for m in range(depth + 1)
+                      for j in enumerate_words(depth) if j < K}
+        want = sorted((MultiIndex(d) for d in digits), key=lambda w: w.sort_key)
+        for seed in (walsh(1), make_sine(1)):
+            frame = build_frame(seed, K, depth)
+            assert list(frame.words) == want and frame.K == K
+            for word, vector in zip(frame.words, frame.vectors):
+                assert vector == apply_word(MultiIndex(word.digits), seed)
 
     def test_weight_bounded_family_orthogonal_across_seeds(self):
         seeds = [make_sine(2 * n + 1) for n in range(4)]

@@ -22,8 +22,16 @@ from cuntz_bases.cantor import (
     orthogonality_report,
     verify_lambda_partition,
 )
+from cuntz_bases import verification
 from cuntz_bases.dyadic import MultiIndex
-from cuntz_bases.operators import INTERVAL_REP, s_adjoint, s_apply, verify_cuntz
+from cuntz_bases.operators import (
+    INTERVAL_REP,
+    s_adjoint,
+    s_apply,
+    s_word,
+    verify_cuntz,
+    word_signs,
+)
 
 
 class TestCylinderSteps:
@@ -213,10 +221,23 @@ class TestWordIdentities:
 
     def test_failed_expansion_names_the_word(self, monkeypatch):
         # with the branches swapped the expansion gives another cell
-        monkeypatch.setattr("cuntz_bases.cantor.s_apply", lambda j, f: s_apply(1 - j, f))
+        monkeypatch.setattr("cuntz_bases.cantor.s_word",
+                            lambda length, code, f: s_word(length, code ^ ((1 << length) - 1), f))
         report = indicator_relation_check(MultiIndex((0, 1)))
         assert not report.passed and report.max_violation == 1.0
         assert (report.witness, report.checked, report.tol) == ("word (0, 1)", 4, 0.0)
+
+    def test_wrong_sign_row_fails_both_word_checks(self, monkeypatch):
+        # one flipped entry of the kernel's sign row: the word path of the
+        # square waves and the cell-indicator expansions must both notice
+        def flipped(length, code):
+            row = word_signs(length, code).copy()
+            row[-1] = -row[-1]
+            return row
+
+        monkeypatch.setattr("cuntz_bases.operators.word_signs", flipped)
+        assert not verification.check_walsh_two_paths().passed
+        assert not verification.check_indicator_expansions().passed
 
     def test_partition_small(self):
         assert verify_lambda_partition(2).passed

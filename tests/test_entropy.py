@@ -1,5 +1,6 @@
 """Masses, entropy numbers, the chain rule, and best-basis selection."""
 
+import json
 import math
 import random
 
@@ -8,6 +9,8 @@ import pytest
 from cuntz_bases.basis import walsh
 from cuntz_bases.dyadic import DyadicStep, MultiIndex
 from cuntz_bases.entropy import (
+    ZERO_MASS,
+    _nlogn,
     best_basis,
     build_entropy_tree,
     entropy,
@@ -211,3 +214,38 @@ class TestTreeSerialization:
         data = build_entropy_tree(walsh(1), 2).to_json()
         assert set(data) == {"depth", "nodes", "levelEntropy", "bestCost"}
         assert len(data["levelEntropy"]) == 2
+
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_output_matches_word_sorted_oracle(self, depth):
+        # rows, levels, leaves and JSON as they were computed from MultiIndex
+        # words: rows sorted by the validated sort key, level sums in the
+        # masses' insertion order, the antichain recursion on digit tuples
+        rng = random.Random(4099)
+        f = DyadicStep(12, [rng.randint(-9, 9) for _ in range(1 << 12)])
+        tree = build_entropy_tree(f, depth)
+        masses = tree.masses
+        terms = [[] for _ in range(depth + 1)]
+        for w, m in masses.items():
+            terms[len(w)].append(_nlogn(m))
+        assert tree.level_entropy == tuple(sum(t) for t in terms[1:])
+
+        def antichain(word, depth_left):
+            keep = _nlogn(masses[word])
+            if depth_left == 0 or masses[word] <= ZERO_MASS:
+                return [word], keep
+            left, cl = antichain(word + (0,), depth_left - 1)
+            right, cr = antichain(word + (1,), depth_left - 1)
+            return ([word], keep) if keep <= cl + cr else (left + right, cl + cr)
+
+        leaves, cost = antichain((), depth)
+        assert [w.digits for w in tree.best_leaves] == leaves and tree.best_cost == cost
+        words = sorted((MultiIndex(w) for w in masses), key=lambda w: w.sort_key)
+        best = set(leaves)
+        rows = [(w, masses[w.digits], _nlogn(masses[w.digits]), w.digits in best)
+                for w in words]
+        assert list(tree.rows()) == rows
+        oracle = {"depth": depth,
+                  "nodes": [{"word": str(w), "mass": float(m), "entropy": e, "bestLeaf": b}
+                            for w, m, e, b in rows],
+                  "levelEntropy": list(tree.level_entropy), "bestCost": cost}
+        assert json.dumps(tree.to_json()) == json.dumps(oracle)

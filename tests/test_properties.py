@@ -33,13 +33,14 @@ from cuntz_bases.cantor import (
 from cuntz_bases.dyadic import (
     MAX_EXPONENT,
     DyadicStep,
+    MultiIndex,
     SampleError,
     _parse_token,
     as_rational,
     lift,
 )
 from cuntz_bases.entropy import build_entropy_tree
-from cuntz_bases.operators import s_adjoint, s_apply
+from cuntz_bases.operators import apply_word, s_adjoint, s_apply, s_word, word_signs
 from cuntz_bases.reporting import Tally, VerificationReport
 from cuntz_bases.trig import (
     MODE_CONST,
@@ -127,6 +128,56 @@ def test_isometry_relations_exact(cls, data):
         for j in (0, 1):
             assert s_adjoint(i, s_apply(j, f)) == (f if i == j else zero)
     assert s_apply(0, s_adjoint(0, f)) + s_apply(1, s_adjoint(1, f)) == f
+
+
+# magnitudes on both sides of 2**62: int64 below it, object numerators past it
+NEAR_2_62 = st.builds(lambda m, sign: sign * m,
+                      st.integers((1 << 62) - (1 << 10), (1 << 62) + (1 << 10)),
+                      st.sampled_from((1, -1)))
+WORD_VALUES = {"int64": INTS, "near-2^62": NEAR_2_62}
+
+
+def letter_chain(length, code, f):
+    """S_J f one letter at a time: the last letter (top bit of the code) first."""
+    for b in reversed(range(length)):
+        f = s_apply(code >> b & 1, f)
+    return f
+
+
+@pytest.mark.parametrize("cls", [DyadicStep, CantorStep])
+@pytest.mark.parametrize("kind", sorted(WORD_VALUES))
+@PROPERTY
+@given(data=st.data(), length=st.integers(0, 10))
+def test_word_kernel_matches_letter_chain(cls, kind, data, length):
+    f = data.draw(steps(WORD_VALUES[kind], cls, max_level=4))
+    code = data.draw(st.integers(0, (1 << length) - 1))
+    got, want = s_word(length, code, f), letter_chain(length, code, f)
+    assert type(got) is cls and got.level == want.level == f.level + length
+    assert got.num.dtype == want.num.dtype == f.num.dtype
+    assert got.den == want.den == f.den
+    assert got == want and hash(got) == hash(want)
+    assert not got.num.flags.writeable
+    assert apply_word(MultiIndex._from_code(length, code), f) == want
+
+
+@pytest.mark.parametrize("length", [16, 17, 18])
+def test_word_signs_of_long_words(length):
+    # past 8 letters the row is a product of several 8-bit table rows
+    one = DyadicStep.ones()
+    for code in (0, 1, (1 << length) - 1, 0b10110011100011110 % (1 << length)):
+        assert (word_signs(length, code) == letter_chain(length, code, one).num).all()
+
+
+@PROPERTY
+@given(length=st.integers(0, 40), data=st.data())
+def test_edge_word_matches_validated(length, data):
+    code = data.draw(st.integers(0, (1 << length) - 1))
+    edge = MultiIndex._from_code(length, code)
+    checked = MultiIndex(tuple((code >> i) & 1 for i in range(length)))
+    assert edge == checked and hash(edge) == hash(checked)
+    assert edge.code == checked.code == code
+    assert edge.sort_key == checked.sort_key == (length, code)
+    assert str(edge) == str(checked)
 
 
 # ---------------------------------------------------------------------------
