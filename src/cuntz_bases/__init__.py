@@ -52,6 +52,7 @@ from .basis import (
     greedy_generators,
     ingest_signal,
     verify_decomposition,
+    verify_decomposition_levels,
     walsh,
     walsh_expand,
     walsh_synthesize,

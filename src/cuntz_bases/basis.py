@@ -10,6 +10,7 @@ depth-bounded orthonormal frames grown from a seed.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -33,12 +34,18 @@ from .operators import INTERVAL_REP, apply_word, s_apply, s_word
 from .reporting import Tally, VerificationReport
 
 
+# walsh(n) is stored only below this index, i.e. for levels <= 10: at most
+# 8 KB per step and about 5.6 MB for all of them
+_MEMO_LIMIT = 1 << 10
+
+
 class WalshSystem:
     """Memoized generator of the square-wave basis steps.
 
-    The cache is an insert-only map of deterministic values, so concurrent
-    readers and writers need no coordination (recomputation races are
-    benign).
+    Steps below ``_MEMO_LIMIT`` (levels <= 10) are kept.  A deeper step is
+    rebuilt on every call by the same ``s_apply`` recursion from its stored
+    level-10 ancestor and is not kept, so the memo never grows past about
+    5.6 MB, whatever range of indices a caller walks.
     """
 
     def __init__(self):
@@ -52,7 +59,8 @@ class WalshSystem:
             return cached
         half, bit = divmod(n, 2)
         value = s_apply(bit, self.walsh(half))
-        self._cache[n] = value
+        if n < _MEMO_LIMIT:
+            self._cache[n] = value
         return value
 
     def clear(self) -> None:
@@ -298,14 +306,16 @@ def frames_orthogonal(frame_a: SubspaceFrame, frame_b: SubspaceFrame,
 # Exact Gram checks and the level-k completeness certificate
 # ---------------------------------------------------------------------------
 
-def gram_identity_gap(vectors: Sequence[DyadicStep]) -> tuple[float, Optional[str]]:
-    """Largest |<v_i, v_j> - delta_ij| over all pairs, exactly.
+def _identity_gaps(vectors: Sequence[DyadicStep]) -> tuple[np.ndarray, int]:
+    """``(gaps, k)``: 2**k |<v_i, v_j> - delta_ij| for all pairs, exactly.
 
     The vectors must be integer steps (the basis vectors here are +-1
-    valued), so after refining to the common level the Gram matrix is an
-    integer matrix computed in float64.  Inputs are rejected with ValueError
-    unless every product and partial sum is an integer below 2**53; then
-    the matmul is exact and the comparison against the identity is too.
+    valued), so after refining to their top level k the Gram matrix is
+    2**-k times an integer matrix computed in float64.  Inputs are rejected
+    with ValueError unless every product and partial sum is an integer
+    below 2**53; then the matmul is exact, and so is the subtraction of 2**k
+    on the diagonal.  Dividing a gap by 2**k is exact too and keeps the
+    order of the gaps.
     """
     k = max(v.level for v in vectors)
     if k > 22:
@@ -318,13 +328,28 @@ def gram_identity_gap(vectors: Sequence[DyadicStep]) -> tuple[float, Optional[st
     mat = np.empty((len(vectors), 1 << k), dtype=np.float64)
     for i, v in enumerate(vectors):
         mat[i] = v._cells(k)
-    gram = (mat @ mat.T) / (1 << k)
-    gap = np.abs(gram - np.eye(len(vectors)))
-    worst = float(gap.max())
+    gaps = mat @ mat.T
+    gaps.flat[::len(vectors) + 1] -= 1 << k
+    np.abs(gaps, out=gaps)
+    return gaps, k
+
+
+def _leading_gap(gaps: np.ndarray, k: int, n: int) -> tuple[float, Optional[str]]:
+    """Largest gap among the first n vectors, with the first pair reaching it."""
+    block = gaps[:n, :n]
+    i, j = divmod(int(block.argmax()), n)
+    worst = float(block[i, j]) / (1 << k)
     if worst == 0.0:
         return 0.0, None
-    i, j = np.unravel_index(int(gap.argmax()), gap.shape)
     return worst, f"vectors {i} and {j}"
+
+
+def gram_identity_gap(vectors: Sequence[DyadicStep]) -> tuple[float, Optional[str]]:
+    """Largest |<v_i, v_j> - delta_ij| over all pairs, exactly, with the
+    first pair reaching it.  The vectors must be integer steps whose Gram
+    is exact in float64 (see :func:`_identity_gaps`), else ValueError."""
+    gaps, k = _identity_gaps(vectors)
+    return _leading_gap(gaps, k, len(vectors))
 
 
 def verify_decomposition(cover: GeneratorCover, level: int) -> VerificationReport:
@@ -334,16 +359,38 @@ def verify_decomposition(cover: GeneratorCover, level: int) -> VerificationRepor
     This is the depth-``level`` completeness certificate: Gram = identity
     exactly, and the count matches the dimension of the level-k step space.
     """
-    if cover.max_word_len < level - 1:
+    return verify_decomposition_levels(cover, [level])[0]
+
+
+def verify_decomposition_levels(cover: GeneratorCover,
+                                levels: Sequence[int]) -> list[VerificationReport]:
+    """:func:`verify_decomposition` at each of ``levels``, from one Gram.
+
+    In (length, code) order every word shorter than j comes before every
+    longer one, so the level-j vectors are the leading ones of a deeper
+    level's and their Gram is its leading block.  The vectors and their
+    Gram are built once, for the deepest level whose count is right; a
+    level with the wrong count fails on the count alone.
+    """
+    top = max(levels)
+    if cover.max_word_len < top - 1:
         raise ValueError("cover is too shallow for the requested level")
-    psi = walsh(1)
     keys = sorted((len(digits), word_code(digits)) for digits in cover.coverage
-                  if len(digits) < level)
-    vectors = [DyadicStep.ones()] + [s_word(length, code, psi) for length, code in keys]
-    tally = Tally()
-    if len(vectors) != 1 << level:
-        tally.record(math.inf, f"expected {1 << level} vectors, got {len(vectors)}",
-                     cases=len(vectors))
-    else:
-        tally.record(*gram_identity_gap(vectors), cases=len(vectors) * (len(vectors) + 1) // 2)
-    return tally.report(f"square-wave-decomposition-level-{level}", 0.0)
+                  if len(digits) < top)
+    # the level-j vectors: the constant and the words shorter than j
+    sizes = [1 + bisect.bisect_left(keys, (level, 0)) for level in levels]
+    full = [n for level, n in zip(levels, sizes) if n == 1 << level]
+    if full:
+        psi = walsh(1)
+        vectors = [DyadicStep.ones()] + [s_word(length, code, psi)
+                                         for length, code in keys[:max(full) - 1]]
+        gaps, k = _identity_gaps(vectors)
+    reports = []
+    for level, n in zip(levels, sizes):
+        tally = Tally()
+        if n != 1 << level:
+            tally.record(math.inf, f"expected {1 << level} vectors, got {n}", cases=n)
+        else:
+            tally.record(*_leading_gap(gaps, k, n), cases=n * (n + 1) // 2)
+        reports.append(tally.report(f"square-wave-decomposition-level-{level}", 0.0))
+    return reports

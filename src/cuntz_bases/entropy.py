@@ -177,10 +177,15 @@ def verify_entropy_recursion(f, k: int, rep=INTERVAL_REP,
 @dataclass(frozen=True)
 class EntropyTree:
     """All masses of the subdivision tree to a fixed depth, plus the
-    per-level entropy numbers and the minimizing leaf antichain."""
+    per-level entropy numbers and the minimizing leaf antichain.
+
+    ``terms[k][code]`` is the entropy term -m ln m of the length-k word with
+    that code, computed once per node.
+    """
 
     depth: int
     masses: dict[tuple[int, ...], float]
+    terms: tuple[list[float], ...]
     level_entropy: tuple[float, ...]
     best_leaves: tuple[MultiIndex, ...]
     best_cost: float
@@ -193,10 +198,9 @@ class EntropyTree:
         """(word, mass, entropy term, best leaf) rows in (length, code) order,
         one for every word of length <= depth (the tree holds them all)."""
         best = {w.digits for w in self.best_leaves}
-        for level in binary_words(self.depth):
-            for digits in level:
-                m = self.masses[digits]
-                yield MultiIndex._trusted(digits), m, _nlogn(m), digits in best
+        for words, terms in zip(binary_words(self.depth), self.terms):
+            for digits, term in zip(words, terms):
+                yield MultiIndex._trusted(digits), self.masses[digits], term, digits in best
 
     def to_json(self) -> dict:
         return {
@@ -212,29 +216,28 @@ def build_entropy_tree(f, depth: int, rep=INTERVAL_REP) -> EntropyTree:
     if depth < 1:
         raise ValueError("depth must be at least one")
     levels = _mass_levels(f, depth, rep)
+    terms = tuple([_nlogn(m) for m in level] for level in levels)
     masses: dict[tuple[int, ...], object] = {}
     level_entropy = []
     # one pass in lexicographic order per level, the order of the float sums
     for k, frontier in enumerate(_lex_keys(depth)):
-        level = levels[k]
-        terms = []
+        level, level_terms = levels[k], terms[k]
         for word, code in frontier:
-            m = masses[word] = level[code]
-            terms.append(_nlogn(m))
+            masses[word] = level[code]
         if k:
-            level_entropy.append(sum(terms))
-    leaves, cost = _best_antichain(levels, 0, 0, depth)
-    return EntropyTree(depth, masses, tuple(level_entropy),
+            level_entropy.append(sum(level_terms[code] for _word, code in frontier))
+    leaves, cost = _best_antichain(levels, terms, 0, 0, depth)
+    return EntropyTree(depth, masses, terms, tuple(level_entropy),
                        tuple(MultiIndex._from_code(k, code) for k, code in leaves), cost)
 
 
-def _best_antichain(levels, k, code, depth_left) -> tuple[list[tuple[int, int]], float]:
-    mass = levels[k][code]
-    keep_cost = _nlogn(mass)
-    if depth_left == 0 or _is_zero_mass(mass):
+def _best_antichain(levels, terms, k, code, depth_left) -> tuple[list[tuple[int, int]], float]:
+    keep_cost = terms[k][code]
+    # a zero mass has a zero term, so the mass is compared only then
+    if depth_left == 0 or keep_cost == 0.0 and _is_zero_mass(levels[k][code]):
         return [(k, code)], keep_cost
-    left, cl = _best_antichain(levels, k + 1, code, depth_left - 1)
-    right, cr = _best_antichain(levels, k + 1, code | 1 << k, depth_left - 1)
+    left, cl = _best_antichain(levels, terms, k + 1, code, depth_left - 1)
+    right, cr = _best_antichain(levels, terms, k + 1, code | 1 << k, depth_left - 1)
     if keep_cost <= cl + cr:
         return [(k, code)], keep_cost
     return left + right, cl + cr

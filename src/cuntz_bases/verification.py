@@ -24,6 +24,7 @@ from .basis import (
     build_frame,
     greedy_generators,
     verify_decomposition,
+    verify_decomposition_levels,
     walsh,
     walsh_expand,
     walsh_synthesize,
@@ -241,10 +242,10 @@ def check_generator_weights():
 
 
 def check_decomposition_levels():
-    cover = greedy_generators(9)
+    levels = range(1, 11)
     tally = Tally()
-    for level in range(1, 11):
-        tally.absorb(verify_decomposition(cover, level), f"level {level}")
+    for level, report in zip(levels, verify_decomposition_levels(greedy_generators(9), levels)):
+        tally.absorb(report, f"level {level}")
     return tally.report("square-wave-decomposition-levels-1-10", 0.0)
 
 

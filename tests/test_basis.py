@@ -2,11 +2,17 @@
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import cuntz_bases
+from cuntz_bases import basis
 from cuntz_bases.basis import (
     CoverCollisionError,
     WalshSystem,
@@ -17,6 +23,7 @@ from cuntz_bases.basis import (
     greedy_generators,
     ingest_signal,
     verify_decomposition,
+    verify_decomposition_levels,
     walsh,
     walsh_expand,
     walsh_synthesize,
@@ -24,7 +31,7 @@ from cuntz_bases.basis import (
 )
 from cuntz_bases import verification
 from cuntz_bases.dyadic import DyadicStep, MultiIndex, enumerate_words
-from cuntz_bases.operators import INTERVAL_REP, apply_word, s_apply
+from cuntz_bases.operators import INTERVAL_REP, apply_word, s_apply, word_signs
 from cuntz_bases.trig import hybrid_inner, make_sine
 
 
@@ -88,6 +95,47 @@ class TestWalsh:
         assert system.walsh(5) == walsh(5)
         system.clear()
         assert system.walsh(5) == walsh(5)
+
+
+class TestWalshMemo:
+    def test_deep_steps_rebuilt_not_stored(self):
+        system = WalshSystem()
+        one = DyadicStep.ones()
+        for n in range(4096):
+            assert system.walsh(n) == apply_word(walsh_word(n), one)
+        assert max(step.level for step in system._cache.values()) <= 10
+        assert len(system._cache) == 1024
+        for n in range(1024, 4096):
+            assert system.walsh(n) == s_apply(n % 2, system.walsh(n // 2))
+
+    def test_module_memo_does_not_grow(self):
+        for n in range(1024):
+            walsh(n)
+        assert len(basis._SYSTEM._cache) == 1024
+        for n in range(65280, 65536):
+            assert walsh(n).level == 16
+        assert len(basis._SYSTEM._cache) == 1024
+        assert walsh(65535) == apply_word(walsh_word(65535), DyadicStep.ones())
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak resident size from procfs")
+    def test_two_path_check_memory(self):
+        # the check runs in a fresh interpreter and the delta leaves out the
+        # imports.  The peak is VmHWM, the high-water mark of this program
+        # image: ru_maxrss would start from the size of the forking process
+        code = ("from cuntz_bases import verification\n"
+                "def peak():\n"
+                "    with open('/proc/self/status') as status:\n"
+                "        return next(int(line.split()[1]) for line in status\n"
+                "                    if line.startswith('VmHWM:'))\n"
+                "before = peak()\n"
+                "assert verification.check_walsh_two_paths().passed\n"
+                "print(peak() - before)\n")
+        src = os.path.dirname(os.path.dirname(cuntz_bases.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert int(out) < 32 * 1024  # kB
 
 
 class TestTransform:
@@ -284,6 +332,82 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             gram_identity_gap([DyadicStep(0, [1 << 30])])
         assert gram_identity_gap([walsh(0), walsh(3)]) == (0.0, None)
+
+
+def decomposition_oracle(cover, level):
+    """One level judged on its own: its vectors, an int64 Gram at that
+    level, and the first pair with the largest gap in row-major order."""
+    words = sorted((MultiIndex(d) for d in cover.coverage if len(d) < level),
+                   key=lambda w: w.sort_key)
+    vectors = [DyadicStep.ones()] + [apply_word(w, walsh(1)) for w in words]
+    n = len(vectors)
+    if n != 1 << level:
+        return False, math.inf, f"expected {1 << level} vectors, got {n}", n
+    mat = np.array([v.refine(level).num for v in vectors], dtype=np.int64)
+    gaps = np.abs(mat @ mat.T - (1 << level) * np.eye(n, dtype=np.int64))
+    i, j = divmod(int(gaps.argmax()), n)
+    worst = int(gaps[i, j]) / (1 << level)
+    witness = f"vectors {i} and {j}" if worst else None
+    return worst == 0, worst, witness, n * (n + 1) // 2
+
+
+def thinned(cover, length):
+    """The cover without its first word of the given length."""
+    drop = next(d for d in cover.coverage if len(d) == length)
+    return dataclasses.replace(
+        cover, coverage={d: f for d, f in cover.coverage.items() if d != drop})
+
+
+def flipped_signs(length, code):
+    # flipping one entry of every row keeps the rows orthogonal; flipping
+    # it in the rows of odd codes only does not (from length 3 on)
+    row = word_signs(length, code).copy()
+    if length >= 3 and code & 1:
+        row[-1] = -row[-1]
+    return row
+
+
+class TestDecompositionLevels:
+    LEVELS = range(9)
+
+    def judged(self, cover):
+        reports = verify_decomposition_levels(cover, self.LEVELS)
+        got = [(r.passed, r.max_violation, r.witness, r.checked) for r in reports]
+        assert got == [decomposition_oracle(cover, level) for level in self.LEVELS]
+        assert [r.relation for r in reports] == [
+            f"square-wave-decomposition-level-{level}" for level in self.LEVELS]
+        return reports
+
+    def test_greedy_cover(self):
+        cover = greedy_generators(7)
+        reports = self.judged(cover)
+        assert all(r.passed for r in reports)
+        assert verify_decomposition(cover, 0) == reports[0]
+
+    def test_thinned_cover_fails_only_the_levels_it_short_counts(self):
+        reports = self.judged(thinned(greedy_generators(7), 3))
+        assert [r.passed for r in reports] == [True] * 4 + [False] * 5
+        assert reports[4].witness == "expected 16 vectors, got 15"
+
+    def test_mutant_sign_row_witness_is_a_pair(self, monkeypatch):
+        monkeypatch.setattr("cuntz_bases.operators.word_signs", flipped_signs)
+        reports = self.judged(greedy_generators(7))
+        assert [r.passed for r in reports] == [True] * 4 + [False] * 5
+        for r in reports[4:]:
+            assert r.max_violation < math.inf
+            i, j = r.witness.removeprefix("vectors ").split(" and ")
+            assert i != j
+
+    def test_each_level_alone_matches(self):
+        cover = thinned(greedy_generators(7), 5)
+        reports = verify_decomposition_levels(cover, self.LEVELS)
+        assert [verify_decomposition(cover, level) for level in self.LEVELS] == reports
+
+    def test_gram_gap_failing_inputs(self):
+        assert gram_identity_gap([walsh(1), walsh(1)]) == (1.0, "vectors 0 and 1")
+        assert gram_identity_gap([walsh(0), DyadicStep(2, [1, 1, 1, -1])]) == \
+            (0.5, "vectors 0 and 1")
+        assert gram_identity_gap([DyadicStep(1, [2, 0]), walsh(2)]) == (1.0, "vectors 0 and 0")
 
 
 # walsh-suite checks that no suite run or acceptance test pins: each must
