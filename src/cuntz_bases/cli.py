@@ -17,6 +17,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .basis import butterfly, walsh
 from .cantor import lambda_set, gram_exponentials, verify_lambda_partition
-from .dyadic import DyadicStep, SampleError, _as_array, lift, rational_str
+from .dyadic import DyadicStep, SampleError, _as_array, _peak, join_lifts, lift, rational_str
 from .entropy import build_entropy_tree
 from .verification import SUITES, run_suite
 
@@ -33,6 +34,8 @@ MAX_ENTROPY_DEPTH = 16  # the mass tree has 2**(depth + 1) - 1 nodes
 MAX_SPECTRUM_DEPTH = 11  # cantor gram scans all 2**p (2**p - 1) / 2 pairs, one row at a time
 MAX_WALSH_INDEX = (1 << 16) - 1  # the step of index n has 2**bit_length(n) cells
 MAX_WALSH_FILES = 256  # walsh writes one file per index of the range
+
+IO_BLOCK = 4096  # expand and entropy read, and expand writes, this many rows at a time
 
 
 @dataclass
@@ -75,17 +78,32 @@ def _parse_range(text: str) -> range:
 
 def _read_samples(path: str) -> tuple[list[int], int]:
     """The samples of a file, one per non-blank line, lifted to integer
-    numerators over their least common denominator (``dyadic.lift``)."""
+    numerators over their least common denominator (``dyadic.lift``).
+
+    The file is read and lifted ``IO_BLOCK`` lines at a time and the blocks
+    joined by ``dyadic.join_lifts``, so no list of every line is held.  A
+    malformed sample is reported only after the rest of the file has been
+    decoded: a decoding error anywhere in the file takes precedence.
+    """
+    def blocks(handle):
+        first = 1  # the file line of the block's first line
+        while lines := list(islice(handle, IO_BLOCK)):
+            tokens = [line.strip() for line in lines]
+            try:
+                block = lift([token for token in tokens if token])
+            except SampleError as exc:
+                lineno = [n for n, token in enumerate(tokens, start=first) if token][exc.index]
+                for _line in handle:
+                    pass
+                raise InputError(f"{path}: {exc.reason} on line {lineno}: {exc.value!r}") from None
+            yield block
+            first += len(lines)
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
+            return join_lifts(blocks(handle))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    try:
-        return lift([token for token in lines if token])
-    except SampleError as exc:
-        lineno = [n for n, token in enumerate(lines, start=1) if token][exc.index]
-        raise InputError(f"{path}: {exc.reason} on line {lineno}: {exc.value!r}") from None
 
 
 def _open_output(config: RunConfig):
@@ -100,15 +118,6 @@ def _write_rows(config: RunConfig, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            handle.close()
-
-
-def _write_text(config: RunConfig, text: str) -> None:
-    handle, close = _open_output(config)
-    try:
-        handle.write(text)
     finally:
         if close:
             handle.close()
@@ -167,8 +176,9 @@ def cmd_walsh(config: RunConfig) -> int:
     return 0
 
 
-def _ingest(config: RunConfig) -> tuple[tuple[list[int], int], int]:
-    """The input's samples as ``(ints, den)``, and its level."""
+def _ingest(config: RunConfig) -> tuple[tuple[np.ndarray, int], int]:
+    """The input's samples as ``(num, den)``, ``num`` a step's numerator
+    array (``dyadic._as_array``), and its level."""
     if config.input_path is None:
         raise InputError("missing --input FILE")
     ints, den = _read_samples(config.input_path)
@@ -179,7 +189,7 @@ def _ingest(config: RunConfig) -> tuple[tuple[list[int], int], int]:
     if config.level is not None and config.level != level:
         raise InputError(f"--level {config.level} does not match the file's "
                          f"{count} samples (level {level})")
-    return (ints, den), level
+    return (_as_array(ints), den), level
 
 
 def _lowest_terms(rows: np.ndarray, den: int) -> tuple[list[int], list[int]]:
@@ -192,57 +202,93 @@ def _lowest_terms(rows: np.ndarray, den: int) -> tuple[list[int], list[int]]:
     return [num // g for num, g in zip(nums, common)], [den // g for g in common]
 
 
-def _coefficients(rows: np.ndarray, den: int, as_float: bool, sep: str) -> list:
-    """Each coefficient ``rows[n] / den`` as written: a float with ``as_float``,
-    else the text "num{sep}den" in lowest terms.
+def _coefficient_rows(rows: np.ndarray, den: int, as_float: bool, row: str,
+                      start: int) -> list[str]:
+    """One ``row`` for each coefficient ``rows[n] / den``, formatted with its
+    index ``start + n`` and, with ``as_float``, its float value (``str`` of
+    a float is its ``repr``), else its numerator and denominator in lowest
+    terms.
 
     The float divides Python ints, which rounds correctly as float(Fraction)
     does; a float64 division would not past 2**53.  A coefficient that
-    cannot be written raises InputError naming it, before any output opens.
+    cannot be written raises InputError naming its index.
     """
-    values = []
-    n = 0
+    texts = []
+    n = start
     try:
         if as_float:
-            for n, num in enumerate(rows.tolist()):
-                values.append(num / den)
+            for n, num in enumerate(rows.tolist(), start):
+                texts.append(row.format(n, num / den))
         else:
-            for n, (num, d) in enumerate(zip(*_lowest_terms(rows, den))):
-                values.append(f"{num}{sep}{d}")
+            for n, (num, d) in enumerate(zip(*_lowest_terms(rows, den)), start):
+                texts.append(row.format(n, num, d))
     except OverflowError:
         raise InputError(f"coefficient {n} is too large for --float") from None
     except ValueError:  # past the int to str digit limit
         raise InputError(f"coefficient {n} has more than "
                          f"{sys.get_int_max_str_digits()} digits") from None
-    return values
+    return texts
+
+
+def _check_writable(rows: np.ndarray, den: int, as_float: bool, row: str) -> None:
+    """Raise the InputError of the first coefficient ``rows[n] / den`` that
+    cannot be written, before any output opens.
+
+    In lowest terms no coefficient has a numerator above max|rows| or a
+    denominator above ``den``: when those two fit, as text or as a float,
+    every coefficient does (``int64`` rows over a ``den`` below 2**63
+    always do), and only otherwise is each one formatted.
+    """
+    peak = _peak(rows)
+    if as_float:
+        if peak < den << 1023:  # every |coefficient| below 2**1023
+            return
+    else:
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if not limit or max(peak, den) < 10 ** limit:
+            return
+    for start in range(0, len(rows), IO_BLOCK):
+        _coefficient_rows(rows[start:start + IO_BLOCK], den, as_float, row, start)
 
 
 def cmd_expand(config: RunConfig) -> int:
-    (ints, den), level = _ingest(config)
-    rows = butterfly(_as_array(ints), level)
-    json_out = config.out_format == "json"
-    values = _coefficients(rows.ravel(), den << level, config.as_float,
-                           "/" if json_out else ",")
-    if json_out:
-        _write_json(config, {
-            "basis": "walsh", "level": level,
-            "coefficients": [{"index": n, "value": v} for n, v in enumerate(values)],
-        })
+    """Write the coefficients ``IO_BLOCK`` rows at a time.  The JSON is
+    written directly: the text of ``json.dump(payload, indent=2,
+    sort_keys=True)`` and a newline."""
+    (num, den), level = _ingest(config)
+    rows = butterfly(num, level).ravel()
+    den <<= level
+    if config.out_format == "json":
+        value = "{}" if config.as_float else '"{}/{}"'
+        head, sep = '{\n  "basis": "walsh",\n  "coefficients": [\n', ",\n"
+        row = '    {{\n      "index": {},\n      "value": ' + value + '\n    }}'
+        tail = f'\n  ],\n  "level": {level}\n}}\n'
     else:
-        header = "index,value" if config.as_float else "index,num,den"
-        fields = map(repr, values) if config.as_float else values
-        _write_text(config, "".join([f"{header}\n"]
-                                    + [f"{n},{v}\n" for n, v in enumerate(fields)]))
+        head = "index,value\n" if config.as_float else "index,num,den\n"
+        row = "{},{}" if config.as_float else "{},{},{}"
+        sep, tail = "\n", "\n"
+    _check_writable(rows, den, config.as_float, row)
+    handle, close = _open_output(config)
+    try:
+        handle.write(head)
+        for start in range(0, len(rows), IO_BLOCK):
+            texts = _coefficient_rows(rows[start:start + IO_BLOCK], den, config.as_float,
+                                      row, start)
+            handle.write((sep if start else "") + sep.join(texts))
+        handle.write(tail)
+    finally:
+        if close:
+            handle.close()
     return 0
 
 
 def cmd_entropy(config: RunConfig) -> int:
-    (ints, _den), level = _ingest(config)
-    if not any(ints):
+    (num, _den), level = _ingest(config)
+    if not num.any():
         raise InputError("cannot analyze the zero signal")
     # the step den * f: every mass is a ratio of sums of squares, so the
     # scale leaves the tree unchanged
-    tree = build_entropy_tree(DyadicStep._trusted(level, _as_array(ints), 1), config.depth)
+    tree = build_entropy_tree(DyadicStep._trusted(level, num, 1), config.depth)
     if config.out_format == "json":
         _write_json(config, tree.to_json())
     else:

@@ -139,16 +139,39 @@ def _lift_tokens(values: Sequence) -> tuple[list[int], int]:
             raise SampleError(index, value, "malformed sample") from None
         nums.append(num)
         dens.append(den)
-    distinct = set(dens)
-    den = math.lcm(*distinct)
-    if len(distinct) > 1:
-        nums = [num * (den // d) for num, d in zip(nums, dens)]
+    nums, den = _over_lcm(nums, dens)
     # decimal denominators are powers of ten, not yet the least common one
     common = math.gcd(den, *nums)
     if common > 1:
         nums = [num // common for num in nums]
         den //= common
     return nums, den
+
+
+def _over_lcm(nums: list[int], dens: Sequence[int]) -> tuple[list[int], int]:
+    """The values ``nums[i] / dens[i]`` as numerators over the lcm of the dens."""
+    distinct = set(dens)
+    den = math.lcm(*distinct)
+    if len(distinct) > 1:
+        nums = [num * (den // d) for num, d in zip(nums, dens)]
+    return nums, den
+
+
+def join_lifts(lifts: Iterable[tuple[list[int], int]]) -> tuple[list[int], int]:
+    """The lift of consecutive runs of values, from the lift of each run.
+
+    Each item of ``lifts`` is ``lift(run)`` for one run, in order; the
+    result equals ``lift`` of all the runs' values together.  A lift's
+    denominator is the lcm of its values' reduced denominators, so the lcm
+    of the runs' denominators is already the least common one.  ``lifts``
+    may be an iterator: a run's list is released once copied.
+    """
+    nums: list[int] = []
+    dens: list[int] = []
+    for ints, den in lifts:
+        nums += ints
+        dens += [den] * len(ints)
+    return _over_lcm(nums, dens)
 
 
 def _ratio(num: int, den: int) -> Scalar:
@@ -159,8 +182,9 @@ def _ratio(num: int, den: int) -> Scalar:
 
 def rational_str(value: Scalar) -> str:
     """Serialize an exact scalar as ``"num/den"``."""
-    frac = Fraction(value)
-    return f"{frac.numerator}/{frac.denominator}"
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return f"{value.numerator}/{value.denominator}"
 
 
 # Step numerators are int64 while every |numerator| is below this, numpy

@@ -3,15 +3,18 @@
 import csv
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from cuntz_bases.basis import walsh, walsh_butterfly
-from cuntz_bases.cli import MAX_WALSH_FILES, MAX_WALSH_INDEX, main
+import cuntz_bases
+from cuntz_bases.basis import walsh, walsh_butterfly, walsh_expand
+from cuntz_bases.cli import IO_BLOCK, MAX_WALSH_FILES, MAX_WALSH_INDEX, main
 from cuntz_bases.dyadic import MAX_EXPONENT, DyadicStep, lift
 from cuntz_bases.entropy import build_entropy_tree
 from cuntz_bases.reporting import VerificationReport
@@ -209,6 +212,14 @@ def reference_expand(tokens, fmt, as_float):
     level = len(values).bit_length() - 1
     coeffs = [Fraction(sum(w * v for w, v in zip(walsh(n).refine(level).coeffs, values)),
                        1 << level) for n in range(len(values))]
+    return format_expand(coeffs, fmt, as_float)
+
+
+def format_expand(coeffs, fmt, as_float):
+    """The expand output for exact coefficients, through json.dumps and
+    Fraction's numerator and denominator."""
+    coeffs = [Fraction(c) for c in coeffs]
+    level = len(coeffs).bit_length() - 1
     if fmt == "json":
         payload = {"basis": "walsh", "level": level, "coefficients": [
             {"index": n, "value": float(c) if as_float else f"{c.numerator}/{c.denominator}"}
@@ -287,6 +298,127 @@ class TestLiftedSignalIO:
         ints, den = lift(tokens)
         assert walsh_butterfly(ints, 2)[0].dtype == "int64" and den >= 1 << 63
         assert_matches_reference(tmp_path, capsys, tokens)
+
+
+def first_difference(got, want):
+    """None for equal texts, else their first differing line and its
+    number: pytest's own diff of two long texts takes minutes."""
+    if got == want:
+        return None
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    n = next((n for n, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+             min(len(got), len(want)))
+    return n + 1, got[n:n + 1], want[n:n + 1]
+
+
+class TestBlockedSignalIO:
+    """expand and entropy read IO_BLOCK lines, and expand writes IO_BLOCK
+    rows, at a time; nothing may show at the edges of the blocks."""
+
+    def test_block_edges_match_reference(self, tmp_path, capsys):
+        # lines 1..4096: integers then blanks; 4097..8192: blanks then
+        # decimals and ratios; 8193..8202: ratios over 31 and 37
+        assert IO_BLOCK == 4096
+        rng = random.Random("block-edges")
+        first = random_tokens(rng, "int", 4090)
+        second = [rng.choice([random_tokens(rng, "decimal", 1)[0],
+                              random_tokens(rng, "ratio", 1)[0]]) for _ in range(4092)]
+        third = [f"{rng.randint(-60, 60)}/{rng.choice([31, 37])}" for _ in range(10)]
+        lines = first + ["", "  "] * 3 + ["\t"] * 4 + second + third
+        assert len(lines) == 8202 and lines[4095] == "  " and lines[4100] == second[0]
+        tokens = [t for t in lines if t.strip()]
+        assert len(tokens) == 1 << 13
+        assert len({lift(run)[1] for run in (first, second, third)}) == 3
+        src, dst = tmp_path / "sig.csv", tmp_path / "out"
+        write_samples(src, lines)
+        coeffs = walsh_expand(DyadicStep(13, [Fraction(t) for t in tokens]))
+        for fmt, as_float in EXPAND_FORMATS:
+            want = format_expand(coeffs, fmt, as_float)
+            flags = ["--format", fmt] + (["--float"] if as_float else [])
+            assert main(["expand", "--input", str(src), *flags]) == 0
+            assert first_difference(capsys.readouterr().out, want) is None, flags
+            assert main(["expand", "--input", str(src), *flags, "--output", str(dst)]) == 0
+            assert first_difference(dst.read_bytes().decode(), want) is None, flags
+        for fmt, as_float in (("csv", False), ("csv", True), ("json", False)):
+            flags = ["--depth", "3", "--format", fmt] + (["--float"] if as_float else [])
+            assert main(["entropy", "--input", str(src), *flags]) == 0
+            want = reference_entropy(tokens, 3, fmt, as_float)
+            assert first_difference(capsys.readouterr().out, want) is None, flags
+
+    def test_malformed_sample_past_the_first_block_cites_its_line(self, tmp_path, capsys):
+        # the bad token is non-blank line 4501 and file line 4701, in the second block
+        src = tmp_path / "sig.csv"
+        write_samples(src, ["1"] * 4000 + [""] * 200 + ["0.5"] * 500 + ["1/x", "2", "oops"]
+                      + ["3"] * 3689)
+        for command in ("expand", "entropy"):
+            assert main([command, "--input", str(src)]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: {src}: malformed sample on line 4701: '1/x'\n")
+
+    def test_decoding_error_reported_before_an_earlier_bad_sample(self, tmp_path, capsys):
+        # the whole file is decoded before a malformed sample is reported;
+        # the bad byte is decoded with the fifth block, well after the first
+        src = tmp_path / "sig.csv"
+        src.write_bytes(b"1\noops\n" + b"2\n" * 20000 + b"\xff\n" + b"3\n" * 2000)
+        assert main(["expand", "--input", str(src)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def signed_tokens(magnitude, n, level):
+    """``magnitude`` with the signs of walsh(n) at ``level``: every
+    coefficient is 0 except coefficient n, which is ``magnitude``."""
+    return [("-" if c < 0 else "") + magnitude for c in walsh(n).refine(level).coeffs]
+
+
+class TestLateErrorsBeforeOutput:
+    """A coefficient that cannot be written, far into the output, exits 2
+    before any output opens: no partial file, nothing on stdout."""
+
+    def assert_rejected(self, tmp_path, capsys, tokens, flags, message):
+        src, dst = tmp_path / "sig.csv", tmp_path / "out"
+        write_samples(src, tokens)
+        for fmt in ("csv", "json"):
+            for output in ([], ["--output", str(dst)]):
+                assert main(["expand", "--input", str(src), "--format", fmt,
+                             *flags, *output]) == 2
+                assert capsys.readouterr() == ("", f"error: {message}\n"), (fmt, output)
+                assert not dst.exists()
+
+    def test_digit_limit_of_coefficient_5000(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, signed_tokens("1e4400", 5000, 13), [],
+                             f"coefficient 5000 has more than "
+                             f"{sys.get_int_max_str_digits()} digits")
+
+    def test_float_overflow_of_coefficient_5000(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, signed_tokens("1e400", 5000, 13), ["--float"],
+                             "coefficient 5000 is too large for --float")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident size from procfs")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_expand_memory_is_blockwise(tmp_path, fmt):
+    # 2**18 samples in a fresh interpreter, the delta leaving out the
+    # imports; VmHWM, as in test_basis.py's two-path check
+    rng = random.Random(18)
+    src, dst = tmp_path / "sig.csv", tmp_path / "out"
+    write_samples(src, [str(rng.randint(-99, 99)) for _ in range(1 << 18)])
+    code = ("from cuntz_bases.cli import main\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "before = peak()\n"
+            f"assert main(['expand', '--input', {str(src)!r}, '--format', {fmt!r},\n"
+            f"             '--output', {str(dst)!r}]) == 0\n"
+            "print(peak() - before)\n")
+    src_dir = os.path.dirname(os.path.dirname(cuntz_bases.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) < 24 * 1024  # kB
+    assert dst.stat().st_size > 1 << 20
 
 
 class TestEntropyCommand:

@@ -38,6 +38,12 @@ class TestScalars:
         for value in [Fraction(3, 4), Fraction(-1, 8), 5, 0]:
             assert as_rational(rational_str(value)) == value
 
+    def test_rational_str_is_the_fraction_text(self):
+        for value in [Fraction(3, 4), Fraction(-6, 8), 5, -7, 0, True, 10 ** 40,
+                      "0.25", "-3/6", np.int64(-9)]:
+            frac = Fraction(value)
+            assert rational_str(value) == f"{frac.numerator}/{frac.denominator}", value
+
 
 class TestConstruction:
     def test_floats_rejected(self):

@@ -37,6 +37,7 @@ from cuntz_bases.dyadic import (
     SampleError,
     _parse_token,
     as_rational,
+    join_lifts,
     lift,
 )
 from cuntz_bases.entropy import build_entropy_tree
@@ -540,6 +541,18 @@ def test_lift_is_exact_over_the_least_common_denominator(tokens, exact):
     assert den == math.lcm(*(v.denominator for v in values))
     assert [Fraction(u, den) for u in ints] == values
     assert all(type(u) is int for u in ints)
+
+
+
+@PROPERTY
+@given(values=st.lists(st.one_of(VALID_TOKENS, st.just("0"), INTS, FRACTIONS), max_size=24),
+       data=st.data())
+def test_join_of_block_lifts_is_the_lift(values, data):
+    # any split, empty runs included, as the CLI reads a file in blocks
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=5)))
+    bounds = [0, *cuts, len(values)]
+    runs = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+    assert join_lifts(lift(run) for run in runs) == lift(values)
 
 
 def test_lift_names_the_bad_sample():
