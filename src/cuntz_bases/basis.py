@@ -306,50 +306,67 @@ def frames_orthogonal(frame_a: SubspaceFrame, frame_b: SubspaceFrame,
 # Exact Gram checks and the level-k completeness certificate
 # ---------------------------------------------------------------------------
 
-def _identity_gaps(vectors: Sequence[DyadicStep]) -> tuple[np.ndarray, int]:
-    """``(gaps, k)``: 2**k |<v_i, v_j> - delta_ij| for all pairs, exactly.
+# rows of the Gram formed at a time: 64 rows of a 1,024-vector Gram are 512 KB
+_GRAM_BLOCK = 64
 
-    The vectors must be integer steps (the basis vectors here are +-1
-    valued), so after refining to their top level k the Gram matrix is
-    2**-k times an integer matrix computed in float64.  Inputs are rejected
-    with ValueError unless every product and partial sum is an integer
-    below 2**53; then the matmul is exact, and so is the subtraction of 2**k
-    on the diagonal.  Dividing a gap by 2**k is exact too and keeps the
-    order of the gaps.
+
+def _exact_gram_rows(count: int, k: int, peak: int) -> np.ndarray:
+    """An empty float64 ``(count, 2**k)`` matrix for the cells of ``count``
+    integer steps refined to level k, whose |cells| are at most ``peak``.
+
+    Raises ValueError unless every product and partial sum of their Gram is
+    an integer below 2**53: then the matmul is exact, and so is the
+    subtraction of 2**k on the diagonal.
     """
-    k = max(v.level for v in vectors)
     if k > 22:
         raise ValueError("level too large for the exact integer Gram path")
-    if any(v.den != 1 for v in vectors):
-        raise ValueError("gram_identity_gap needs integer-valued steps")
-    peak = max(_peak(v.num) for v in vectors)
     if peak * peak << k >= 1 << 53:
         raise ValueError("values too large for the exact float64 Gram path")
-    mat = np.empty((len(vectors), 1 << k), dtype=np.float64)
-    for i, v in enumerate(vectors):
-        mat[i] = v._cells(k)
-    gaps = mat @ mat.T
-    gaps.flat[::len(vectors) + 1] -= 1 << k
-    np.abs(gaps, out=gaps)
-    return gaps, k
+    return np.empty((count, 1 << k), dtype=np.float64)
 
 
-def _leading_gap(gaps: np.ndarray, k: int, n: int) -> tuple[float, Optional[str]]:
-    """Largest gap among the first n vectors, with the first pair reaching it."""
-    block = gaps[:n, :n]
-    i, j = divmod(int(block.argmax()), n)
-    worst = float(block[i, j]) / (1 << k)
-    if worst == 0.0:
-        return 0.0, None
-    return worst, f"vectors {i} and {j}"
+def _gram_gaps(rows: np.ndarray, k: int,
+               sizes: Sequence[int]) -> list[tuple[float, Optional[str]]]:
+    """For each n of ``sizes``: the largest |<v_i, v_j> - delta_ij| over
+    i, j < n, with the first pair in row-major order to reach it.
+
+    ``rows`` holds the cells of the vectors at level k (see
+    :func:`_exact_gram_rows`), so their Gram is 2**-k times an exact integer
+    matrix.  It is formed ``_GRAM_BLOCK`` rows at a time and never held
+    whole.  The Gram is symmetric, so the first pair to reach the largest
+    gap has i <= j: each block's rows start at their own diagonal, which
+    halves the products.  A block's best pair replaces the running one only
+    when its gap is strictly larger, so the witness is the full matrix's
+    argmax; dividing a gap by 2**k is exact.
+    """
+    count = len(rows)
+    best = [(0.0, 0, 0)] * len(sizes)
+    for r0 in range(0, count, _GRAM_BLOCK):
+        block = rows[r0:r0 + _GRAM_BLOCK] @ rows[r0:].T  # columns r0 and on
+        block.flat[::count - r0 + 1] -= 1 << k  # the diagonal
+        np.abs(block, out=block)
+        for s, n in enumerate(sizes):
+            if n <= r0:
+                continue
+            part = block[:n - r0, :n - r0]
+            i, j = divmod(int(part.argmax()), n - r0)
+            if part[i, j] > best[s][0]:
+                best[s] = (float(part[i, j]), r0 + i, r0 + j)
+    return [(gap / (1 << k), f"vectors {i} and {j}") if gap else (0.0, None)
+            for gap, i, j in best]
 
 
 def gram_identity_gap(vectors: Sequence[DyadicStep]) -> tuple[float, Optional[str]]:
     """Largest |<v_i, v_j> - delta_ij| over all pairs, exactly, with the
     first pair reaching it.  The vectors must be integer steps whose Gram
-    is exact in float64 (see :func:`_identity_gaps`), else ValueError."""
-    gaps, k = _identity_gaps(vectors)
-    return _leading_gap(gaps, k, len(vectors))
+    is exact in float64 (see :func:`_exact_gram_rows`), else ValueError."""
+    k = max(v.level for v in vectors)
+    if any(v.den != 1 for v in vectors):
+        raise ValueError("gram_identity_gap needs integer-valued steps")
+    rows = _exact_gram_rows(len(vectors), k, max(_peak(v.num) for v in vectors))
+    for i, v in enumerate(vectors):
+        rows[i] = v._cells(k)
+    return _gram_gaps(rows, k, [len(vectors)])[0]
 
 
 def verify_decomposition(cover: GeneratorCover, level: int) -> VerificationReport:
@@ -368,9 +385,11 @@ def verify_decomposition_levels(cover: GeneratorCover,
 
     In (length, code) order every word shorter than j comes before every
     longer one, so the level-j vectors are the leading ones of a deeper
-    level's and their Gram is its leading block.  The vectors and their
-    Gram are built once, for the deepest level whose count is right; a
-    level with the wrong count fails on the count alone.
+    level's and their Gram is its leading block.  The cells of the vectors
+    are written once, one word at a time, for the deepest level whose count
+    is right, and every such level is judged in the same pass over the row
+    blocks of the Gram (:func:`_gram_gaps`); a level with the wrong count
+    fails on the count alone.
     """
     top = max(levels)
     if cover.max_word_len < top - 1:
@@ -381,16 +400,21 @@ def verify_decomposition_levels(cover: GeneratorCover,
     sizes = [1 + bisect.bisect_left(keys, (level, 0)) for level in levels]
     full = [n for level, n in zip(levels, sizes) if n == 1 << level]
     if full:
+        # the constant, then one word at a time; the last word is the longest
+        count = max(full)
+        k = keys[count - 2][0] + 1 if count > 1 else 0
+        rows = _exact_gram_rows(count, k, 1)  # every cell is +-1
+        rows[0] = 1.0
         psi = walsh(1)
-        vectors = [DyadicStep.ones()] + [s_word(length, code, psi)
-                                         for length, code in keys[:max(full) - 1]]
-        gaps, k = _identity_gaps(vectors)
+        for i, (length, code) in enumerate(keys[:count - 1], start=1):
+            rows[i] = s_word(length, code, psi)._cells(k)
+        gaps = dict(zip(full, _gram_gaps(rows, k, full)))
     reports = []
     for level, n in zip(levels, sizes):
         tally = Tally()
         if n != 1 << level:
             tally.record(math.inf, f"expected {1 << level} vectors, got {n}", cases=n)
         else:
-            tally.record(*_leading_gap(gaps, k, n), cases=n * (n + 1) // 2)
+            tally.record(*gaps[n], cases=n * (n + 1) // 2)
         reports.append(tally.report(f"square-wave-decomposition-level-{level}", 0.0))
     return reports

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -106,31 +107,32 @@ def _read_samples(path: str) -> tuple[list[int], int]:
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _open_output(config: RunConfig):
-    if config.output_path is None:
-        return sys.stdout, False
-    return open(config.output_path, "w", encoding="utf-8", newline=""), True
+@contextmanager
+def _output(path):
+    """The text stream to write to: stdout when ``path`` is None, else the
+    file at ``path``.  An OSError from creating or writing the file is
+    raised as InputError naming it."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _write_rows(config: RunConfig, header: list[str], rows: list[list]) -> None:
-    handle, close = _open_output(config)
-    try:
+    with _output(config.output_path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            handle.close()
 
 
 def _write_json(config: RunConfig, payload) -> None:
-    handle, close = _open_output(config)
-    try:
+    with _output(config.output_path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    finally:
-        if close:
-            handle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +140,9 @@ def _write_json(config: RunConfig, payload) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_walsh(config: RunConfig) -> int:
-    """One plot-ready file per basis index: (x_left, value) at minimal level."""
+    """One plot-ready file per basis index: (x_left, value) at minimal level.
+    Each file's text is written directly; the JSON is the text of
+    ``json.dump(payload, indent=2, sort_keys=True)`` and a newline."""
     indices = _parse_range(config.index_range or "")
     if not indices:
         return 0
@@ -152,27 +156,23 @@ def cmd_walsh(config: RunConfig) -> int:
     if config.output_path is None:
         raise InputError("walsh needs --output DIR (one file per index)")
     out_dir = Path(config.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_dir}: {exc}") from None
     for n in indices:
         step = walsh(n)
-        cells = [(step.cell_left(i), c) for i, c in enumerate(step.coeffs)]
+        cells = [(_scalar_str(step.cell_left(i), config.as_float),
+                  _scalar_str(v, config.as_float)) for i, v in enumerate(step.coeffs)]
         if config.out_format == "json":
-            payload = {"index": n, "level": step.level,
-                       "cells": [{"x_left": _scalar_str(x, config.as_float),
-                                  "value": _scalar_str(v, config.as_float)}
-                                 for x, v in cells]}
-            path = out_dir / f"walsh_{n:04d}.json"
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            rows = ",\n".join(f'    {{\n      "value": "{v}",\n      "x_left": "{x}"\n    }}'
+                              for x, v in cells)
+            text = (f'{{\n  "cells": [\n{rows}\n  ],\n  "index": {n},\n'
+                    f'  "level": {step.level}\n}}\n')
         else:
-            path = out_dir / f"walsh_{n:04d}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(["x_left", "value"])
-                for x, v in cells:
-                    writer.writerow([_scalar_str(x, config.as_float),
-                                     _scalar_str(v, config.as_float)])
+            text = "x_left,value\n" + "".join(f"{x},{v}\n" for x, v in cells)
+        with _output(out_dir / f"walsh_{n:04d}.{config.out_format}") as handle:
+            handle.write(text)
     return 0
 
 
@@ -268,17 +268,13 @@ def cmd_expand(config: RunConfig) -> int:
         row = "{},{}" if config.as_float else "{},{},{}"
         sep, tail = "\n", "\n"
     _check_writable(rows, den, config.as_float, row)
-    handle, close = _open_output(config)
-    try:
+    with _output(config.output_path) as handle:
         handle.write(head)
         for start in range(0, len(rows), IO_BLOCK):
             texts = _coefficient_rows(rows[start:start + IO_BLOCK], den, config.as_float,
                                       row, start)
             handle.write((sep if start else "") + sep.join(texts))
         handle.write(tail)
-    finally:
-        if close:
-            handle.close()
     return 0
 
 
@@ -365,10 +361,12 @@ def cmd_verify(config: RunConfig) -> int:
             payload = {"reports": payload, "elapsedSeconds": total_s}
         _write_json(config, payload)
     else:
-        for report in reports:
-            print(f"{report} {report.elapsed_s:.3f}s" if config.timings else report)
-        if config.timings:
-            print(f"total {total_s:.3f}s for {len(reports)} checks")
+        with _output(config.output_path) as handle:
+            for report in reports:
+                print(f"{report} {report.elapsed_s:.3f}s" if config.timings else report,
+                      file=handle)
+            if config.timings:
+                print(f"total {total_s:.3f}s for {len(reports)} checks", file=handle)
     failed = [r for r in reports if not r.passed]
     if failed and config.out_format != "json":
         print(f"{len(failed)} of {len(reports)} checks failed", file=sys.stderr)

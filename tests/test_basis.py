@@ -97,6 +97,31 @@ class TestWalsh:
         assert system.walsh(5) == walsh(5)
 
 
+PROCFS = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                            reason="reads the peak resident size from procfs")
+
+
+def check_peak_kb(check: str) -> int:
+    """How far one verification check raises the peak resident size, in kB.
+
+    The check runs in a fresh interpreter and the delta leaves out the
+    imports.  The peak is VmHWM, the high-water mark of this program image:
+    ru_maxrss would start from the size of the forking process."""
+    code = ("from cuntz_bases import verification\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "before = peak()\n"
+            f"assert verification.{check}().passed\n"
+            "print(peak() - before)\n")
+    src = os.path.dirname(os.path.dirname(cuntz_bases.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return int(out)
+
+
 class TestWalshMemo:
     def test_deep_steps_rebuilt_not_stored(self):
         system = WalshSystem()
@@ -117,25 +142,16 @@ class TestWalshMemo:
         assert len(basis._SYSTEM._cache) == 1024
         assert walsh(65535) == apply_word(walsh_word(65535), DyadicStep.ones())
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                        reason="reads the peak resident size from procfs")
+    @PROCFS
     def test_two_path_check_memory(self):
-        # the check runs in a fresh interpreter and the delta leaves out the
-        # imports.  The peak is VmHWM, the high-water mark of this program
-        # image: ru_maxrss would start from the size of the forking process
-        code = ("from cuntz_bases import verification\n"
-                "def peak():\n"
-                "    with open('/proc/self/status') as status:\n"
-                "        return next(int(line.split()[1]) for line in status\n"
-                "                    if line.startswith('VmHWM:'))\n"
-                "before = peak()\n"
-                "assert verification.check_walsh_two_paths().passed\n"
-                "print(peak() - before)\n")
-        src = os.path.dirname(os.path.dirname(cuntz_bases.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert int(out) < 32 * 1024  # kB
+        assert check_peak_kb("check_walsh_two_paths") < 32 * 1024
+
+    @PROCFS
+    @pytest.mark.parametrize("check", ["check_walsh_gram", "check_decomposition_levels"])
+    def test_gram_check_memory(self, check):
+        # the 1,024 x 1,024 float64 row matrix is 8 MB; a list of the steps
+        # or the whole Gram next to it would add 8 MB each
+        assert check_peak_kb(check) < 16 * 1024
 
 
 class TestTransform:

@@ -76,12 +76,64 @@ class TestWalshCommand:
         assert data["level"] == 1
         assert [c["value"] for c in data["cells"]] == ["1/1", "-1/1"]
 
+    @pytest.mark.parametrize("as_float", [False, True], ids=["exact", "float"])
+    def test_json_is_the_text_of_json_dump(self, tmp_path, as_float):
+        def scalar(value):
+            value = Fraction(value)
+            return repr(float(value)) if as_float else f"{value.numerator}/{value.denominator}"
+
+        out = tmp_path / "w"
+        for n in (0, 5, 4097):
+            args = ["walsh", "--range", str(n), "--output", str(out), "--format", "json"]
+            assert main(args + ["--float"] * as_float) == 0
+            step = walsh(n)
+            payload = {"index": n, "level": step.level,
+                       "cells": [{"x_left": scalar(Fraction(i, 1 << step.level)),
+                                  "value": scalar(v)} for i, v in enumerate(step.coeffs)]}
+            want = io.StringIO()
+            json.dump(payload, want, indent=2, sort_keys=True)
+            want.write("\n")
+            got = (out / f"walsh_{n:04d}.json").read_bytes().decode("utf-8")
+            assert first_difference(got, want.getvalue()) is None, n
+
     def test_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["walsh", "--range", "0..7", "--output", str(out_a)])
         main(["walsh", "--range", "0..7", "--output", str(out_b)])
         for f in sorted(out_a.iterdir()):
             assert f.read_bytes() == (out_b / f.name).read_bytes()
+
+
+# an output path that cannot be written, for each way the CLI writes: a
+# file in a missing directory, a directory in place of a file, and a file
+# in place of the walsh output directory
+UNWRITABLE_OUTPUTS = {
+    "expand-missing-directory": ["expand", "--input", "{tmp}/sig.csv",
+                                 "--output", "{tmp}/nodir/x.csv"],
+    "entropy-directory": ["entropy", "--input", "{tmp}/sig.csv", "--output", "{tmp}/adir"],
+    "cantor-gram-directory": ["cantor", "gram", "--output", "{tmp}/adir"],
+    "walsh-existing-file": ["walsh", "--range", "3", "--output", "{tmp}/afile"],
+}
+
+
+def tree_snapshot(root):
+    return {str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+            for path in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("args", list(UNWRITABLE_OUTPUTS.values()), ids=list(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, args):
+    write_samples(tmp_path / "sig.csv", ["1", "-1", "2", "0"])
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    before = tree_snapshot(tmp_path)
+    assert main([arg.format(tmp=tmp_path) for arg in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {tmp_path}{os.sep}")
+    assert "Traceback" not in captured.err
+    assert tree_snapshot(tmp_path) == before
 
 
 class TestExpandCommand:
@@ -530,6 +582,14 @@ class TestVerifyCommand:
         # each count is the number of cases the check's loop recorded
         assert [int(n) for n in re.findall(r", (\d+) checks\)", out)] == [
             20 * 3, 20 * 15, 100 * 4, 10 * 3, 20 * 3, 10, 10 * 5, 10 * 3]
+
+    def test_text_report_goes_to_output_file(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "entropy"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--suite", "entropy", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
 
     def test_json_format(self, capsys):
         assert main(["verify", "--suite", "cantor", "--format", "json"]) == 0

@@ -2,10 +2,13 @@
 packet mass tree, the integer-phase ``hybrid_inner`` and the integer Cantor
 layer (vectorised spectrum certificate, integer-phase ``exp_coefficient``),
 each against its definition; plus the isometry relations, canonical atom
-folding, the tally that every verification report comes from, and the
-lifted parse of sample tokens against ``Fraction(token)``."""
+folding, the tally that every verification report comes from, the
+row-block Gram judge against the whole Gram, and the lifted parse of
+sample tokens against ``Fraction(token)``."""
 
+import bisect
 import cmath
+import dataclasses
 import fractions
 import math
 from fractions import Fraction
@@ -17,7 +20,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuntz_bases import verification
-from cuntz_bases.basis import walsh, walsh_butterfly, walsh_expand, walsh_synthesize
+from cuntz_bases.basis import (
+    gram_identity_gap,
+    greedy_generators,
+    verify_decomposition_levels,
+    walsh,
+    walsh_butterfly,
+    walsh_expand,
+    walsh_synthesize,
+)
 from cuntz_bases.cantor import (
     CantorStep,
     LambdaPoint,
@@ -364,6 +375,104 @@ SUB_REPORTS = st.builds(
                                                      witness, checked),
     st.integers(0, 5), GAPS, st.sampled_from([None, "", "x = 0.25"]))
 TOLS = st.sampled_from([0, 0.0, 1e-12, 0.4, 0.5, 1.0])
+
+
+def reference_identity_gaps(vectors):
+    """The whole Gram at once: 2**k |<v_i, v_j> - delta_ij| for every pair,
+    from the cells of integer steps at their top level k."""
+    k = max(v.level for v in vectors)
+    mat = np.empty((len(vectors), 1 << k), dtype=np.float64)
+    for i, v in enumerate(vectors):
+        mat[i] = v._cells(k)
+    gaps = mat @ mat.T
+    gaps.flat[::len(vectors) + 1] -= 1 << k
+    np.abs(gaps, out=gaps)
+    return gaps, k
+
+
+def reference_leading_gap(gaps, k, n):
+    """Largest gap among the first n vectors, with the first pair reaching it."""
+    block = gaps[:n, :n]
+    i, j = divmod(int(block.argmax()), n)
+    worst = float(block[i, j]) / (1 << k)
+    if worst == 0.0:
+        return 0.0, None
+    return worst, f"vectors {i} and {j}"
+
+
+GRAM_STEPS = st.one_of(steps(st.integers(-3, 3), max_level=7),
+                       st.builds(walsh, st.integers(0, 127)))
+
+
+@PROPERTY
+@given(count=st.integers(1, 200), data=st.data())
+def test_block_gram_judge_matches_whole_gram(count, data):
+    # up to 128 orthonormal square waves first, so the worst pair may lie
+    # past the first 64-row block; then a few steps, each repeated, so their
+    # gaps tie; 1-200 rows leave part of a block at the end
+    head = data.draw(st.permutations(range(128)))[:data.draw(st.integers(0, count))]
+    pool = data.draw(st.lists(GRAM_STEPS, min_size=1, max_size=8))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                               min_size=count - len(head), max_size=count - len(head)))
+    vectors = [walsh(n) for n in head] + [pool[i] for i in picks]
+    worst, witness = gram_identity_gap(vectors)
+    ref_worst, ref_witness = reference_leading_gap(*reference_identity_gaps(vectors),
+                                                   len(vectors))
+    assert (worst.hex(), witness) == (ref_worst.hex(), ref_witness)
+
+
+def flipped_words(shortest, residue, width):
+    """``s_word`` with ``width`` neighbouring cells negated in the steps of
+    words of at least the given length whose codes have the given residue
+    mod 4.  Width 2 negates one sign of the word: the step stays orthogonal
+    to the steps of shorter words, as in a broken sign row.  Width 1 does
+    not keep even that."""
+    def word(length, code, f):
+        step = s_word(length, code, f)
+        if length >= shortest and code % 4 == residue:
+            num = step.num.copy()
+            start = code * width % len(num)
+            num[start:start + width] *= -1
+            step = step._trusted(step.level, num, step.den)
+        return step
+    return word
+
+
+@settings(max_examples=150, deadline=None)
+@given(max_len=st.integers(0, 7), thin=st.none() | st.integers(0, 7),
+       levels=st.lists(st.integers(0, 8), max_size=3), top_first=st.booleans(),
+       flip=st.tuples(st.integers(0, 8), st.integers(0, 3), st.sampled_from((1, 2))))
+# level 7 is the leading 128 rows of a 256-row Gram whose other rows, the
+# words of length 7, are not orthogonal to any row
+@example(max_len=7, thin=None, levels=[7], top_first=False, flip=(7, 1, 1))
+def test_decomposition_levels_match_leading_blocks_of_whole_gram(max_len, thin, levels,
+                                                                 top_first, flip):
+    cover = greedy_generators(max_len)
+    if thin is not None:  # drop the first word of that length
+        drop = next(d for d in cover.coverage if len(d) == min(thin, max_len))
+        cover = dataclasses.replace(
+            cover, coverage={d: f for d, f in cover.coverage.items() if d != drop})
+    # the deepest level always, so that covers of words up to length 6 and 7
+    # fill 2 and 4 row blocks
+    levels = [min(level, max_len + 1) for level in levels]
+    levels = [max_len + 1] + levels if top_first else levels + [max_len + 1]
+    # steps of words of length 8 and more are never built: no flip then
+    word = flipped_words(*flip)
+    with mock.patch("cuntz_bases.basis.s_word", word):
+        reports = verify_decomposition_levels(cover, levels)
+    words = sorted((MultiIndex(d) for d in cover.coverage), key=lambda w: w.sort_key)
+    vectors = [DyadicStep.ones()] + [word(len(w), w.code, walsh(1)) for w in words]
+    keys = [w.sort_key for w in words]
+    expected = []
+    for level in levels:
+        n = 1 + bisect.bisect_left(keys, (level, 0))
+        if n != 1 << level:
+            expected.append((False, math.inf, f"expected {1 << level} vectors, got {n}", n))
+            continue
+        gaps, k = reference_identity_gaps(vectors[:n])
+        worst, witness = reference_leading_gap(gaps, k, n)
+        expected.append((worst == 0.0, worst, witness, n * (n + 1) // 2))
+    assert [(r.passed, r.max_violation, r.witness, r.checked) for r in reports] == expected
 
 
 def reference_tally(relation, events, tol):
