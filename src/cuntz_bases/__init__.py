@@ -11,9 +11,7 @@ from .dyadic import (
     MultiIndex,
     StepFunction,
     as_rational,
-    digits_of,
     enumerate_words,
-    multiindex_order,
     rational_str,
 )
 from .trig import (

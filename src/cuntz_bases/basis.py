@@ -63,9 +63,6 @@ class WalshSystem:
             self._cache[n] = value
         return value
 
-    def clear(self) -> None:
-        self._cache = {0: DyadicStep.ones()}
-
 
 _SYSTEM = WalshSystem()
 

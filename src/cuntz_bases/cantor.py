@@ -132,13 +132,6 @@ class LambdaPoint:
     digits: tuple[int, ...]
 
     @classmethod
-    def from_digits(cls, digits: Sequence[int]) -> "LambdaPoint":
-        if any(d not in (0, 1) for d in digits):
-            raise ValueError("digits must be 0 or 1")
-        value = sum(d << (2 * i) for i, d in enumerate(digits))
-        return cls(value, tuple(digits))
-
-    @classmethod
     def from_value(cls, value: int) -> "LambdaPoint":
         if value < 0:
             raise ValueError("value must be nonnegative")

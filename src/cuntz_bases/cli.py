@@ -26,7 +26,8 @@ import numpy as np
 
 from .basis import butterfly, walsh
 from .cantor import lambda_set, gram_exponentials, verify_lambda_partition
-from .dyadic import DyadicStep, SampleError, _as_array, _peak, join_lifts, lift, rational_str
+from .dyadic import (DyadicStep, SampleError, _as_array, _peak, join_lifts, lift,
+                     rational_str, word_str)
 from .entropy import build_entropy_tree
 from .verification import SUITES, run_suite
 
@@ -36,7 +37,7 @@ MAX_SPECTRUM_DEPTH = 11  # cantor gram scans all 2**p (2**p - 1) / 2 pairs, one 
 MAX_WALSH_INDEX = (1 << 16) - 1  # the step of index n has 2**bit_length(n) cells
 MAX_WALSH_FILES = 256  # walsh writes one file per index of the range
 
-IO_BLOCK = 4096  # expand and entropy read, and expand writes, this many rows at a time
+IO_BLOCK = 4096  # expand and entropy read and write this many rows at a time
 
 
 @dataclass
@@ -58,12 +59,6 @@ class RunConfig:
 
 class InputError(Exception):
     """User input problem; reported on stderr with exit code 2."""
-
-
-def _scalar_str(value, as_float: bool) -> str:
-    if as_float:
-        return repr(float(value))
-    return rational_str(value)
 
 
 def _parse_range(text: str) -> range:
@@ -160,10 +155,10 @@ def cmd_walsh(config: RunConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from None
+    text_of = (lambda value: repr(float(value))) if config.as_float else rational_str
     for n in indices:
         step = walsh(n)
-        cells = [(_scalar_str(step.cell_left(i), config.as_float),
-                  _scalar_str(v, config.as_float)) for i, v in enumerate(step.coeffs)]
+        cells = [(text_of(step.cell_left(i)), text_of(v)) for i, v in enumerate(step.coeffs)]
         if config.out_format == "json":
             rows = ",\n".join(f'    {{\n      "value": "{v}",\n      "x_left": "{x}"\n    }}'
                               for x, v in cells)
@@ -278,25 +273,48 @@ def cmd_expand(config: RunConfig) -> int:
     return 0
 
 
+def _entropy_rows(tree, best: set, k: int, start: int, as_float: bool) -> list[str]:
+    """The CSV rows of the length-k words with codes ``start`` onwards, at
+    most ``IO_BLOCK`` of them: word, mass (with ``as_float`` its float,
+    else num/den in lowest terms), entropy term and best-leaf flag."""
+    (nums, den), terms = tree.levels[k], tree.terms[k]
+    nums = nums[start:start + IO_BLOCK]
+    masses = ([repr(num / den) for num in nums] if as_float else
+              [f"{num}/{d}" for num, d in zip(*_lowest_terms(_as_array(nums), den))])
+    return [f"{word_str(k, code)},{mass},{terms[code]!r},{int((k, code) in best)}\n"
+            for code, mass in enumerate(masses, start)]
+
+
 def cmd_entropy(config: RunConfig) -> int:
+    """Write the rows from the tree's integer mass levels, ``IO_BLOCK`` at a
+    time, once every mass is proved writable; the JSON is ``tree.to_json()``."""
     (num, _den), level = _ingest(config)
     if not num.any():
         raise InputError("cannot analyze the zero signal")
-    # the step den * f: every mass is a ratio of sums of squares, so the
-    # scale leaves the tree unchanged
+    # every mass is a ratio of sums of squares, so the scale leaves the tree
+    # unchanged: it is built from the integer step den * f / gcd
+    num = _as_array((num // np.gcd.reduce(num)).tolist())
     tree = build_entropy_tree(DyadicStep._trusted(level, num, 1), config.depth)
     if config.out_format == "json":
         _write_json(config, tree.to_json())
-    else:
-        rows = []
-        for word, mass, ent, best in tree.rows():
-            try:
-                mass = _scalar_str(mass, config.as_float)
-            except ValueError:  # past the int to str digit limit
-                raise InputError(f"mass of word {word} has more than "
-                                 f"{sys.get_int_max_str_digits()} digits") from None
-            rows.append([str(word), mass, repr(ent), int(best)])
-        _write_rows(config, ["word", "mass", "entropy", "best_leaf"], rows)
+        return 0
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and not config.as_float:
+        # a mass is at most 1, so in lowest terms neither of its terms is above
+        # its level's den: only a level whose den passes the limit is reduced
+        for k, (nums, den) in enumerate(tree.levels):
+            for start in range(0, len(nums) if den >= 10 ** limit else 0, IO_BLOCK):
+                _, dens = _lowest_terms(_as_array(nums[start:start + IO_BLOCK]), den)
+                for code, d in enumerate(dens, start):
+                    if d >= 10 ** limit:
+                        raise InputError(f"mass of word {word_str(k, code)} has more "
+                                         f"than {limit} digits")
+    best = {(len(word), word.code) for word in tree.best_leaves}
+    with _output(config.output_path) as handle:
+        handle.write("word,mass,entropy,best_leaf\n")
+        for k, (nums, _den) in enumerate(tree.levels):
+            for start in range(0, len(nums), IO_BLOCK):
+                handle.write("".join(_entropy_rows(tree, best, k, start, config.as_float)))
     return 0
 
 

@@ -506,14 +506,6 @@ class MultiIndex:
     def sort_key(self) -> tuple[int, int]:
         return (len(self.digits), self.code)
 
-    def concat(self, other: "MultiIndex") -> "MultiIndex":
-        if other.alphabet != self.alphabet:
-            raise ValueError("alphabet mismatch")
-        return MultiIndex(self.digits + other.digits, self.alphabet)
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        return self.concat(other)
-
     def __lt__(self, other: "MultiIndex") -> bool:
         return self.sort_key < other.sort_key
 
@@ -522,15 +514,6 @@ class MultiIndex:
 
     def __str__(self) -> str:
         return "".join(map(str, self.digits))
-
-
-EMPTY_WORD = MultiIndex(())
-
-
-def multiindex_order(a: MultiIndex, b: MultiIndex) -> int:
-    """-1, 0 or +1 according to the (length, code) order."""
-    ka, kb = a.sort_key, b.sort_key
-    return (ka > kb) - (ka < kb)
 
 
 def word_keys(max_len: int, alphabet_size: int = 2) -> Iterator[tuple[int, int]]:
@@ -560,21 +543,16 @@ def word_code(digits: Sequence[int], alphabet: int = 2) -> int:
     return code
 
 
+def word_str(length: int, code: int) -> str:
+    """The text of the binary word ``(length, code)``, first letter first:
+    ``str`` of its ``MultiIndex`` without building one."""
+    return format(code, f"0{length}b")[::-1] if length else ""
+
+
 def enumerate_words(max_len: int, alphabet_size: int = 2) -> Iterator[MultiIndex]:
     """All words of length <= max_len, in (length, code) order, each once."""
     for length, code in word_keys(max_len, alphabet_size):
         yield MultiIndex._from_code(length, code, alphabet_size)
-
-
-def digits_of(n: int, alphabet_size: int = 2) -> MultiIndex:
-    """Word whose code is n, with no trailing zero digits (empty for n = 0)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    digits = []
-    while n:
-        n, d = divmod(n, alphabet_size)
-        digits.append(d)
-    return MultiIndex(tuple(digits), alphabet_size)
 
 
 def as_word(word, alphabet: int = 2) -> MultiIndex:

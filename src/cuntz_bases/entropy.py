@@ -20,63 +20,66 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .basis import butterfly
-from .dyadic import MultiIndex, StepFunction, binary_words
+from .dyadic import MultiIndex, StepFunction, word_str
 from .operators import INTERVAL_REP, IntervalRep2
 from .reporting import Tally, VerificationReport
 
 # below this, a mass is an exact zero for the 0*ln(0) = 0 convention
 ZERO_MASS = 1e-15
-# the same threshold as an exact rational: comparing a Fraction with the float
-# would convert the float again on every call
-_ZERO_MASS_EXACT = Fraction(ZERO_MASS)
+# the same threshold as an integer ratio; its denominator is a power of two,
+# so num * _ZERO_DEN is exact for int and float numerators alike
+_ZERO_NUM, _ZERO_DEN = ZERO_MASS.as_integer_ratio()
 
 
-def _is_zero_mass(mass) -> bool:
-    return mass <= (_ZERO_MASS_EXACT if type(mass) is Fraction else ZERO_MASS)
+def _is_zero_mass(num, den) -> bool:
+    """Whether the mass ``num / den`` is at most ZERO_MASS, exactly."""
+    return num * _ZERO_DEN <= _ZERO_NUM * den
 
 
-def _nlogn(mass) -> float:
-    if _is_zero_mass(mass):
+def _nlogn(num, den) -> float:
+    """The entropy term -m ln m of the mass m = num / den, 0 for a zero mass
+    (an int quotient rounds correctly, as float(Fraction) does)."""
+    if _is_zero_mass(num, den):
         return 0.0
-    mass = float(mass)
+    mass = num / den
     return -mass * math.log(mass) + 0.0  # + 0.0 normalizes -0.0 away
 
 
-def _mass_levels(f, depth: int, rep) -> list[list]:
+def _mass(num, den):
+    """One mass as the public API gives it: an exact Fraction on exact
+    carriers, the float itself on hybrids."""
+    return num if isinstance(num, float) else Fraction(num, den)
+
+
+def _mass_levels(f, depth: int, rep) -> list[tuple[list, object]]:
     """Normalized masses ||S_J* f||^2 / ||f||^2 for all |J| <= depth.
 
-    ``levels[k][code]`` is the mass of the length-k word with that code
-    (first letter = lowest bit, the butterfly's row index), so the children
-    of ``(k, code)`` are ``(k + 1, code)`` and ``(k + 1, code | 1 << k)``.
-    Masses stay exact rationals on exact carriers (the adjoints and norms
-    are exact there) and are floats on trig hybrids.
+    ``levels[k]`` is ``(nums, den)``: the length-k word with code ``c``
+    (first letter = lowest bit, the butterfly's row index) has the mass
+    ``nums[c] / den``, so the children of ``(k, c)`` are ``(k + 1, c)`` and
+    ``(k + 1, c | 1 << k)``.  A step under the interval representation has
+    exact masses, Python ints over one int per level; any other carrier
+    (the trig hybrids) is measured adjoint by adjoint, its float masses
+    over 1.
     """
     if type(rep) is IntervalRep2 and isinstance(f, StepFunction):
         return _packet_mass_levels(f, depth)
-    total = f.norm_sq()
+    total = float(f.norm_sq())
     if total <= 0.0:
         raise ValueError("cannot analyze the zero function")
-    if isinstance(total, int):
-        total = Fraction(total)
-
-    def mass_of(g):
-        value = g.norm_sq()
-        if isinstance(value, int):
-            value = Fraction(value)
-        return value / total
-
     frontier = [f]
-    levels = [[mass_of(f)]]
+    levels = [([1.0], 1)]
     for _ in range(depth):
         frontier = [rep.adjoint(digit, g) for digit in (0, 1) for g in frontier]
-        levels.append([mass_of(g) for g in frontier])
+        levels.append(([float(g.norm_sq()) / total for g in frontier], 1))
     return levels
 
 
-def _packet_mass_levels(f: StepFunction, depth: int) -> list[list[Fraction]]:
+def _packet_mass_levels(f: StepFunction, depth: int) -> list[tuple[list[int], int]]:
     """The mass levels of a step as sums of squared Walsh-packet coefficients.
 
     Row J of the butterfly on the step's numerators after |J| stages is
@@ -97,39 +100,40 @@ def _packet_mass_levels(f: StepFunction, depth: int) -> list[list[Fraction]]:
     total = sums[0][0]
     if total == 0:
         raise ValueError("cannot analyze the zero function")
-    levels = [[Fraction(s, total << k) for s in sums[k].tolist()] for k in range(stages + 1)]
-    zero = Fraction(0)
+    levels = [(sums[k].tolist(), total << k) for k in range(stages + 1)]
     for _ in range(stages, depth):
-        levels.append(levels[-1] + [zero] * len(levels[-1]))
+        nums, den = levels[-1]
+        levels.append((nums + [0] * len(nums), den))
     return levels
 
 
-def _lex_keys(depth: int):
-    """For k = 0 .. depth, the length-k words as (digits, code) pairs in
-    lexicographic order (first letter most significant): the order of the
-    public mass dicts and of every float sum over a level."""
-    frontier = [((), 0)]
-    yield frontier
+def _lex_codes(depth: int):
+    """For k = 0 .. depth, the codes of the length-k words in lexicographic
+    order (first letter most significant): the order of the public mass
+    dicts and of every float sum over a level."""
+    codes = [0]
+    yield codes
     for k in range(depth):
-        frontier = [(word + (d,), code | d << k) for word, code in frontier for d in (0, 1)]
-        yield frontier
+        codes = [code | d << k for code in codes for d in (0, 1)]
+        yield codes
 
 
 def projection_masses(f, k: int, rep=INTERVAL_REP) -> dict[MultiIndex, object]:
     """Masses ||P_J f||^2 for all words of length k (normalizing f first).
 
-    Values are exact rationals for step inputs, floats for hybrids.
+    Values are exact rationals for steps under the interval representation,
+    floats for hybrids.
     """
     if k < 0:
         raise ValueError("depth must be nonnegative")
-    level = _mass_levels(f, k, rep)[k]
-    *_, frontier = _lex_keys(k)
-    return {MultiIndex._trusted(word): level[code] for word, code in frontier}
+    nums, den = _mass_levels(f, k, rep)[k]
+    *_, codes = _lex_codes(k)
+    return {MultiIndex._from_code(k, code): _mass(nums[code], den) for code in codes}
 
 
 def entropy(f, k: int, rep=INTERVAL_REP) -> float:
     """Entropy number of the depth-k projection masses (natural log)."""
-    return sum(_nlogn(m) for m in projection_masses(f, k, rep).values())
+    return sum(_nlogn(*m.as_integer_ratio()) for m in projection_masses(f, k, rep).values())
 
 
 def onb_entropy(coefficients: Sequence, tol: float = 1e-10) -> float:
@@ -142,7 +146,7 @@ def onb_entropy(coefficients: Sequence, tol: float = 1e-10) -> float:
     total = sum(weights)
     if abs(total - 1.0) > tol:
         raise ValueError(f"coefficients not normalized: sum of squares = {total}")
-    return sum(_nlogn(w) for w in weights)
+    return sum(_nlogn(w, 1) for w in weights)
 
 
 def verify_entropy_recursion(f, k: int, rep=INTERVAL_REP,
@@ -179,34 +183,50 @@ class EntropyTree:
     """All masses of the subdivision tree to a fixed depth, plus the
     per-level entropy numbers and the minimizing leaf antichain.
 
-    ``terms[k][code]`` is the entropy term -m ln m of the length-k word with
-    that code, computed once per node.
+    ``levels[k]`` is ``(nums, den)`` and ``terms[k]`` holds the entropy
+    terms -m ln m, each computed once per node: the length-k word with code
+    ``c`` has the mass ``nums[c] / den`` and the term ``terms[k][c]``.
+    Fractions and words are built only where the views below are asked for.
     """
 
     depth: int
-    masses: dict[tuple[int, ...], float]
+    levels: tuple[tuple[list, object], ...]
     terms: tuple[list[float], ...]
     level_entropy: tuple[float, ...]
     best_leaves: tuple[MultiIndex, ...]
     best_cost: float
 
-    def mass(self, word) -> float:
+    @cached_property
+    def masses(self) -> dict[tuple[int, ...], object]:
+        """Every mass by digit tuple, level by level in lexicographic order
+        (built on first use)."""
+        return {MultiIndex._from_code(k, code).digits: _mass(nums[code], den)
+                for k, (codes, (nums, den)) in enumerate(zip(_lex_codes(self.depth), self.levels))
+                for code in codes}
+
+    def mass(self, word):
         word = tuple(word.digits) if isinstance(word, MultiIndex) else tuple(word)
         return self.masses[word]
+
+    def _nodes(self):
+        """(length, code, num, den, entropy term, best leaf) for every node in
+        (length, code) order: the rows before any Fraction or word is built."""
+        best = {(len(w), w.code) for w in self.best_leaves}
+        for k, ((nums, den), terms) in enumerate(zip(self.levels, self.terms)):
+            for code, (num, term) in enumerate(zip(nums, terms)):
+                yield k, code, num, den, term, (k, code) in best
 
     def rows(self):
         """(word, mass, entropy term, best leaf) rows in (length, code) order,
         one for every word of length <= depth (the tree holds them all)."""
-        best = {w.digits for w in self.best_leaves}
-        for words, terms in zip(binary_words(self.depth), self.terms):
-            for digits, term in zip(words, terms):
-                yield MultiIndex._trusted(digits), self.masses[digits], term, digits in best
+        for k, code, num, den, term, best in self._nodes():
+            yield MultiIndex._from_code(k, code), _mass(num, den), term, best
 
     def to_json(self) -> dict:
         return {
             "depth": self.depth,
-            "nodes": [{"word": str(w), "mass": float(m), "entropy": e, "bestLeaf": b}
-                      for w, m, e, b in self.rows()],
+            "nodes": [{"word": word_str(k, code), "mass": num / den, "entropy": e, "bestLeaf": b}
+                      for k, code, num, den, e, b in self._nodes()],
             "levelEntropy": list(self.level_entropy),
             "bestCost": self.best_cost,
         }
@@ -216,25 +236,20 @@ def build_entropy_tree(f, depth: int, rep=INTERVAL_REP) -> EntropyTree:
     if depth < 1:
         raise ValueError("depth must be at least one")
     levels = _mass_levels(f, depth, rep)
-    terms = tuple([_nlogn(m) for m in level] for level in levels)
-    masses: dict[tuple[int, ...], object] = {}
-    level_entropy = []
-    # one pass in lexicographic order per level, the order of the float sums
-    for k, frontier in enumerate(_lex_keys(depth)):
-        level, level_terms = levels[k], terms[k]
-        for word, code in frontier:
-            masses[word] = level[code]
-        if k:
-            level_entropy.append(sum(level_terms[code] for _word, code in frontier))
+    terms = tuple([_nlogn(num, den) for num in nums] for nums, den in levels)
+    # each level summed in lexicographic word order, the order of the float sums
+    level_sums = [sum([level_terms[code] for code in codes])
+                  for level_terms, codes in zip(terms, _lex_codes(depth))]
     leaves, cost = _best_antichain(levels, terms, 0, 0, depth)
-    return EntropyTree(depth, masses, terms, tuple(level_entropy),
+    return EntropyTree(depth, tuple(levels), terms, tuple(level_sums[1:]),
                        tuple(MultiIndex._from_code(k, code) for k, code in leaves), cost)
 
 
 def _best_antichain(levels, terms, k, code, depth_left) -> tuple[list[tuple[int, int]], float]:
     keep_cost = terms[k][code]
+    nums, den = levels[k]
     # a zero mass has a zero term, so the mass is compared only then
-    if depth_left == 0 or keep_cost == 0.0 and _is_zero_mass(levels[k][code]):
+    if depth_left == 0 or keep_cost == 0.0 and _is_zero_mass(nums[code], den):
         return [(k, code)], keep_cost
     left, cl = _best_antichain(levels, terms, k + 1, code, depth_left - 1)
     right, cr = _best_antichain(levels, terms, k + 1, code | 1 << k, depth_left - 1)

@@ -93,7 +93,7 @@ class TestWalsh:
     def test_local_system_isolated(self):
         system = WalshSystem()
         assert system.walsh(5) == walsh(5)
-        system.clear()
+        system = WalshSystem()
         assert system.walsh(5) == walsh(5)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -447,30 +448,45 @@ class TestLateErrorsBeforeOutput:
                              "coefficient 5000 is too large for --float")
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads the peak resident size from procfs")
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_expand_memory_is_blockwise(tmp_path, fmt):
-    # 2**18 samples in a fresh interpreter, the delta leaving out the
-    # imports; VmHWM, as in test_basis.py's two-path check
-    rng = random.Random(18)
-    src, dst = tmp_path / "sig.csv", tmp_path / "out"
-    write_samples(src, [str(rng.randint(-99, 99)) for _ in range(1 << 18)])
+PROCFS = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                            reason="reads the peak resident size from procfs")
+
+
+def main_peak_kb(args) -> int:
+    """How far ``main(args)`` raises the peak resident size, in kB: in a
+    fresh interpreter, the delta leaving out the imports; VmHWM, as in
+    test_basis.py's two-path check."""
     code = ("from cuntz_bases.cli import main\n"
             "def peak():\n"
             "    with open('/proc/self/status') as status:\n"
             "        return next(int(line.split()[1]) for line in status\n"
             "                    if line.startswith('VmHWM:'))\n"
             "before = peak()\n"
-            f"assert main(['expand', '--input', {str(src)!r}, '--format', {fmt!r},\n"
-            f"             '--output', {str(dst)!r}]) == 0\n"
+            f"assert main({list(args)!r}) == 0\n"
             "print(peak() - before)\n")
     src_dir = os.path.dirname(os.path.dirname(cuntz_bases.__file__))
     env = {**os.environ, "PYTHONPATH": src_dir}
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert int(out) < 24 * 1024  # kB
+    return int(out)
+
+
+@PROCFS
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_expand_memory_is_blockwise(tmp_path, fmt):
+    # 2**18 samples
+    rng = random.Random(18)
+    src, dst = tmp_path / "sig.csv", tmp_path / "out"
+    write_samples(src, [str(rng.randint(-99, 99)) for _ in range(1 << 18)])
+    peak = main_peak_kb(["expand", "--input", str(src), "--format", fmt, "--output", str(dst)])
+    assert peak < 24 * 1024  # kB
     assert dst.stat().st_size > 1 << 20
+
+
+def seeded_signal(path):
+    """65,536 samples ``randint(-9, 9)`` of ``random.Random(7)``, one a line."""
+    rng = random.Random(7)
+    write_samples(path, [str(rng.randint(-9, 9)) for _ in range(1 << 16)])
 
 
 class TestEntropyCommand:
@@ -511,6 +527,29 @@ class TestEntropyCommand:
         # --float and JSON write the masses as floats
         assert main(["entropy", "--input", str(src), "--depth", "1", "--float"]) == 0
         assert capsys.readouterr().out.splitlines()[2].startswith("0,0.5,")
+
+    @pytest.mark.parametrize("flags, digest", [
+        (["--depth", "16"], "a133122aaa293f9e01a19ca0d7944c697639b4a8b8d1106253dff2ec53982e17"),
+        (["--depth", "16", "--float"],
+         "8798cdef1df612f74b1135a1dd127e803a98f46117afba9d11f758697788f424"),
+        (["--depth", "12", "--format", "json"],
+         "872a100d3dec4d711f7e755eb008d2b6a6f65fcd2babfcd58bc00c5214d716d2"),
+    ], ids=["csv-16", "float-16", "json-12"])
+    def test_seeded_outputs_pinned(self, tmp_path, flags, digest):
+        # the bytes the tree wrote when every node was a Fraction and a word
+        src, dst = tmp_path / "sig.csv", tmp_path / "out"
+        seeded_signal(src)
+        assert main(["entropy", "--input", str(src), *flags, "--output", str(dst)]) == 0
+        assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
+
+    @PROCFS
+    def test_memory_of_depth_16(self, tmp_path):
+        # 2**17 - 1 nodes; a Fraction and a row per node raised the peak by
+        # about 100 MB, the integer levels and blockwise rows by about 16 MB
+        src, dst = tmp_path / "sig.csv", tmp_path / "out"
+        seeded_signal(src)
+        assert main_peak_kb(["entropy", "--input", str(src), "--depth", "16",
+                             "--output", str(dst)]) < 40 * 1024  # kB
 
     def test_depth_bounded_before_reading(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.csv")

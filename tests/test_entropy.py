@@ -10,7 +10,6 @@ from cuntz_bases.basis import walsh
 from cuntz_bases.dyadic import DyadicStep, MultiIndex
 from cuntz_bases.entropy import (
     ZERO_MASS,
-    _nlogn,
     best_basis,
     build_entropy_tree,
     entropy,
@@ -22,6 +21,15 @@ from cuntz_bases.operators import s_apply
 from cuntz_bases.trig import make_sine
 
 LN2 = math.log(2)
+
+
+def _nlogn(mass) -> float:
+    """The entropy term of one exact or float mass, as the tree computed it
+    from Fraction masses: the reference for its integer levels."""
+    if mass <= ZERO_MASS:  # exact: a Fraction compares with a float exactly
+        return 0.0
+    mass = float(mass)
+    return -mass * math.log(mass) + 0.0
 
 
 def random_unit_mixture(rng, level):

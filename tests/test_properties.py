@@ -50,9 +50,10 @@ from cuntz_bases.dyadic import (
     as_rational,
     join_lifts,
     lift,
+    word_code,
 )
-from cuntz_bases.entropy import build_entropy_tree
-from cuntz_bases.operators import apply_word, s_adjoint, s_apply, s_word, word_signs
+from cuntz_bases.entropy import ZERO_MASS, build_entropy_tree
+from cuntz_bases.operators import INTERVAL_REP, apply_word, s_adjoint, s_apply, s_word, word_signs
 from cuntz_bases.reporting import Tally, VerificationReport
 from cuntz_bases.trig import (
     MODE_CONST,
@@ -62,6 +63,8 @@ from cuntz_bases.trig import (
     _product_terms,
     hybrid_inner,
     make_atom,
+    make_cos,
+    make_sine,
 )
 
 INTS = st.integers(-50, 50)
@@ -82,19 +85,41 @@ def steps(draw, values, cls=DyadicStep, max_level=6):
 
 def reference_masses(f, depth):
     """The definition: ||S_J* f||^2 / ||f||^2 by adjoint chains, inserted
-    level by level in the parent's order, digit 0 before 1."""
-    total = Fraction(f.norm_sq())
-    masses = {(): Fraction(1)}
+    level by level in the parent's order, digit 0 before 1; exact
+    Fractions on steps, floats on hybrids."""
+    norm = float if isinstance(f, HybridFunction) else Fraction
+    total = norm(f.norm_sq())
+    masses = {(): norm(1)}
     frontier = {(): f}
     for _ in range(depth):
         deeper = {}
         for word, g in frontier.items():
             for digit in (0, 1):
-                child = s_adjoint(digit, g)
-                masses[word + (digit,)] = Fraction(child.norm_sq()) / total
+                child = INTERVAL_REP.adjoint(digit, g)
+                masses[word + (digit,)] = norm(child.norm_sq()) / total
                 deeper[word + (digit,)] = child
         frontier = deeper
     return masses
+
+
+def reference_term(mass):
+    """-m ln m of float(m), and 0 for a mass at most ZERO_MASS (compared
+    exactly: a Fraction compares with a float exactly)."""
+    if mass <= ZERO_MASS:
+        return 0.0
+    m = float(mass)
+    return -m * math.log(m) + 0.0
+
+
+@st.composite
+def hybrids(draw):
+    """Sums of small integer multiples of sin(2 pi n x) and cos(2 pi n x)."""
+    f = HybridFunction.zero()
+    for make, n, c in draw(st.lists(st.tuples(st.sampled_from((make_sine, make_cos)),
+                                              st.integers(0, 4), st.integers(-3, 3)),
+                                    min_size=1, max_size=3)):
+        f = f + make(n).scale(c)
+    return f
 
 
 @pytest.mark.parametrize("kind", sorted(VALUES))
@@ -113,21 +138,50 @@ def test_round_trip_and_parseval_exact(kind, data):
     assert (rows.dtype == object) == (kind == "near-2^70")
 
 
-@pytest.mark.parametrize("cls", [DyadicStep, CantorStep])
-@pytest.mark.parametrize("kind", sorted(VALUES))
+MASS_TREE_INPUTS = [(cls, kind) for cls in (DyadicStep, CantorStep)
+                    for kind in sorted(VALUES)] + [(HybridFunction, "trig")]
+
+
+@pytest.mark.parametrize("cls, kind", MASS_TREE_INPUTS,
+                         ids=[f"{kind}-{cls.__name__}" for cls, kind in MASS_TREE_INPUTS])
 @PROPERTY
 @given(data=st.data(), depth=st.integers(1, 8))
 def test_packet_mass_tree_matches_adjoint_chains(cls, kind, data, depth):
-    f = data.draw(steps(VALUES[kind], cls, max_level=5))
+    # masses, terms, level entropies and the best antichain of the tree's
+    # integer (or float) levels against the same computed from the
+    # definition's Fraction (or float) masses, word by word
+    if cls is HybridFunction:
+        f, depth = data.draw(hybrids()), min(depth, 5)  # 2**depth adjoint chains each
+    else:
+        f = data.draw(steps(VALUES[kind], cls, max_level=5))
     if f.is_zero():
         with pytest.raises(ValueError):
             build_entropy_tree(f, depth)
         return
-    masses = build_entropy_tree(f, depth).masses
-    assert list(masses.items()) == list(reference_masses(f, depth).items())
-    for word, mass in masses.items():
-        if len(word) < depth:
-            assert mass == masses[word + (0,)] + masses[word + (1,)]
+    tree = build_entropy_tree(f, depth)
+    masses = reference_masses(f, depth)
+    assert list(tree.masses.items()) == list(masses.items())
+    if cls is not HybridFunction:
+        for word, mass in masses.items():
+            if len(word) < depth:
+                assert mass == masses[word + (0,)] + masses[word + (1,)]
+    terms = {word: reference_term(mass) for word, mass in masses.items()}
+    for word, term in terms.items():
+        assert tree.terms[len(word)][word_code(word)].hex() == term.hex(), word
+    assert [e.hex() for e in tree.level_entropy] == [
+        sum(t for w, t in terms.items() if len(w) == k).hex() for k in range(1, depth + 1)]
+
+    def antichain(word, depth_left):
+        keep = terms[word]
+        if depth_left == 0 or masses[word] <= ZERO_MASS:
+            return [word], keep
+        left, cl = antichain(word + (0,), depth_left - 1)
+        right, cr = antichain(word + (1,), depth_left - 1)
+        return ([word], keep) if keep <= cl + cr else (left + right, cl + cr)
+
+    leaves, cost = antichain((), depth)
+    assert [w.digits for w in tree.best_leaves] == leaves
+    assert tree.best_cost.hex() == cost.hex()
 
 
 @pytest.mark.parametrize("cls", [DyadicStep, CantorStep])
