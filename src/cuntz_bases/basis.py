@@ -224,7 +224,7 @@ def greedy_generators(max_word_len: int) -> GeneratorCover:
 # Seed analysis: first non-orthogonal word, frames, orthogonality
 # ---------------------------------------------------------------------------
 
-def compute_K(psi, rep=INTERVAL_REP, max_depth: int = 6, tol: float = 0.0) -> Optional[MultiIndex]:
+def compute_K(psi, max_depth: int = 6, tol: float = 0.0) -> Optional[MultiIndex]:
     """First word K (in (length, code) order) at which the family S_J psi
     stops being orthogonal: some earlier J has <S_J psi | S_K psi> != 0
     while all pairs strictly before K vanish.
@@ -238,14 +238,14 @@ def compute_K(psi, rep=INTERVAL_REP, max_depth: int = 6, tol: float = 0.0) -> Op
     if norm_sq == 0.0:
         raise ValueError("seed must be nonzero")
     threshold = tol * norm_sq if tol > 0 else 0.0
-    kernel_gap = abs(float(rep.adjoint(0, psi).norm_sq()))
+    kernel_gap = abs(float(INTERVAL_REP.adjoint(0, psi).norm_sq()))
     if kernel_gap > threshold:
         raise ValueError(
             f"seed not in the kernel of the first adjoint (residual {kernel_gap:.3e})")
     prior: list = []
     for length, code in word_keys(max_depth):
         k_word = MultiIndex._from_code(length, code)
-        vec = apply_word(k_word, psi, rep)
+        vec = apply_word(k_word, psi)
         if any(abs(float(other.inner(vec))) > threshold for other in prior):
             return k_word
         prior.append(vec)
@@ -269,7 +269,7 @@ class SubspaceFrame:
         return worst
 
 
-def build_frame(psi, K: Optional[MultiIndex], depth: int, rep=INTERVAL_REP) -> SubspaceFrame:
+def build_frame(psi, K: Optional[MultiIndex], depth: int) -> SubspaceFrame:
     """Enumerate the frame words for a seed, bounded by ``depth``.
 
     With ``K`` given, words are 0^m J for J strictly below K in the
@@ -285,7 +285,7 @@ def build_frame(psi, K: Optional[MultiIndex], depth: int, rep=INTERVAL_REP) -> S
                  if (length, code) < K.sort_key]
         keys = {(m + length, code << m) for m in range(depth + 1) for length, code in below}
     words = tuple(MultiIndex._from_code(length, code) for length, code in sorted(keys))
-    vectors = tuple(apply_word(w, psi, rep) for w in words)
+    vectors = tuple(apply_word(w, psi) for w in words)
     return SubspaceFrame(psi, K, words, vectors)
 
 

@@ -81,19 +81,20 @@ def _cell_left_numerator(level: int, cell: int) -> int:
 # The measure transform
 # ---------------------------------------------------------------------------
 
-def mu_hat(lam: float, rel_tol: float = 1e-10) -> complex:
+MU_HAT_REL_TOL = 1e-10
+
+
+def mu_hat(lam: float) -> complex:
     """Transform of the self-similar measure via its infinite product.
 
-    Factors are multiplied while pi*|lam|*4^-m exceeds ``rel_tol``; each
-    omitted factor differs from 1 by at most its angle, and the angles decay
-    geometrically, so the dropped tail contributes a relative error below
-    (4/3) * pi * |lam| * 4^-M.
+    Factors are multiplied while pi*|lam|*4^-m exceeds ``MU_HAT_REL_TOL``;
+    each omitted factor differs from 1 by at most its angle, and the angles
+    decay geometrically, so the dropped tail contributes a relative error
+    below (4/3) * pi * |lam| * 4^-M.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     product = complex(1.0)
     m = 0
-    while math.pi * abs(lam) * 4.0 ** (-m) > rel_tol:
+    while math.pi * abs(lam) * 4.0 ** (-m) > MU_HAT_REL_TOL:
         product *= 0.5 * (1.0 + cmath.exp(1j * math.pi * lam * 4.0 ** (-m)))
         m += 1
     return product
@@ -199,7 +200,7 @@ def gram_exponentials(p: int) -> VerificationReport:
                                 [pt.value for pt in lambda_set(p)])
 
 
-def exp_coefficient(lam, f: CantorStep, rel_tol: float = 1e-10) -> complex:
+def exp_coefficient(lam, f: CantorStep) -> complex:
     """Coefficient <e_lam | f> of a cylinder step against an exponential.
 
     Cell-wise self-similarity gives the closed form: each level-k cell
@@ -212,7 +213,7 @@ def exp_coefficient(lam, f: CantorStep, rel_tol: float = 1e-10) -> complex:
     if isinstance(lam, LambdaPoint):
         lam = lam.value
     k = f.level
-    tail = mu_hat(lam * 4.0 ** (-k), rel_tol).conjugate()
+    tail = mu_hat(lam * 4.0 ** (-k)).conjugate()
     total = complex(0.0)
     four_k = 1 << (2 * k)
     if isinstance(lam, int):
@@ -230,16 +231,16 @@ def exp_coefficient(lam, f: CantorStep, rel_tol: float = 1e-10) -> complex:
     return total * tail / (1 << k)
 
 
-def bessel_sum(f: CantorStep, p: int, rel_tol: float = 1e-10) -> float:
+def bessel_sum(f: CantorStep, p: int) -> float:
     """Sum of squared spectrum coefficients over the depth-p spectrum."""
-    return sum(abs(exp_coefficient(pt, f, rel_tol)) ** 2 for pt in lambda_set(p))
+    return sum(abs(exp_coefficient(pt, f)) ** 2 for pt in lambda_set(p))
 
 
-def coefficient_table(f: CantorStep, p: int, rel_tol: float = 1e-10) -> list[dict]:
+def coefficient_table(f: CantorStep, p: int) -> list[dict]:
     """JSON-ready spectrum coefficient rows: {"lambda", "re", "im"}."""
     rows = []
     for pt in lambda_set(p):
-        c = exp_coefficient(pt, f, rel_tol)
+        c = exp_coefficient(pt, f)
         rows.append({"lambda": pt.value, "re": c.real, "im": c.imag})
     return rows
 

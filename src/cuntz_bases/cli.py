@@ -117,6 +117,16 @@ def _output(path):
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse, before any work and without creating anything, a file path
+    that is a directory or whose parent is missing or not a directory (a
+    write that still fails later is reported by ``_output``)."""
+    target = Path(path)
+    if target.is_dir() or not target.parent.is_dir():
+        reason = "it is a directory" if target.is_dir() else "its parent is not a directory"
+        raise InputError(f"cannot write {path}: {reason}")
+
+
 def _write_rows(config: RunConfig, header: list[str], rows: list[list]) -> None:
     with _output(config.output_path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -471,6 +481,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise InputError("--tol must be positive")
         if math.isinf(config.tol):
             raise InputError("--tol must be finite")
+    if config.output_path is not None and config.command != "walsh":
+        _check_output_path(config.output_path)
     return config
 
 

@@ -447,26 +447,23 @@ class DyadicStep(StepFunction):
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Finite word over {0, ..., alphabet-1} indexing operator monomials.
+    """Finite binary word indexing operator monomials.
 
-    The first digit is the outermost operator factor and also the least
-    significant digit of ``code``.  The canonical total order is by
+    The first digit is the outermost operator factor and also the lowest
+    bit of ``code``.  The canonical total order is by
     ``(length, code)``; code alone is not injective because trailing zeros
     do not change it.
     """
 
     digits: tuple[int, ...]
-    alphabet: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-        if self.alphabet < 1:
-            raise ValueError("alphabet size must be positive")
-        if any(not 0 <= d < self.alphabet for d in self.digits):
-            raise ValueError("digit out of alphabet range")
+        if any(d not in (0, 1) for d in self.digits):
+            raise ValueError("word digits must be 0 or 1")
 
     @classmethod
-    def _trusted(cls, digits: tuple[int, ...], alphabet: int = 2) -> "MultiIndex":
+    def _trusted(cls, digits: tuple[int, ...]) -> "MultiIndex":
         """Build from a tuple of Python int digits, unchecked.
 
         Inside the library a word is its ``(length, code)`` pair (or the
@@ -476,17 +473,12 @@ class MultiIndex:
         """
         self = object.__new__(cls)
         object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "alphabet", alphabet)
         return self
 
     @classmethod
-    def _from_code(cls, length: int, code: int, alphabet: int = 2) -> "MultiIndex":
-        """The word ``(length, code)``, for ``0 <= code < alphabet**length``, unchecked."""
-        digits = []
-        for _ in range(length):
-            code, d = divmod(code, alphabet)
-            digits.append(d)
-        return cls._trusted(tuple(digits), alphabet)
+    def _from_code(cls, length: int, code: int) -> "MultiIndex":
+        """The word ``(length, code)``, for ``0 <= code < 2**length``, unchecked."""
+        return cls._trusted(tuple(code >> i & 1 for i in range(length)))
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -500,7 +492,7 @@ class MultiIndex:
 
     @property
     def code(self) -> int:
-        return word_code(self.digits, self.alphabet)
+        return word_code(self.digits)
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -516,12 +508,10 @@ class MultiIndex:
         return "".join(map(str, self.digits))
 
 
-def word_keys(max_len: int, alphabet_size: int = 2) -> Iterator[tuple[int, int]]:
+def word_keys(max_len: int) -> Iterator[tuple[int, int]]:
     """The ``(length, code)`` pairs of all words of length <= max_len, in order."""
-    if alphabet_size < 1:
-        raise ValueError("alphabet size must be positive")
     for length in range(max_len + 1):
-        for code in range(alphabet_size ** length):
+        for code in range(1 << length):
             yield length, code
 
 
@@ -535,12 +525,9 @@ def binary_words(max_len: int) -> Iterator[list[tuple[int, ...]]]:
         yield words
 
 
-def word_code(digits: Sequence[int], alphabet: int = 2) -> int:
-    """The code of a word given by its digits: the first is the lowest digit."""
-    code = 0
-    for d in reversed(digits):
-        code = code * alphabet + d
-    return code
+def word_code(digits: Sequence[int]) -> int:
+    """The code of a word given by its digits: the first is the lowest bit."""
+    return sum(d << i for i, d in enumerate(digits))
 
 
 def word_str(length: int, code: int) -> str:
@@ -549,14 +536,14 @@ def word_str(length: int, code: int) -> str:
     return format(code, f"0{length}b")[::-1] if length else ""
 
 
-def enumerate_words(max_len: int, alphabet_size: int = 2) -> Iterator[MultiIndex]:
+def enumerate_words(max_len: int) -> Iterator[MultiIndex]:
     """All words of length <= max_len, in (length, code) order, each once."""
-    for length, code in word_keys(max_len, alphabet_size):
-        yield MultiIndex._from_code(length, code, alphabet_size)
+    for length, code in word_keys(max_len):
+        yield MultiIndex._from_code(length, code)
 
 
-def as_word(word, alphabet: int = 2) -> MultiIndex:
+def as_word(word) -> MultiIndex:
     """Coerce a MultiIndex or digit sequence to a MultiIndex."""
     if isinstance(word, MultiIndex):
         return word
-    return MultiIndex(tuple(word), alphabet)
+    return MultiIndex(tuple(word))

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .dyadic import StepFunction, as_word, word_code
+from .dyadic import StepFunction, as_word
 from .reporting import Tally, VerificationReport
 from .trig import HybridFunction, average_halves, compose_doubling
 
@@ -122,28 +122,24 @@ class IntervalRep2:
 INTERVAL_REP = IntervalRep2()
 
 
-def apply_word(word, f: Vector, rep=INTERVAL_REP) -> Vector:
+def apply_word(word, f: Vector) -> Vector:
     """S_{j1} S_{j2} ... S_{jk} f: the rightmost letter acts first.
 
-    A binary word on a step under the interval representation is one
-    :func:`s_word` product; hybrids and other representations apply it one
+    A word on a step is one :func:`s_word` product; a hybrid takes it one
     letter at a time.
     """
     word = as_word(word)
-    if type(rep) is IntervalRep2 and isinstance(f, StepFunction):
-        if max(word.digits, default=0) > 1:
-            raise ValueError("branch index must be 0 or 1")
-        return s_word(len(word.digits), word_code(word.digits), f)
+    if isinstance(f, StepFunction):
+        return s_word(len(word.digits), word.code, f)
     for j in reversed(word.digits):
-        f = rep.apply(j, f)
+        f = s_apply_hybrid(j, f)
     return f
 
 
-def adjoint_word(word, f: Vector, rep=INTERVAL_REP) -> Vector:
+def adjoint_word(word, f: Vector) -> Vector:
     """(S_{j1} ... S_{jk})* f = S_{jk}* ... S_{j1}* f."""
-    word = as_word(word)
-    for j in word.digits:
-        f = rep.adjoint(j, f)
+    for j in as_word(word).digits:
+        f = INTERVAL_REP.adjoint(j, f)
     return f
 
 

@@ -31,7 +31,7 @@ from cuntz_bases.basis import (
 )
 from cuntz_bases import verification
 from cuntz_bases.dyadic import DyadicStep, MultiIndex, enumerate_words
-from cuntz_bases.operators import INTERVAL_REP, apply_word, s_apply, word_signs
+from cuntz_bases.operators import apply_word, s_apply, word_signs
 from cuntz_bases.trig import hybrid_inner, make_sine
 
 
@@ -244,19 +244,18 @@ class TestGeneratorCover:
 
 class TestComputeK:
     def test_square_wave_seed_never_collides(self):
-        assert compute_K(walsh(1), INTERVAL_REP, max_depth=8, tol=0.0) is None
+        assert compute_K(walsh(1), max_depth=8, tol=0.0) is None
 
     def test_sine_seed_first_collision(self):
-        assert compute_K(make_sine(1), INTERVAL_REP, max_depth=4,
-                         tol=1e-10) == MultiIndex((1, 1))
+        assert compute_K(make_sine(1), max_depth=4, tol=1e-10) == MultiIndex((1, 1))
 
     def test_seed_outside_kernel_rejected(self):
         with pytest.raises(ValueError):
-            compute_K(make_sine(2), INTERVAL_REP, max_depth=2, tol=1e-10)
+            compute_K(make_sine(2), max_depth=2, tol=1e-10)
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
-            compute_K(DyadicStep.zero(), INTERVAL_REP, max_depth=2)
+            compute_K(DyadicStep.zero(), max_depth=2)
 
 
 class TestFrames:

@@ -106,14 +106,20 @@ class TestWalshCommand:
 
 
 # an output path that cannot be written, for each way the CLI writes: a
-# file in a missing directory, a directory in place of a file, and a file
-# in place of the walsh output directory
+# file in a missing directory, a directory in place of a file, a file under
+# a file, and a file in place of the walsh output directory; with the
+# command's work function, which must not run before the path is refused
 UNWRITABLE_OUTPUTS = {
-    "expand-missing-directory": ["expand", "--input", "{tmp}/sig.csv",
-                                 "--output", "{tmp}/nodir/x.csv"],
-    "entropy-directory": ["entropy", "--input", "{tmp}/sig.csv", "--output", "{tmp}/adir"],
-    "cantor-gram-directory": ["cantor", "gram", "--output", "{tmp}/adir"],
-    "walsh-existing-file": ["walsh", "--range", "3", "--output", "{tmp}/afile"],
+    "expand-missing-directory": (["expand", "--input", "{tmp}/sig.csv",
+                                  "--output", "{tmp}/nodir/x.csv"], "butterfly"),
+    "entropy-directory": (["entropy", "--input", "{tmp}/sig.csv", "--output", "{tmp}/adir"],
+                          "build_entropy_tree"),
+    "cantor-gram-directory": (["cantor", "gram", "--output", "{tmp}/adir"],
+                              "gram_exponentials"),
+    "verify-directory": (["verify", "--suite", "all", "--output", "{tmp}/adir"], "run_suite"),
+    "verify-parent-is-file": (["verify", "--suite", "cuntz", "--format", "json",
+                               "--output", "{tmp}/afile/x.json"], "run_suite"),
+    "walsh-existing-file": (["walsh", "--range", "3", "--output", "{tmp}/afile"], None),
 }
 
 
@@ -122,8 +128,13 @@ def tree_snapshot(root):
             for path in sorted(root.rglob("*"))}
 
 
-@pytest.mark.parametrize("args", list(UNWRITABLE_OUTPUTS.values()), ids=list(UNWRITABLE_OUTPUTS))
-def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, args):
+@pytest.mark.parametrize("args, work", list(UNWRITABLE_OUTPUTS.values()),
+                         ids=list(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, monkeypatch, args, work):
+    if work is not None:
+        def fail(*_args, **_kwargs):
+            raise AssertionError(f"{work} ran before the output path was checked")
+        monkeypatch.setattr(f"cuntz_bases.cli.{work}", fail)
     write_samples(tmp_path / "sig.csv", ["1", "-1", "2", "0"])
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
@@ -629,6 +640,16 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "entropy", "--output", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text(encoding="utf-8") == printed
+
+    def test_full_suite_output_is_pinned(self, capsys):
+        # the bytes of verify --suite all, as text and as JSON
+        digests = []
+        for extra in ([], ["--format", "json"]):
+            assert main(["verify", "--suite", "all", *extra]) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
+        assert digests == [
+            "449b342d0f776bbe984fe9a896b2e7116c84ff58aaffb76bee2475e84d5ace18",
+            "4c054617be1aca88ece3aa10b5aeb1970b75d25b4772459dd6ab2447faaaf1bb"]
 
     def test_json_format(self, capsys):
         assert main(["verify", "--suite", "cantor", "--format", "json"]) == 0

@@ -127,6 +127,14 @@ class TestWords:
         out = apply_word(MultiIndex((0, 1)), f)
         assert out == s_apply(0, s_apply(1, f))
 
+    def test_words_are_binary(self):
+        with pytest.raises(ValueError):
+            MultiIndex((2,))
+        with pytest.raises(ValueError):
+            apply_word((0, 2), DyadicStep.ones())
+        with pytest.raises(ValueError):
+            adjoint_word((2,), make_sine(1))
+
 
 class TestCuntzRelations:
     def test_interval_rep_exact_on_indicators(self):

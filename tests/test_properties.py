@@ -52,7 +52,7 @@ from cuntz_bases.dyadic import (
     lift,
     word_code,
 )
-from cuntz_bases.entropy import ZERO_MASS, build_entropy_tree
+from cuntz_bases.entropy import ZERO_MASS, _nlogn, build_entropy_tree, entropy, projection_masses
 from cuntz_bases.operators import INTERVAL_REP, apply_word, s_adjoint, s_apply, s_word, word_signs
 from cuntz_bases.reporting import Tally, VerificationReport
 from cuntz_bases.trig import (
@@ -157,9 +157,16 @@ def test_packet_mass_tree_matches_adjoint_chains(cls, kind, data, depth):
     if f.is_zero():
         with pytest.raises(ValueError):
             build_entropy_tree(f, depth)
+        with pytest.raises(ValueError):
+            entropy(f, depth)
         return
     tree = build_entropy_tree(f, depth)
     masses = reference_masses(f, depth)
+    # entropy() reads its level's integers; the same sum over the public
+    # mass dict, each mass taken back to an integer ratio, has the same bits
+    for k in range(depth + 1):
+        via_dict = sum(_nlogn(*m.as_integer_ratio()) for m in projection_masses(f, k).values())
+        assert entropy(f, k).hex() == via_dict.hex(), k
     assert list(tree.masses.items()) == list(masses.items())
     if cls is not HybridFunction:
         for word, mass in masses.items():
@@ -368,12 +375,12 @@ def test_gram_scan_matches_pair_by_pair_reference(values):
             report.checked) == reference_gram("r", values)
 
 
-def reference_exp_coefficient(lam, f, rel_tol=1e-10):
+def reference_exp_coefficient(lam, f):
     """The closed form with Fraction cell endpoints and Fraction phases."""
     if isinstance(lam, LambdaPoint):
         lam = lam.value
     k = f.level
-    tail = mu_hat(lam * 4.0 ** (-k), rel_tol).conjugate()
+    tail = mu_hat(lam * 4.0 ** (-k)).conjugate()
     total = complex(0.0)
     for i, c in enumerate(f.coeffs):
         if c == 0:
