@@ -79,7 +79,8 @@ def _read_samples(path: str) -> tuple[list[int], int]:
     The file is read and lifted ``IO_BLOCK`` lines at a time and the blocks
     joined by ``dyadic.join_lifts``, so no list of every line is held.  A
     malformed sample is reported only after the rest of the file has been
-    decoded: a decoding error anywhere in the file takes precedence.
+    decoded: a decoding error anywhere in the file takes precedence.  A
+    UTF-8 byte-order mark at the start of the file is skipped.
     """
     def blocks(handle):
         first = 1  # the file line of the block's first line
@@ -96,7 +97,7 @@ def _read_samples(path: str) -> tuple[list[int], int]:
             first += len(lines)
 
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return join_lifts(blocks(handle))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")

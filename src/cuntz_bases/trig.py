@@ -13,8 +13,8 @@ exact cancellations of atoms, not as small numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional
 
 import numpy as np
@@ -27,15 +27,60 @@ MODE_SIN = "sin"
 
 _HALF = Fraction(1, 2)
 
+# Inside this module a dyadic rational n / 2**e is the int pair (n, e),
+# reduced: n is odd unless e is 0.  Each value has one pair, so pairs are
+# equal exactly when the rationals are, and sums, halvings and doublings are
+# shifts and integer adds.  Fractions are built only at the public edge.
+Dyadic = tuple[int, int]
+_ZERO: Dyadic = (0, 0)
 
-def _require_dyadic(value: Fraction, what: str) -> Fraction:
-    value = Fraction(value)
-    if value.denominator & (value.denominator - 1):
+
+def _reduced(n: int, e: int) -> Dyadic:
+    """The reduced pair of n / 2**e."""
+    if e and not n & 1:
+        if not n:
+            return _ZERO
+        shift = min((n & -n).bit_length() - 1, e)
+        return n >> shift, e - shift
+    return n, e
+
+
+def _sum_diff(a: Dyadic, b: Dyadic) -> tuple[Dyadic, Dyadic]:
+    """The reduced pairs of a + b and a - b, over the larger power of two."""
+    (an, ae), (bn, be) = a, b
+    if ae < be:
+        an <<= be - ae
+        ae = be
+    elif be < ae:
+        bn <<= ae - be
+    return _reduced(an + bn, ae), _reduced(an - bn, ae)
+
+
+def _double(a: Dyadic) -> Dyadic:
+    n, e = a
+    return (n, e - 1) if e else (n << 1, 0)
+
+
+def _halve(a: Dyadic) -> Dyadic:
+    n, e = a
+    return (n >> 1, 0) if not e and not n & 1 else (n, e + 1)
+
+
+def _fraction(a: Dyadic) -> Fraction:
+    return Fraction(a[0], 1 << a[1])
+
+
+def _require_dyadic(value, what: str) -> Dyadic:
+    """The pair of an exact dyadic scalar; floats and bools raise TypeError."""
+    value = as_rational(value)
+    if isinstance(value, int):
+        return value, 0
+    den = value.denominator
+    if den & (den - 1):
         raise ValueError(f"{what} must be a dyadic rational, got {value}")
-    return value
+    return value.numerator, den.bit_length() - 1
 
 
-@dataclass(frozen=True)
 class TrigAtom:
     """One ``window * trig`` term, in canonical form.
 
@@ -43,36 +88,75 @@ class TrigAtom:
     the phase (as a multiple of pi) has been folded into [0, 1/2) using
     quarter-turn identities; a pure cosine of frequency zero is the
     ``const`` mode.  Use :func:`make_atom`, which performs the folding.
+    ``freq`` and ``phase`` read as Fractions; the atom holds them as reduced
+    ``(numerator, log2 denominator)`` int pairs, which the module's
+    arithmetic, merging and integration use.
     """
 
-    window: DyadicStep
-    mode: str
-    freq: Fraction
-    phase: Fraction
+    __slots__ = ("window", "mode", "_freq", "_phase")
 
-    def __post_init__(self):
-        if self.mode not in (MODE_CONST, MODE_COS, MODE_SIN):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_CONST and (self.freq != 0 or self.phase != 0):
+    def __init__(self, window: DyadicStep, mode: str, freq, phase):
+        if mode not in (MODE_CONST, MODE_COS, MODE_SIN):
+            raise ValueError(f"unknown mode {mode!r}")
+        freq = _require_dyadic(freq, "frequency")
+        phase = _require_dyadic(phase, "phase")
+        if mode == MODE_CONST and (freq != _ZERO or phase != _ZERO):
             raise ValueError("const atoms must have zero frequency and phase")
-        if self.freq < 0:
+        if freq[0] < 0:
             raise ValueError("frequency must be nonnegative")
+        self._set(window, mode, freq, phase)
+
+    def _set(self, window, mode, freq, phase):
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "_freq", freq)
+        object.__setattr__(self, "_phase", phase)
+
+    @classmethod
+    def _trusted(cls, window: DyadicStep, mode: str, freq: Dyadic, phase: Dyadic) -> "TrigAtom":
+        """Build from reduced pairs already in canonical form, unchecked."""
+        self = object.__new__(cls)
+        self._set(window, mode, freq, phase)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TrigAtom is immutable")
+
+    @property
+    def freq(self) -> Fraction:
+        return _fraction(self._freq)
+
+    @property
+    def phase(self) -> Fraction:
+        return _fraction(self._phase)
+
+    def _key(self) -> tuple:
+        return self.window, self.mode, self._freq, self._phase
+
+    def __eq__(self, other):
+        if type(other) is not TrigAtom:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"TrigAtom(window={self.window!r}, mode={self.mode!r}, "
+                f"freq={self.freq!r}, phase={self.phase!r})")
 
     def scaled(self, factor) -> "TrigAtom":
-        return TrigAtom(self.window.scale(factor), self.mode, self.freq, self.phase)
+        return TrigAtom._trusted(self.window.scale(factor), self.mode, self._freq, self._phase)
 
     def to_json(self) -> dict:
-        freq = Fraction(self.freq)
         data = {
             "window": self.window.to_json(),
             "mode": self.mode,
-            "freq_num": freq.numerator,
-            "freq_log2den": freq.denominator.bit_length() - 1,
+            "freq_num": self._freq[0],
+            "freq_log2den": self._freq[1],
         }
-        if self.phase != 0:
-            phase = Fraction(self.phase)
-            data["phase_num"] = phase.numerator
-            data["phase_log2den"] = phase.denominator.bit_length() - 1
+        if self._phase != _ZERO:
+            data["phase_num"], data["phase_log2den"] = self._phase
         return data
 
     @classmethod
@@ -83,39 +167,52 @@ class TrigAtom:
 
 
 def make_atom(window: DyadicStep, mode: str, freq=0, phase=0) -> Optional[TrigAtom]:
-    """Canonicalize an atom; returns None when the atom is identically zero."""
+    """Canonicalize an atom; returns None when the atom is identically zero.
+
+    ``freq`` and ``phase`` are exact dyadic scalars (ints, Fractions or
+    strings, as :func:`as_rational` reads them); floats and bools raise
+    ``TypeError``, other denominators ``ValueError``.
+    """
+    if mode not in (MODE_CONST, MODE_COS, MODE_SIN):
+        raise ValueError(f"unknown mode {mode!r}")
+    return _fold(window, mode, _require_dyadic(freq, "frequency"),
+                 _require_dyadic(phase, "phase"))
+
+
+def _fold(window: DyadicStep, mode: str, freq: Dyadic, phase: Dyadic) -> Optional[TrigAtom]:
+    """:func:`make_atom` on reduced pairs: the mod-2 fold and the quarter
+    turns act on the phase numerator over its own power of two."""
     window = window.normalize()
     if window.is_zero():
         return None
     if mode == MODE_CONST:
-        return TrigAtom(window, MODE_CONST, Fraction(0), Fraction(0))
-    freq = _require_dyadic(Fraction(freq), "frequency")
-    phase = _require_dyadic(Fraction(phase), "phase") % 2
-    sign = 1
-    if freq < 0:
+        return TrigAtom._trusted(window, MODE_CONST, _ZERO, _ZERO)
+    (fn, fe), (pn, pe) = freq, phase
+    flip = False
+    if fn < 0:
         # trig(-x) identities: cos is even, sin is odd
-        freq = -freq
-        phase = (-phase) % 2
-        if mode == MODE_SIN:
-            sign = -sign
-    if phase >= 1:
-        phase -= 1
-        sign = -sign
-    if phase >= _HALF:
+        fn, pn = -fn, -pn
+        flip = mode == MODE_SIN
+    pn %= 2 << pe
+    whole = 1 << pe  # the phase 1, a half turn: trig(t + pi) = -trig(t)
+    if pn >= whole:
+        pn -= whole
+        flip = not flip
+    if 2 * pn >= whole:
         # quarter turn: sin(t + pi/2) = cos t, cos(t + pi/2) = -sin t
-        phase -= _HALF
+        pn -= whole >> 1
         if mode == MODE_SIN:
             mode = MODE_COS
         else:
             mode = MODE_SIN
-            sign = -sign
-    if freq == 0 and phase == 0:
+            flip = not flip
+    if not fn and not pn:
         if mode == MODE_SIN:
             return None
         mode = MODE_CONST
-    if sign < 0:
+    if flip:
         window = -window
-    return TrigAtom(window, mode, freq, phase)
+    return TrigAtom._trusted(window, mode, (fn, fe), _reduced(pn, pe))
 
 
 class HybridFunction:
@@ -128,17 +225,18 @@ class HybridFunction:
         for atom in atoms:
             if atom is None:
                 continue
-            key = (atom.mode, atom.freq, atom.phase)
+            key = (atom.mode, atom._freq, atom._phase)
             if key in merged:
                 merged[key] = merged[key] + atom.window
             else:
                 merged[key] = atom.window
-        final = []
-        for (mode, freq, phase), window in merged.items():
-            atom = make_atom(window, mode, freq, phase)
-            if atom is not None:
-                final.append(atom)
-        final.sort(key=lambda a: (a.mode, a.freq, a.phase))
+        final = [atom for atom in (_fold(window, *key) for key, window in merged.items())
+                 if atom is not None]
+        # by mode, then by the rational values of frequency and phase: each
+        # pair is compared as an integer over the largest power of two here
+        top = max((e for a in final for e in (a._freq[1], a._phase[1])), default=0)
+        final.sort(key=lambda a: (a.mode, a._freq[0] << (top - a._freq[1]),
+                                  a._phase[0] << (top - a._phase[1])))
         object.__setattr__(self, "atoms", tuple(final))
 
     def __setattr__(self, name, value):
@@ -150,7 +248,7 @@ class HybridFunction:
 
     @classmethod
     def from_step(cls, step: DyadicStep) -> "HybridFunction":
-        return cls((make_atom(step, MODE_CONST),))
+        return cls((_fold(step, MODE_CONST, _ZERO, _ZERO),))
 
     def is_zero(self) -> bool:
         return not self.atoms
@@ -205,8 +303,8 @@ class HybridFunction:
             if a.mode == MODE_CONST:
                 total += w
             else:
-                t = (2 * a.freq * x + a.phase) % 2
-                total += w * _trig_value(a.mode, t)
+                t = 2 * a.freq * x + a.phase
+                total += w * _trig_value(a.mode, t.numerator, t.denominator)
         return total
 
     def to_json(self) -> list:
@@ -244,12 +342,13 @@ def compose_doubling(f: HybridFunction, second_sign: int) -> HybridFunction:
         if a.mode == MODE_CONST:
             w = a.window
             doubled = np.concatenate((w.num, second_sign * w.num))
-            atoms.append(make_atom(DyadicStep._trusted(w.level + 1, doubled, w.den), MODE_CONST))
+            atoms.append(_fold(DyadicStep._trusted(w.level + 1, doubled, w.den),
+                               MODE_CONST, _ZERO, _ZERO))
             continue
-        atoms.append(make_atom(_embed_half(a.window, 0), a.mode, 2 * a.freq, a.phase))
-        atoms.append(make_atom(
-            _embed_half(a.window, 1).scale(second_sign),
-            a.mode, 2 * a.freq, a.phase - 2 * a.freq))
+        freq = _double(a._freq)
+        atoms.append(_fold(_embed_half(a.window, 0), a.mode, freq, a._phase))
+        atoms.append(_fold(_embed_half(a.window, 1).scale(second_sign),
+                           a.mode, freq, _sum_diff(a._phase, freq)[1]))
     return HybridFunction(atoms)
 
 
@@ -259,12 +358,13 @@ def average_halves(f: HybridFunction, second_sign: int) -> HybridFunction:
     for a in f.atoms:
         lo, hi = _window_halves(a.window)
         if a.mode == MODE_CONST:
-            atoms.append(make_atom((lo + hi.scale(second_sign)).scale(_HALF), MODE_CONST))
+            atoms.append(_fold((lo + hi.scale(second_sign)).scale(_HALF),
+                               MODE_CONST, _ZERO, _ZERO))
             continue
-        half_freq = a.freq / 2
-        atoms.append(make_atom(lo.scale(_HALF), a.mode, half_freq, a.phase))
-        atoms.append(make_atom(
-            hi.scale(second_sign * _HALF), a.mode, half_freq, a.phase + a.freq))
+        freq = _halve(a._freq)
+        atoms.append(_fold(lo.scale(_HALF), a.mode, freq, a._phase))
+        atoms.append(_fold(hi.scale(second_sign * _HALF), a.mode, freq,
+                           _sum_diff(a._phase, a._freq)[0]))
     return HybridFunction(atoms)
 
 
@@ -272,17 +372,25 @@ def average_halves(f: HybridFunction, second_sign: int) -> HybridFunction:
 # Closed-form inner products
 # ---------------------------------------------------------------------------
 
-def _trig_value(kind: str, t: Fraction) -> float:
-    """cos or sin of pi*t with the argument reduced mod 2 exactly."""
-    t %= 2
-    if kind == MODE_COS:
-        return math.cos(math.pi * float(t))
-    return math.sin(math.pi * float(t))
+def _trig_value(kind: str, num: int, den: int) -> float:
+    """cos or sin of pi * num / den, the argument reduced mod 2 exactly and
+    converted by one correctly rounded integer division."""
+    t = (num % (2 * den)) / den
+    return (math.cos if kind == MODE_COS else math.sin)(math.pi * t)
 
 
-def _cell_integrals(kind: str, freq: Fraction, phase: Fraction, k: int,
-                    cells: list[int]) -> list[float]:
-    """Integrals of kind(2*pi*freq*x + pi*phase) over the level-k cells ``cells``.
+# Cell integrals are computed and kept in blocks of 2**BLOCK_BITS adjacent
+# cells of one level (the whole level when it has fewer cells), so a window
+# with a small support on a deep level computes only the blocks it touches.
+BLOCK_BITS = 5
+_BLOCK_MASK = (1 << BLOCK_BITS) - 1
+
+
+def _cell_integrals(kind: str, freq: Dyadic, phase: Dyadic, k: int,
+                    block: int) -> tuple[float, ...]:
+    """Integrals of kind(2*pi*freq*x + pi*phase) over the level-k cells of
+    block ``block``: the cells from ``block * 2**BLOCK_BITS`` on, at most
+    ``2**BLOCK_BITS`` of them.
 
     The argument at the endpoint x = j/2**k is pi*t(j) with
     t(j) = 2*freq*j/2**k + phase.  All of these are integers over one power
@@ -291,78 +399,122 @@ def _cell_integrals(kind: str, freq: Fraction, phase: Fraction, k: int,
     reduced Fraction; so every value is the exact closed form's float, bit
     for bit.  Adjacent cells share their common endpoint.
     """
-    if freq == 0:
-        return [_trig_value(kind, phase) * (1 / (1 << k))] * len(cells)
-    den = max(freq.denominator << k, phase.denominator)
-    slope = 2 * freq.numerator * (den // (freq.denominator << k))
-    offset = phase.numerator * (den // phase.denominator)
-    period = 2 * den
+    (fn, fe), (pn, pe) = freq, phase
+    cells = 1 << min(k, BLOCK_BITS)
+    if not fn:
+        return (_trig_value(kind, pn, 1 << pe) * (1 / (1 << k)),) * cells
+    exp = max(fe + k, pe)
+    slope = fn << (exp - fe - k + 1)
+    offset = pn << (exp - pe)
+    period = 2 << exp
+    den = 1 << exp
     pi = math.pi
     # the antiderivative of cos is sin, that of sin is -cos (sign in scale)
     antiderivative = math.sin if kind == MODE_COS else math.cos
-    ends = {j: antiderivative(pi * (((slope * j + offset) % period) / den))
-            for i in cells for j in (i, i + 1)}
-    scale = 1.0 / (2.0 * pi * float(freq))
+    first = block << BLOCK_BITS
+    ends = [antiderivative(pi * (((slope * j + offset) % period) / den))
+            for j in range(first, first + cells + 1)]
+    scale = 1.0 / (2.0 * pi * (fn / (1 << fe)))
     if kind == MODE_SIN:
         scale = -scale
-    return [scale * (ends[i + 1] - ends[i]) for i in cells]
+    return tuple([scale * (hi - lo) for lo, hi in zip(ends, ends[1:])])
+
+
+# The memo of cell-integral blocks, keyed by the mode and ints, never by a
+# Fraction: (kind, freq pair, phase pair, level, block).  It holds at most MEMO_CELLS
+# cell integrals; the oldest blocks go first.
+MEMO_CELLS = 1 << 13
+_memo: dict[tuple, tuple[float, ...]] = {}
+_memo_cells = 0
+
+
+def _memo_integrals(kind: str, freq: Dyadic, phase: Dyadic, k: int,
+                    block: int) -> tuple[float, ...]:
+    """:func:`_cell_integrals`, through the bounded memo."""
+    global _memo_cells
+    key = (kind, freq, phase, k, block)
+    table = _memo.get(key)
+    if table is None:
+        table = _cell_integrals(kind, freq, phase, k, block)
+        while _memo_cells + len(table) > MEMO_CELLS:
+            _memo_cells -= len(_memo.pop(next(iter(_memo))))
+        _memo[key] = table
+        _memo_cells += len(table)
+    return table
+
+
+def _clear_memo() -> None:
+    global _memo_cells
+    _memo.clear()
+    _memo_cells = 0
 
 
 def _product_terms(a: TrigAtom, b: TrigAtom):
-    """Product-to-sum decomposition of the trig parts of two atoms."""
+    """Product-to-sum decomposition of the trig parts of two atoms, as
+    ``(coefficient numerator, coefficient denominator, kind, freq, phase)``."""
     if a.mode == MODE_CONST and b.mode == MODE_CONST:
         return None  # handled exactly by the caller
     if a.mode == MODE_CONST:
-        return [(1, b.mode, b.freq, b.phase)]
+        return [(1, 1, b.mode, b._freq, b._phase)]
     if b.mode == MODE_CONST:
-        return [(1, a.mode, a.freq, a.phase)]
-    fd, pd = a.freq - b.freq, a.phase - b.phase
-    fs, ps = a.freq + b.freq, a.phase + b.phase
-    if a.mode == MODE_COS and b.mode == MODE_COS:
-        return [(_HALF, MODE_COS, fd, pd), (_HALF, MODE_COS, fs, ps)]
-    if a.mode == MODE_SIN and b.mode == MODE_SIN:
-        return [(_HALF, MODE_COS, fd, pd), (-_HALF, MODE_COS, fs, ps)]
-    if a.mode == MODE_SIN:  # sin * cos
-        return [(_HALF, MODE_SIN, fd, pd), (_HALF, MODE_SIN, fs, ps)]
-    # cos * sin: swap roles so the sine owns the difference argument
-    return [(_HALF, MODE_SIN, -fd, -pd), (_HALF, MODE_SIN, fs, ps)]
+        return [(1, 1, a.mode, a._freq, a._phase)]
+    (fs, fd), (ps, pd) = _sum_diff(a._freq, b._freq), _sum_diff(a._phase, b._phase)
+    if a.mode == MODE_COS:
+        if b.mode == MODE_COS:
+            return [(1, 2, MODE_COS, fd, pd), (1, 2, MODE_COS, fs, ps)]
+        # cos * sin: swap roles so the sine owns the difference argument
+        return [(1, 2, MODE_SIN, (-fd[0], fd[1]), (-pd[0], pd[1])), (1, 2, MODE_SIN, fs, ps)]
+    if b.mode == MODE_SIN:  # sin * sin
+        return [(1, 2, MODE_COS, fd, pd), (-1, 2, MODE_COS, fs, ps)]
+    return [(1, 2, MODE_SIN, fd, pd), (1, 2, MODE_SIN, fs, ps)]  # sin * cos
 
 
 def hybrid_inner(f: HybridFunction | DyadicStep, g: HybridFunction | DyadicStep) -> float:
     """Inner product over [0,1], closed form on each common-refinement cell.
 
     The only approximation anywhere in the hybrid pipeline is the float
-    rounding here; purely-constant contributions are accumulated exactly and
-    converted once, so two const hybrids reproduce the exact step inner
-    product to the last bit.
+    rounding here; purely-constant contributions are accumulated exactly as
+    an integer ratio and converted once, so two const hybrids reproduce the
+    exact step inner product to the last bit.
     """
     if isinstance(f, DyadicStep):
         f = HybridFunction.from_step(f)
     if isinstance(g, DyadicStep):
         g = HybridFunction.from_step(g)
-    exact = Fraction(0)
+    exact_num, exact_den = 0, 1
     approx = 0.0
     for a in f.atoms:
         for b in g.atoms:
             terms = _product_terms(a, b)
             if terms is None:
-                exact += Fraction(*_inner_parts(a.window, b.window))
+                num, den = _inner_parts(a.window, b.window)
+                exact_num, exact_den = exact_num * den + num * exact_den, exact_den * den
                 continue
-            k = max(a.window.level, b.window.level)
-            wa = a.window._cells(k).tolist()
-            wb = b.window._cells(k).tolist()
-            support = [i for i in range(1 << k) if wa[i] and wb[i]]
-            columns = [(coef.numerator, coef.denominator,
-                        _cell_integrals(kind, freq, phase, k, support))
-                       for coef, kind, freq, phase in terms]
+            fine, coarse = a.window, b.window
+            if coarse.level > fine.level:
+                fine, coarse = coarse, fine
+            k, shift = fine.level, fine.level - coarse.level
             # float(w * coef) as one correctly rounded integer division; the
             # cell weight w is (wa[i] / den_a) * (wb[i] / den_b)
             wd = a.window.den * b.window.den
-            for pos, i in enumerate(support):
-                wn = wa[i] * wb[i]
-                for cn, cd, integrals in columns:
-                    approx += (wn * cn) / (wd * cd) * integrals[pos]
-    return float(exact) + approx
+            terms = [(cn, wd * cd, kind, freq, phase) for cn, cd, kind, freq, phase in terms]
+            wf, wc = fine.num.tolist(), coarse.num.tolist()
+            block, columns = -1, ()
+            # the level-k cells in order, 2**shift of them per coarse cell
+            for c in compress(range(len(wc)), wc):
+                x = wc[c]
+                for i in range(c << shift, (c + 1) << shift):
+                    wn = x * wf[i]
+                    if wn:
+                        if i >> BLOCK_BITS != block:
+                            block = i >> BLOCK_BITS
+                            columns = [(cn, den, _memo_integrals(kind, freq, phase, k, block))
+                                       for cn, den, kind, freq, phase in terms]
+                        j = i & _BLOCK_MASK
+                        for cn, den, integrals in columns:
+                            approx += (wn * cn) / den * integrals[j]
+    # one correctly rounded division, as float(Fraction) converts
+    return exact_num / exact_den + approx
 
 
 def hybrid_norm_sq(f: HybridFunction | DyadicStep) -> float:
@@ -379,7 +531,7 @@ def make_sine(n: int) -> HybridFunction:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return HybridFunction.zero()
-    return HybridFunction((make_atom(DyadicStep.ones(), MODE_SIN, Fraction(n)),))
+    return HybridFunction((make_atom(DyadicStep.ones(), MODE_SIN, n),))
 
 
 def make_cos(n: int) -> HybridFunction:
@@ -388,7 +540,7 @@ def make_cos(n: int) -> HybridFunction:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return HybridFunction.from_step(DyadicStep.ones())
-    return HybridFunction((make_atom(DyadicStep.ones(), MODE_COS, Fraction(n)),))
+    return HybridFunction((make_atom(DyadicStep.ones(), MODE_COS, n),))
 
 
 def fourier_coeffs(f: HybridFunction | DyadicStep, max_n: int) -> tuple[list[float], list[float]]:

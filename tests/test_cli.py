@@ -419,6 +419,21 @@ class TestBlockedSignalIO:
             assert capsys.readouterr() == (
                 "", f"error: {src}: malformed sample on line 4701: '1/x'\n")
 
+    @pytest.mark.parametrize("command", ["expand", "entropy"])
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path, capsys, command):
+        # spreadsheet exports often start with a UTF-8 BOM; only there is it skipped
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_samples(plain, ["1", "-1/2", "3", "0.25"])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main([command, "--input", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main([command, "--input", str(marked)]) == 0
+        assert capsys.readouterr() == want
+        marked.write_bytes(b"1\n\xef\xbb\xbf2\n")
+        assert main([command, "--input", str(marked)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {marked}: malformed sample on line 2: '\\ufeff2'\n")
+
     def test_decoding_error_reported_before_an_earlier_bad_sample(self, tmp_path, capsys):
         # the whole file is decoded before a malformed sample is reported;
         # the bad byte is decoded with the fifth block, well after the first

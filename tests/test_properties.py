@@ -60,7 +60,6 @@ from cuntz_bases.trig import (
     MODE_COS,
     MODE_SIN,
     HybridFunction,
-    _product_terms,
     hybrid_inner,
     make_atom,
     make_cos,
@@ -266,6 +265,30 @@ ATOMS = st.builds(make_atom, WINDOWS, st.sampled_from(MODES), FREQS, DYADICS)
 HYBRIDS = st.builds(HybridFunction, st.lists(ATOMS, max_size=4))
 
 
+def reference_product_terms(a, b):
+    """trig_a * trig_b as (coefficient, kind, freq, phase) terms in
+    Fractions, the difference term first; None for two constants."""
+    if a.mode == MODE_CONST and b.mode == MODE_CONST:
+        return None
+    if a.mode == MODE_CONST:
+        return [(1, b.mode, b.freq, b.phase)]
+    if b.mode == MODE_CONST:
+        return [(1, a.mode, a.freq, a.phase)]
+    half = Fraction(1, 2)
+    fd, pd = a.freq - b.freq, a.phase - b.phase
+    fs, ps = a.freq + b.freq, a.phase + b.phase
+    return {
+        # cos A cos B = (cos(A - B) + cos(A + B)) / 2
+        (MODE_COS, MODE_COS): [(half, MODE_COS, fd, pd), (half, MODE_COS, fs, ps)],
+        # sin A sin B = (cos(A - B) - cos(A + B)) / 2
+        (MODE_SIN, MODE_SIN): [(half, MODE_COS, fd, pd), (-half, MODE_COS, fs, ps)],
+        # sin A cos B = (sin(A - B) + sin(A + B)) / 2
+        (MODE_SIN, MODE_COS): [(half, MODE_SIN, fd, pd), (half, MODE_SIN, fs, ps)],
+        # cos A sin B = (sin(B - A) + sin(A + B)) / 2
+        (MODE_COS, MODE_SIN): [(half, MODE_SIN, -fd, -pd), (half, MODE_SIN, fs, ps)],
+    }[a.mode, b.mode]
+
+
 def reference_inner(f, g):
     """The closed form cell by cell in exact Fractions, each endpoint's
     argument reduced mod 2 as a Fraction and then converted to float."""
@@ -286,7 +309,7 @@ def reference_inner(f, g):
         for b in g.atoms:
             k = max(a.window.level, b.window.level)
             wa, wb = a.window.refine(k).coeffs, b.window.refine(k).coeffs
-            terms = _product_terms(a, b)
+            terms = reference_product_terms(a, b)
             cells = 1 << k
             if terms is None:
                 exact += Fraction(sum(x * y for x, y in zip(wa, wb)), cells)
@@ -307,6 +330,7 @@ def _hybrid(*atoms):
 
 HALF_WINDOW = DyadicStep(1, [Fraction(3, 7), -2])
 FINE_WINDOW = DyadicStep(3, [0, 1, Fraction(-5, 3), 0, 2, 0, Fraction(1, 6), 4])
+DEEP_WINDOW = DyadicStep(6, [(-1) ** i * (i % 7) for i in range(64)])
 
 
 @PROPERTY
@@ -318,6 +342,25 @@ FINE_WINDOW = DyadicStep(3, [0, 1, Fraction(-5, 3), 0, 2, 0, Fraction(1, 6), 4])
 @example(f=_hybrid((FINE_WINDOW, MODE_COS, Fraction(3, 2), Fraction(1, 8))),
          g=_hybrid((HALF_WINDOW, MODE_COS, Fraction(7, 4), Fraction(3, 8)),
                    (DyadicStep.ones(), MODE_SIN, 5, Fraction(1, 4))))
+# one pair of each product kind whose result changes if its two
+# product-to-sum terms are summed in the other order
+@example(f=_hybrid((DyadicStep(1, [5, -4]), MODE_COS, Fraction(5, 4), Fraction(1, 8))),
+         g=_hybrid((DyadicStep(2, [-1, 0, 2, -5]), MODE_COS, 18)))
+@example(f=_hybrid((DyadicStep(1, [-2, 2]), MODE_COS, Fraction(3, 4))),
+         g=_hybrid((DyadicStep(2, [3, 0, 5, 4]), MODE_SIN, 24)))
+@example(f=_hybrid((DyadicStep(1, [-2, 5]), MODE_SIN, 4)),
+         g=_hybrid((DyadicStep(2, [-4, 3, -3, -1]), MODE_SIN, Fraction(1, 4), Fraction(1, 8))))
+@example(f=_hybrid((DyadicStep(2, [0, 3, 2, 3]), MODE_SIN, Fraction(15, 4))),
+         g=_hybrid((DyadicStep(2, [-1, -5, -5, 0]), MODE_COS, Fraction(13, 8))))
+# levels 6 and 7: the integrals come in several blocks of one level
+@example(f=_hybrid((DEEP_WINDOW, MODE_SIN, Fraction(5, 4), Fraction(1, 8)),
+                   (HALF_WINDOW, MODE_COS, 3, 0)),
+         g=_hybrid((DEEP_WINDOW.refine(7), MODE_COS, Fraction(3, 8), Fraction(1, 4)),
+                   (FINE_WINDOW, MODE_CONST)))
+# one cell of level 16, in the block that starts at cell 992
+@example(f=_hybrid((DyadicStep.indicator(16, 1000), MODE_SIN, 3),
+                   (DyadicStep.indicator(16, 1000), MODE_COS, 5)),
+         g=_hybrid((DyadicStep.indicator(16, 1000), MODE_COS, 7)))
 def test_hybrid_inner_matches_fraction_closed_form(f, g):
     got, want = hybrid_inner(f, g), reference_inner(f, g)
     assert got.hex() == want.hex()  # bit for bit, not within a tolerance
@@ -332,6 +375,43 @@ def test_make_atom_folding_is_idempotent(window, mode, freq, phase):
         return
     assert atom.freq >= 0 and 0 <= atom.phase < Fraction(1, 2)
     assert make_atom(atom.window, atom.mode, atom.freq, atom.phase) == atom
+
+
+def reference_fold(window, mode, freq, phase):
+    """make_atom's folding in Fractions: (window, mode, freq, phase), or
+    None for the zero atom."""
+    window = window.normalize()
+    if window.is_zero():
+        return None
+    if mode == MODE_CONST:
+        return window, MODE_CONST, 0, 0
+    phase %= 2
+    sign = 1
+    if freq < 0:
+        freq, phase = -freq, -phase % 2
+        sign = -1 if mode == MODE_SIN else 1
+    if phase >= 1:  # sin(t + pi) = -sin t, cos(t + pi) = -cos t
+        phase, sign = phase - 1, -sign
+    if phase >= Fraction(1, 2):  # sin(t + pi/2) = cos t, cos(t + pi/2) = -sin t
+        phase -= Fraction(1, 2)
+        mode, sign = (MODE_COS, sign) if mode == MODE_SIN else (MODE_SIN, -sign)
+    if freq == 0 and phase == 0:
+        if mode == MODE_SIN:
+            return None
+        mode = MODE_CONST
+    return window.scale(sign), mode, freq, phase
+
+
+@PROPERTY
+@given(window=WINDOWS, mode=st.sampled_from(MODES), freq=DYADICS, phase=DYADICS)
+def test_make_atom_folding_matches_fraction_folding(window, mode, freq, phase):
+    atom = make_atom(window, mode, freq, phase)
+    want = reference_fold(window, mode, freq, phase)
+    got = None if atom is None else (atom.window, atom.mode, atom.freq, atom.phase)
+    assert got == want
+    if atom is not None:
+        assert type(atom.freq) is Fraction and type(atom.phase) is Fraction
+        assert atom.window.level == want[0].level
 
 
 # ---------------------------------------------------------------------------

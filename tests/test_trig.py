@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
+from cuntz_bases import trig, verification
+from cuntz_bases.basis import build_frame
 from cuntz_bases.dyadic import DyadicStep
 from cuntz_bases.operators import s_adjoint_hybrid, s_apply_hybrid
 from cuntz_bases.trig import (
@@ -169,6 +171,13 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             make_atom(DyadicStep.ones(), "sin", Fraction(1, 3))
 
+    @pytest.mark.parametrize("freq, phase", [(0.1, 0), (0.5, 0), (True, 0), (False, 0),
+                                             (1, 0.25), (1, True)])
+    def test_float_and_bool_rejected(self, freq, phase):
+        # a float frequency 0.1 would be 3602879701896397/2**55, True would be 1
+        with pytest.raises(TypeError):
+            make_atom(DyadicStep.ones(), "sin", freq, phase)
+
     def test_json_round_trip(self):
         f = s_adjoint_hybrid(1, make_sine(3)) + ONE.scale(Fraction(2, 3))
         assert HybridFunction.from_json(f.to_json()) == f
@@ -177,3 +186,53 @@ class TestRepresentation:
         # sin(2 pi x + pi/2) is cos(2 pi x)
         folded = make_atom(DyadicStep.ones(), "sin", Fraction(1), Fraction(1, 2))
         assert folded.mode == "cos" and folded.phase == 0
+
+
+class TestIntegralMemo:
+    """The bounded memo of whole-level cell-integral tables."""
+
+    def test_memo_stays_within_its_bound(self):
+        trig._clear_memo()
+        for n in range(1, 400):
+            for k in range(7):
+                trig._memo_integrals("sin", (2 * n + 1, 3), (1, 2), k, 0)
+        assert 0 < trig._memo_cells <= trig.MEMO_CELLS
+        assert trig._memo_cells == sum(map(len, trig._memo.values()))
+
+    def test_deep_sparse_window_computes_only_its_block(self):
+        # one cell of level 16: the whole level would be 65,536 integrals a term
+        window = DyadicStep.indicator(16, 1000)
+        f = HybridFunction((make_atom(window, "sin", 3), make_atom(window, "cos", 5)))
+        g = HybridFunction((make_atom(window, "cos", 7),))
+        trig._clear_memo()
+        hybrid_inner(f, g)
+        assert len(trig._memo) == 4
+        assert {key[3:] for key in trig._memo} == {(16, 1000 >> trig.BLOCK_BITS)}
+        assert trig._memo_cells == 4 << trig.BLOCK_BITS
+
+    def test_cold_and_warm_calls_agree_on_frame_vectors(self):
+        frames = [build_frame(make_sine(2 * n + 1), None, 4) for n in range(3)]
+        vectors = [v for fr in frames for v in fr.vectors]
+        for i, u in enumerate(vectors):
+            for v in vectors[i:]:
+                trig._clear_memo()
+                cold = hybrid_inner(u, v)
+                assert trig._memo
+                assert hybrid_inner(u, v).hex() == cold.hex()
+
+    def test_sine_cross_inners_build_no_fractions(self, monkeypatch):
+        # the Fraction implementation of this layer built 14,138 here
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(1)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        assert Fraction(1, 3) and len(made) == 1  # the counter sees every Fraction
+        made.clear()
+        report = verification.check_sine_cross_inners()
+        monkeypatch.undo()
+        assert report.passed
+        assert len(made) == 0
