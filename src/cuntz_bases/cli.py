@@ -26,8 +26,7 @@ import numpy as np
 
 from .basis import butterfly, walsh
 from .cantor import lambda_set, gram_exponentials, verify_lambda_partition
-from .dyadic import (DyadicStep, SampleError, _as_array, _peak, join_lifts, lift,
-                     rational_str, word_str)
+from .dyadic import DyadicStep, SampleError, _as_array, _peak, join_lifts, lift, word_str
 from .entropy import build_entropy_tree
 from .verification import SUITES, run_suite
 
@@ -37,7 +36,7 @@ MAX_SPECTRUM_DEPTH = 11  # cantor gram scans all 2**p (2**p - 1) / 2 pairs, one 
 MAX_WALSH_INDEX = (1 << 16) - 1  # the step of index n has 2**bit_length(n) cells
 MAX_WALSH_FILES = 256  # walsh writes one file per index of the range
 
-IO_BLOCK = 4096  # expand and entropy read and write this many rows at a time
+IO_BLOCK = 4096  # signal lines read, and output rows written, at a time
 
 
 @dataclass
@@ -142,13 +141,103 @@ def _write_json(config: RunConfig, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
+# streamed row outputs: walsh, expand and entropy
+# ---------------------------------------------------------------------------
+
+def _json_row(**fields) -> str:
+    """The row template of one JSON object in a list, its keys sorted."""
+    pairs = ",\n".join(f'      "{key}": {value}' for key, value in sorted(fields.items()))
+    return "    {{\n" + pairs + "\n    }}"
+
+
+# (row, head, separator, tail) of each row output by (format, --float).
+# Each row is formatted with its column values, head and tail with the
+# command's fields; a JSON layout writes the text of json.dump(payload,
+# indent=2, sort_keys=True) and a newline.  A rational value takes two
+# columns, its numerator and denominator in lowest terms, or under --float
+# one float (``str`` of a float is its repr, as in JSON).
+_COEFFICIENTS = ('{{\n  "basis": "walsh",\n  "coefficients": [\n', ",\n",
+                 '\n  ],\n  "level": {level}\n}}\n')
+EXPAND_LAYOUTS = {  # columns: index, value
+    ("csv", False): ("{},{},{}\n", "index,num,den\n", "", ""),
+    ("csv", True): ("{},{}\n", "index,value\n", "", ""),
+    ("json", False): (_json_row(index="{}", value='"{}/{}"'), *_COEFFICIENTS),
+    ("json", True): (_json_row(index="{}", value="{}"), *_COEFFICIENTS),
+}
+_CELLS = '{{\n  "cells": [\n', ",\n", '\n  ],\n  "index": {index},\n  "level": {level}\n}}\n'
+WALSH_LAYOUTS = {  # columns: x_left, value
+    ("csv", False): ("{}/{},{}/{}\n", "x_left,value\n", "", ""),
+    ("csv", True): ("{},{}\n", "x_left,value\n", "", ""),
+    ("json", False): (_json_row(x_left='"{0}/{1}"', value='"{2}/{3}"'), *_CELLS),
+    ("json", True): (_json_row(x_left='"{0}"', value='"{1}"'), *_CELLS),
+}
+ENTROPY_LAYOUTS = {  # columns: word, mass, entropy term, best-leaf flag
+    ("csv", False): ("{},{}/{},{},{}\n", "word,mass,entropy,best_leaf\n", "", ""),
+    ("csv", True): ("{},{},{},{}\n", "word,mass,entropy,best_leaf\n", "", ""),
+    # every mass a float
+    ("json", True): (_json_row(word='"{0}"', mass="{1}", entropy="{2}", bestLeaf="{3}"),
+                     '{{\n  "bestCost": {best_cost},\n  "depth": {depth},\n  "levelEntropy": '
+                     '[\n{level_entropy}\n  ],\n  "nodes": [\n', ",\n", "\n  ]\n}}\n"),
+}
+
+
+def _stream(path, layout: tuple[str, str, str, str], blocks, **fields) -> None:
+    """Write ``layout`` to ``path`` (stdout when None): its head, then one
+    row for each set of column values, a block of at most ``IO_BLOCK`` rows
+    per write and the separator between rows, then its tail."""
+    row, head, sep, tail = layout
+    with _output(path) as handle:
+        handle.write(head.format(**fields))
+        for i, columns in enumerate(blocks):
+            handle.write((sep if i else "") + sep.join(map(row.format, *columns)))
+        handle.write(tail.format(**fields))
+
+
+def _ratio_columns(rows: np.ndarray, den: int, as_float: bool) -> tuple[list, ...]:
+    """The values ``rows / den`` as row columns: with ``as_float`` their
+    floats (Python int division rounds correctly, as float(Fraction) does, and
+    float64 would not past 2**53), else their numerators and denominators
+    in lowest terms."""
+    if as_float:
+        return [num / den for num in rows.tolist()],
+    if rows.dtype == np.int64 and den < 1 << 63:
+        common = np.gcd(rows, den)
+        return (rows // common).tolist(), (den // common).tolist()
+    nums = rows.tolist()
+    common = [math.gcd(num, den) for num in nums]
+    return [num // g for num, g in zip(nums, common)], [den // g for g in common]
+
+
+def _check_writable(rows, den: int, peak: int, as_float: bool, name) -> None:
+    """Before any output opens, raise the InputError of the first value
+    ``rows[n] / den`` (rows an array or a list) that cannot be written as a
+    float or as num/den text, named by ``name(n)``.  In lowest terms no value
+    has a numerator above ``peak`` (max|rows|, or ``den`` for a mass, which
+    is at most 1) or a denominator above ``den``: only when those two do
+    not fit is each value reduced."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    bound = 10 ** limit
+    if (peak < den << 1023) if as_float else (not limit or max(peak, den) < bound):
+        return
+    for start in range(0, len(rows), IO_BLOCK):
+        block = _ratio_columns(_as_array(rows[start:start + IO_BLOCK]), den, False)
+        for n, (num, d) in enumerate(zip(*block), start):
+            if as_float:
+                try:
+                    num / d
+                except OverflowError:
+                    raise InputError(f"{name(n)} is too large for --float") from None
+            elif max(abs(num), d) >= bound:
+                raise InputError(f"{name(n)} has more than {limit} digits")
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_walsh(config: RunConfig) -> int:
-    """One plot-ready file per basis index: (x_left, value) at minimal level.
-    Each file's text is written directly; the JSON is the text of
-    ``json.dump(payload, indent=2, sort_keys=True)`` and a newline."""
+    """One plot-ready file per basis index, (x_left, value) for each cell at
+    the step's minimal level, streamed through ``_stream``."""
     indices = _parse_range(config.index_range or "")
     if not indices:
         return 0
@@ -166,19 +255,15 @@ def cmd_walsh(config: RunConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from None
-    text_of = (lambda value: repr(float(value))) if config.as_float else rational_str
+    layout = WALSH_LAYOUTS[config.out_format, config.as_float]
     for n in indices:
         step = walsh(n)
-        cells = [(text_of(step.cell_left(i)), text_of(v)) for i, v in enumerate(step.coeffs)]
-        if config.out_format == "json":
-            rows = ",\n".join(f'    {{\n      "value": "{v}",\n      "x_left": "{x}"\n    }}'
-                              for x, v in cells)
-            text = (f'{{\n  "cells": [\n{rows}\n  ],\n  "index": {n},\n'
-                    f'  "level": {step.level}\n}}\n')
-        else:
-            text = "x_left,value\n" + "".join(f"{x},{v}\n" for x, v in cells)
-        with _output(out_dir / f"walsh_{n:04d}.{config.out_format}") as handle:
-            handle.write(text)
+        cells = np.arange(1 << step.level)  # cell i starts at x = i / 2**level
+        blocks = ([*_ratio_columns(cells[start:start + IO_BLOCK], len(cells), config.as_float),
+                   *_ratio_columns(step.num[start:start + IO_BLOCK], step.den, config.as_float)]
+                  for start in range(0, len(cells), IO_BLOCK))
+        _stream(out_dir / f"walsh_{n:04d}.{config.out_format}", layout, blocks,
+                index=n, level=step.level)
     return 0
 
 
@@ -198,107 +283,24 @@ def _ingest(config: RunConfig) -> tuple[tuple[np.ndarray, int], int]:
     return (_as_array(ints), den), level
 
 
-def _lowest_terms(rows: np.ndarray, den: int) -> tuple[list[int], list[int]]:
-    """Numerators and denominators of ``rows / den`` in lowest terms."""
-    if rows.dtype == np.int64 and den < 1 << 63:
-        common = np.gcd(rows, den)
-        return (rows // common).tolist(), (den // common).tolist()
-    nums = rows.tolist()
-    common = [math.gcd(num, den) for num in nums]
-    return [num // g for num, g in zip(nums, common)], [den // g for g in common]
-
-
-def _coefficient_rows(rows: np.ndarray, den: int, as_float: bool, row: str,
-                      start: int) -> list[str]:
-    """One ``row`` for each coefficient ``rows[n] / den``, formatted with its
-    index ``start + n`` and, with ``as_float``, its float value (``str`` of
-    a float is its ``repr``), else its numerator and denominator in lowest
-    terms.
-
-    The float divides Python ints, which rounds correctly as float(Fraction)
-    does; a float64 division would not past 2**53.  A coefficient that
-    cannot be written raises InputError naming its index.
-    """
-    texts = []
-    n = start
-    try:
-        if as_float:
-            for n, num in enumerate(rows.tolist(), start):
-                texts.append(row.format(n, num / den))
-        else:
-            for n, (num, d) in enumerate(zip(*_lowest_terms(rows, den)), start):
-                texts.append(row.format(n, num, d))
-    except OverflowError:
-        raise InputError(f"coefficient {n} is too large for --float") from None
-    except ValueError:  # past the int to str digit limit
-        raise InputError(f"coefficient {n} has more than "
-                         f"{sys.get_int_max_str_digits()} digits") from None
-    return texts
-
-
-def _check_writable(rows: np.ndarray, den: int, as_float: bool, row: str) -> None:
-    """Raise the InputError of the first coefficient ``rows[n] / den`` that
-    cannot be written, before any output opens.
-
-    In lowest terms no coefficient has a numerator above max|rows| or a
-    denominator above ``den``: when those two fit, as text or as a float,
-    every coefficient does (``int64`` rows over a ``den`` below 2**63
-    always do), and only otherwise is each one formatted.
-    """
-    peak = _peak(rows)
-    if as_float:
-        if peak < den << 1023:  # every |coefficient| below 2**1023
-            return
-    else:
-        limit = sys.get_int_max_str_digits()  # 0: no limit
-        if not limit or max(peak, den) < 10 ** limit:
-            return
-    for start in range(0, len(rows), IO_BLOCK):
-        _coefficient_rows(rows[start:start + IO_BLOCK], den, as_float, row, start)
-
-
 def cmd_expand(config: RunConfig) -> int:
-    """Write the coefficients ``IO_BLOCK`` rows at a time.  The JSON is
-    written directly: the text of ``json.dump(payload, indent=2,
-    sort_keys=True)`` and a newline."""
+    """Stream the Walsh coefficients through ``_stream`` once every one is
+    proved writable."""
     (num, den), level = _ingest(config)
     rows = butterfly(num, level).ravel()
     den <<= level
-    if config.out_format == "json":
-        value = "{}" if config.as_float else '"{}/{}"'
-        head, sep = '{\n  "basis": "walsh",\n  "coefficients": [\n', ",\n"
-        row = '    {{\n      "index": {},\n      "value": ' + value + '\n    }}'
-        tail = f'\n  ],\n  "level": {level}\n}}\n'
-    else:
-        head = "index,value\n" if config.as_float else "index,num,den\n"
-        row = "{},{}" if config.as_float else "{},{},{}"
-        sep, tail = "\n", "\n"
-    _check_writable(rows, den, config.as_float, row)
-    with _output(config.output_path) as handle:
-        handle.write(head)
-        for start in range(0, len(rows), IO_BLOCK):
-            texts = _coefficient_rows(rows[start:start + IO_BLOCK], den, config.as_float,
-                                      row, start)
-            handle.write((sep if start else "") + sep.join(texts))
-        handle.write(tail)
+    _check_writable(rows, den, _peak(rows), config.as_float, "coefficient {}".format)
+    blocks = ([range(start, start + IO_BLOCK),
+               *_ratio_columns(rows[start:start + IO_BLOCK], den, config.as_float)]
+              for start in range(0, len(rows), IO_BLOCK))
+    _stream(config.output_path, EXPAND_LAYOUTS[config.out_format, config.as_float], blocks,
+            level=level)
     return 0
 
 
-def _entropy_rows(tree, best: set, k: int, start: int, as_float: bool) -> list[str]:
-    """The CSV rows of the length-k words with codes ``start`` onwards, at
-    most ``IO_BLOCK`` of them: word, mass (with ``as_float`` its float,
-    else num/den in lowest terms), entropy term and best-leaf flag."""
-    (nums, den), terms = tree.levels[k], tree.terms[k]
-    nums = nums[start:start + IO_BLOCK]
-    masses = ([repr(num / den) for num in nums] if as_float else
-              [f"{num}/{d}" for num, d in zip(*_lowest_terms(_as_array(nums), den))])
-    return [f"{word_str(k, code)},{mass},{terms[code]!r},{int((k, code) in best)}\n"
-            for code, mass in enumerate(masses, start)]
-
-
 def cmd_entropy(config: RunConfig) -> int:
-    """Write the rows from the tree's integer mass levels, ``IO_BLOCK`` at a
-    time, once every mass is proved writable; the JSON is ``tree.to_json()``."""
+    """Stream one row per tree node, from the tree's integer mass levels,
+    through ``_stream`` once every mass is proved writable."""
     (num, _den), level = _ingest(config)
     if not num.any():
         raise InputError("cannot analyze the zero signal")
@@ -306,26 +308,24 @@ def cmd_entropy(config: RunConfig) -> int:
     # unchanged: it is built from the integer step den * f / gcd
     num = _as_array((num // np.gcd.reduce(num)).tolist())
     tree = build_entropy_tree(DyadicStep._trusted(level, num, 1), config.depth)
-    if config.out_format == "json":
-        _write_json(config, tree.to_json())
-        return 0
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit and not config.as_float:
-        # a mass is at most 1, so in lowest terms neither of its terms is above
-        # its level's den: only a level whose den passes the limit is reduced
-        for k, (nums, den) in enumerate(tree.levels):
-            for start in range(0, len(nums) if den >= 10 ** limit else 0, IO_BLOCK):
-                _, dens = _lowest_terms(_as_array(nums[start:start + IO_BLOCK]), den)
-                for code, d in enumerate(dens, start):
-                    if d >= 10 ** limit:
-                        raise InputError(f"mass of word {word_str(k, code)} has more "
-                                         f"than {limit} digits")
+    as_float = config.as_float or config.out_format == "json"
+    for k, (nums, den) in enumerate(tree.levels):
+        _check_writable(nums, den, den, as_float, lambda code: f"mass of word {word_str(k, code)}")
     best = {(len(word), word.code) for word in tree.best_leaves}
-    with _output(config.output_path) as handle:
-        handle.write("word,mass,entropy,best_leaf\n")
-        for k, (nums, _den) in enumerate(tree.levels):
+    no, yes = ("false", "true") if config.out_format == "json" else ("0", "1")
+
+    def blocks():
+        for k, ((nums, den), terms) in enumerate(zip(tree.levels, tree.terms)):
             for start in range(0, len(nums), IO_BLOCK):
-                handle.write("".join(_entropy_rows(tree, best, k, start, config.as_float)))
+                codes = range(start, min(start + IO_BLOCK, len(nums)))
+                yield [[word_str(k, code) for code in codes],
+                       *_ratio_columns(_as_array(nums[start:start + IO_BLOCK]), den, as_float),
+                       terms[start:start + IO_BLOCK],
+                       [yes if (k, code) in best else no for code in codes]]
+
+    level_entropy = ",\n".join(f"    {e!r}" for e in tree.level_entropy)
+    _stream(config.output_path, ENTROPY_LAYOUTS[config.out_format, as_float], blocks(),
+            best_cost=tree.best_cost, depth=tree.depth, level_entropy=level_entropy)
     return 0
 
 

@@ -303,6 +303,10 @@ class StepFunction:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _trusted: the pair is in lowest terms
+        return self._trusted, (self.level, self.num, self.den)
+
     # -- representation ------------------------------------------------
 
     @property

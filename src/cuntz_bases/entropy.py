@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .basis import butterfly
-from .dyadic import MultiIndex, StepFunction, word_str
+from .dyadic import MultiIndex, StepFunction
 from .operators import INTERVAL_REP
 from .reporting import Tally, VerificationReport
 
@@ -208,28 +208,13 @@ class EntropyTree:
         word = tuple(word.digits) if isinstance(word, MultiIndex) else tuple(word)
         return self.masses[word]
 
-    def _nodes(self):
-        """(length, code, num, den, entropy term, best leaf) for every node in
-        (length, code) order: the rows before any Fraction or word is built."""
-        best = {(len(w), w.code) for w in self.best_leaves}
-        for k, ((nums, den), terms) in enumerate(zip(self.levels, self.terms)):
-            for code, (num, term) in enumerate(zip(nums, terms)):
-                yield k, code, num, den, term, (k, code) in best
-
     def rows(self):
         """(word, mass, entropy term, best leaf) rows in (length, code) order,
         one for every word of length <= depth (the tree holds them all)."""
-        for k, code, num, den, term, best in self._nodes():
-            yield MultiIndex._from_code(k, code), _mass(num, den), term, best
-
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "nodes": [{"word": word_str(k, code), "mass": num / den, "entropy": e, "bestLeaf": b}
-                      for k, code, num, den, e, b in self._nodes()],
-            "levelEntropy": list(self.level_entropy),
-            "bestCost": self.best_cost,
-        }
+        best = {(len(w), w.code) for w in self.best_leaves}
+        for k, ((nums, den), terms) in enumerate(zip(self.levels, self.terms)):
+            for code, (num, term) in enumerate(zip(nums, terms)):
+                yield MultiIndex._from_code(k, code), _mass(num, den), term, (k, code) in best
 
 
 def build_entropy_tree(f, depth: int) -> EntropyTree:

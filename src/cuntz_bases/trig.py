@@ -122,6 +122,9 @@ class TrigAtom:
     def __setattr__(self, name, value):
         raise AttributeError("TrigAtom is immutable")
 
+    def __reduce__(self):
+        return TrigAtom._trusted, (self.window, self.mode, self._freq, self._phase)
+
     @property
     def freq(self) -> Fraction:
         return _fraction(self._freq)
@@ -241,6 +244,9 @@ class HybridFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("HybridFunction is immutable")
+
+    def __reduce__(self):
+        return HybridFunction, (self.atoms,)
 
     @classmethod
     def zero(cls) -> "HybridFunction":

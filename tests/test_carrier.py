@@ -2,7 +2,9 @@
 lowest terms, int64 below 2**62 and numpy ``object`` past it, checked
 against a reference that keeps every step as a tuple of Fractions."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from cuntz_bases.cantor import CantorStep
 from cuntz_bases.dyadic import DyadicStep
 from cuntz_bases.operators import s_adjoint, s_apply
+from cuntz_bases.trig import (MODE_COS, MODE_SIN, HybridFunction, TrigAtom, make_atom, make_cos,
+                              make_sine)
 
 MAX_LEVEL = 8
 WIDE = 1 << 62
@@ -185,3 +189,42 @@ def test_public_constructor_rejects_floats_and_bools():
         with pytest.raises(TypeError):
             DyadicStep(0, [bad])
     assert DyadicStep(0, ["3/6"]).coeffs == (Fraction(1, 2),)
+
+
+
+def _windows(value):
+    """The steps a carrier is built from: itself, an atom's window, or the
+    windows of a hybrid's atoms."""
+    if isinstance(value, TrigAtom):
+        return [value.window]
+    if isinstance(value, HybridFunction):
+        return [atom.window for atom in value.atoms]
+    return [value]
+
+
+WIDE_WINDOW = DyadicStep(2, [1 << 70, -3, Fraction(1, 3), 0])
+PICKLED = {
+    "dyadic-int64": DyadicStep(2, [1, -2, Fraction(3, 4), 0]),
+    "dyadic-object": DyadicStep(1, [1 << 70, -(1 << 65) - 1]),
+    "cantor-int64": CantorStep(1, [5, Fraction(-1, 6)]),
+    "cantor-object": CantorStep(2, [WIDE, 1, 2, 3]),
+    "atom-int64": make_atom(DyadicStep(1, [1, 2]), MODE_SIN, Fraction(3, 2), Fraction(1, 8)),
+    "atom-object": make_atom(WIDE_WINDOW, MODE_COS, 5),
+    "hybrid-int64": make_sine(3) + make_cos(1),
+    "hybrid-object": make_sine(2) + HybridFunction([make_atom(WIDE_WINDOW, MODE_SIN, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(PICKLED))
+def test_pickle_and_deepcopy_rebuild_an_equal_carrier(name):
+    # the slotted classes refuse __setattr__, which the default restore uses
+    value = PICKLED[name]
+    windows = [(w.num.dtype, w.num.tolist(), w.den) for w in _windows(value)]
+    kinds = {str(dtype) for dtype, *_ in windows}
+    assert kinds == {"int64"} if name.endswith("int64") else "object" in kinds
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+        assert [(w.num.dtype, w.num.tolist(), w.den) for w in _windows(copied)] == windows
+        assert not any(w.num.flags.writeable for w in _windows(copied))
+

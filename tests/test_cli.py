@@ -9,9 +9,13 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cuntz_bases
 from cuntz_bases.basis import walsh, walsh_butterfly, walsh_expand
@@ -23,6 +27,19 @@ from cuntz_bases.reporting import VerificationReport
 
 def write_samples(path, values):
     path.write_text("\n".join(values) + "\n", encoding="utf-8")
+
+
+def walsh_payload(n, as_float):
+    """The ``walsh --format json`` payload of index n: every value a string,
+    num/den or with ``as_float`` the repr of its float."""
+    def scalar(value):
+        value = Fraction(value)
+        return repr(float(value)) if as_float else f"{value.numerator}/{value.denominator}"
+
+    step = walsh(n)
+    return {"index": n, "level": step.level,
+            "cells": [{"x_left": scalar(Fraction(i, 1 << step.level)), "value": scalar(v)}
+                      for i, v in enumerate(step.coeffs)]}
 
 
 class TestWalshCommand:
@@ -79,23 +96,29 @@ class TestWalshCommand:
 
     @pytest.mark.parametrize("as_float", [False, True], ids=["exact", "float"])
     def test_json_is_the_text_of_json_dump(self, tmp_path, as_float):
-        def scalar(value):
-            value = Fraction(value)
-            return repr(float(value)) if as_float else f"{value.numerator}/{value.denominator}"
-
         out = tmp_path / "w"
         for n in (0, 5, 4097):
             args = ["walsh", "--range", str(n), "--output", str(out), "--format", "json"]
             assert main(args + ["--float"] * as_float) == 0
-            step = walsh(n)
-            payload = {"index": n, "level": step.level,
-                       "cells": [{"x_left": scalar(Fraction(i, 1 << step.level)),
-                                  "value": scalar(v)} for i, v in enumerate(step.coeffs)]}
+            payload = walsh_payload(n, as_float)
             want = io.StringIO()
             json.dump(payload, want, indent=2, sort_keys=True)
             want.write("\n")
             got = (out / f"walsh_{n:04d}.json").read_bytes().decode("utf-8")
             assert first_difference(got, want.getvalue()) is None, n
+
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "fcb7bd37849600d2d55aca2819348ebac9e3d59065aa89c6b848e3570da79125"),
+        (["--float"], "a3a508ecd1089c1ad26a167d23dae00fac3bbe7254cfb6e7df32ac61e74e14c9"),
+    ], ids=["exact", "float"])
+    def test_json_range_pinned(self, tmp_path, flags, digest):
+        # the 256 files in index order, as their hand-built text wrote them
+        out = tmp_path / "w"
+        assert main(["walsh", "--range", "0..255", "--format", "json", *flags,
+                     "--output", str(out)]) == 0
+        files = sorted(out.iterdir())
+        assert len(files) == 256
+        assert hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest() == digest
 
     def test_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -250,6 +273,18 @@ class TestExpandCommand:
         values = {c["index"]: c["value"] for c in data["coefficients"]}
         assert values == {0: "0/1", 1: "0/1", 2: "0/1", 3: "1/1"}
 
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "9588545510300356b7e8115eac9642b1da87ee422e8a410e9f1875ca0f8a0f75"),
+        (["--float"], "88c7ec63e1b4d6bc19a39da738a1331680e6f8b65167bd077069cfb91fa46168"),
+    ], ids=["exact", "float"])
+    def test_seeded_json_pinned(self, tmp_path, flags, digest):
+        # the bytes the hand-built JSON wrote for the seeded 2**16 samples
+        src, dst = tmp_path / "sig.csv", tmp_path / "out"
+        seeded_signal(src)
+        assert main(["expand", "--input", str(src), "--format", "json", *flags,
+                     "--output", str(dst)]) == 0
+        assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
+
     def test_options_nothing_reads_are_rejected(self, tmp_path, capsys):
         # --tol is a verify option only; expand has a single basis
         src = tmp_path / "sig.csv"
@@ -295,11 +330,21 @@ def format_expand(coeffs, fmt, as_float):
                                         for n, c in enumerate(coeffs))
 
 
+def entropy_payload(tree):
+    """The ``entropy --format json`` payload of a tree, from its rows: every
+    mass as a float."""
+    return {"depth": tree.depth,
+            "nodes": [{"word": str(word), "mass": float(mass), "entropy": ent, "bestLeaf": best}
+                      for word, mass, ent, best in tree.rows()],
+            "levelEntropy": list(tree.level_entropy),
+            "bestCost": tree.best_cost}
+
+
 def reference_entropy(tokens, depth, fmt, as_float):
     values = [Fraction(t) for t in tokens]
     tree = build_entropy_tree(DyadicStep(len(values).bit_length() - 1, values), depth)
     if fmt == "json":
-        return json.dumps(tree.to_json(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(entropy_payload(tree), indent=2, sort_keys=True) + "\n"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["word", "mass", "entropy", "best_leaf"])
@@ -444,6 +489,48 @@ class TestBlockedSignalIO:
         assert out == "" and err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
+SAMPLE_TOKENS = st.one_of(st.integers(-99, 99).map(str),
+                          st.builds("{}/{}".format, st.integers(-60, 60), st.integers(1, 30)))
+
+
+@st.composite
+def signal_tokens(draw):
+    """The sample tokens of a signal of level 0 to 6."""
+    count = 1 << draw(st.integers(0, 6))
+    return draw(st.lists(SAMPLE_TOKENS, min_size=count, max_size=count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tokens=signal_tokens(), depth=st.integers(1, 6), as_float=st.booleans(),
+       first=st.integers(0, 4200), count=st.integers(1, 2))
+def test_streamed_json_is_the_text_of_json_dumps(tokens, depth, as_float, first, count):
+    # expand, entropy and walsh write their JSON through the one row writer;
+    # each file must be the bytes of json.dumps of the payload built here
+    def dumps(payload):
+        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+    flags = ["--format", "json"] + ["--float"] * as_float
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst, out = Path(tmp, "sig.csv"), Path(tmp, "out"), Path(tmp, "w")
+        write_samples(src, tokens)
+        assert main(["expand", "--input", str(src), *flags, "--output", str(dst)]) == 0
+        assert dst.read_bytes() == reference_expand(tokens, "json", as_float).encode("utf-8")
+        values = [Fraction(t) for t in tokens]
+        args = ["entropy", "--input", str(src), "--depth", str(depth), *flags,
+                "--output", str(dst)]
+        if any(values):
+            assert main(args) == 0
+            tree = build_entropy_tree(DyadicStep(len(values).bit_length() - 1, values), depth)
+            assert dst.read_bytes() == dumps(entropy_payload(tree))
+        else:
+            assert main(args) == 2
+        indices = range(first, first + count)
+        assert main(["walsh", "--range", f"{indices[0]}..{indices[-1]}", *flags,
+                     "--output", str(out)]) == 0
+        for n in indices:
+            assert (out / f"walsh_{n:04d}.json").read_bytes() == dumps(walsh_payload(n, as_float))
+
+
 def signed_tokens(magnitude, n, level):
     """``magnitude`` with the signs of walsh(n) at ``level``: every
     coefficient is 0 except coefficient n, which is ``magnitude``."""
@@ -560,7 +647,9 @@ class TestEntropyCommand:
          "8798cdef1df612f74b1135a1dd127e803a98f46117afba9d11f758697788f424"),
         (["--depth", "12", "--format", "json"],
          "872a100d3dec4d711f7e755eb008d2b6a6f65fcd2babfcd58bc00c5214d716d2"),
-    ], ids=["csv-16", "float-16", "json-12"])
+        (["--depth", "16", "--format", "json"],
+         "89d5251fab8f304d8a13174562dc7c69ba2f734a32be87009188d0b9574b8021"),
+    ], ids=["csv-16", "float-16", "json-12", "json-16"])
     def test_seeded_outputs_pinned(self, tmp_path, flags, digest):
         # the bytes the tree wrote when every node was a Fraction and a word
         src, dst = tmp_path / "sig.csv", tmp_path / "out"
@@ -576,6 +665,15 @@ class TestEntropyCommand:
         seeded_signal(src)
         assert main_peak_kb(["entropy", "--input", str(src), "--depth", "16",
                              "--output", str(dst)]) < 40 * 1024  # kB
+
+    @PROCFS
+    def test_json_memory_of_depth_16(self, tmp_path):
+        # the JSON of one dict per node through json.dump raised it by about
+        # 50 MB; streamed like the CSV, it is held to the CSV's bound
+        src, dst = tmp_path / "sig.csv", tmp_path / "out"
+        seeded_signal(src)
+        assert main_peak_kb(["entropy", "--input", str(src), "--depth", "16",
+                             "--format", "json", "--output", str(dst)]) < 40 * 1024  # kB
 
     def test_depth_bounded_before_reading(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.csv")

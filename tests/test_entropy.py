@@ -7,6 +7,7 @@ import random
 import pytest
 
 from cuntz_bases.basis import walsh
+from cuntz_bases.cli import main
 from cuntz_bases.dyadic import DyadicStep, MultiIndex
 from cuntz_bases.entropy import (
     ZERO_MASS,
@@ -218,18 +219,27 @@ class TestTreeSerialization:
         words = [w.digits for w, *_ in rows]
         assert words == sorted(words, key=lambda d: (len(d), MultiIndex(d).code))
 
-    def test_json_shape(self):
-        data = build_entropy_tree(walsh(1), 2).to_json()
+    def test_json_shape(self, tmp_path, capsys):
+        src = tmp_path / "sig.csv"
+        src.write_text("".join(f"{v}\n" for v in walsh(1).coeffs), encoding="utf-8")
+        assert main(["entropy", "--input", str(src), "--depth", "2", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
         assert set(data) == {"depth", "nodes", "levelEntropy", "bestCost"}
         assert len(data["levelEntropy"]) == 2
+        tree = build_entropy_tree(walsh(1), 2)
+        assert data == {"depth": 2, "levelEntropy": list(tree.level_entropy),
+                        "bestCost": tree.best_cost,
+                        "nodes": [{"word": str(w), "mass": float(m), "entropy": e, "bestLeaf": b}
+                                  for w, m, e, b in tree.rows()]}
 
     @pytest.mark.parametrize("depth", range(1, 13))
-    def test_output_matches_word_sorted_oracle(self, depth):
+    def test_output_matches_word_sorted_oracle(self, tmp_path, capsys, depth):
         # rows, levels, leaves and JSON as they were computed from MultiIndex
         # words: rows sorted by the validated sort key, level sums in the
         # masses' insertion order, the antichain recursion on digit tuples
         rng = random.Random(4099)
-        f = DyadicStep(12, [rng.randint(-9, 9) for _ in range(1 << 12)])
+        samples = [rng.randint(-9, 9) for _ in range(1 << 12)]
+        f = DyadicStep(12, samples)
         tree = build_entropy_tree(f, depth)
         masses = tree.masses
         terms = [[] for _ in range(depth + 1)]
@@ -256,4 +266,8 @@ class TestTreeSerialization:
                   "nodes": [{"word": str(w), "mass": float(m), "entropy": e, "bestLeaf": b}
                             for w, m, e, b in rows],
                   "levelEntropy": list(tree.level_entropy), "bestCost": cost}
-        assert json.dumps(tree.to_json()) == json.dumps(oracle)
+        src = tmp_path / "sig.csv"
+        src.write_text("".join(f"{v}\n" for v in samples), encoding="utf-8")
+        assert main(["entropy", "--input", str(src), "--depth", str(depth),
+                     "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
