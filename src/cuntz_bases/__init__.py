@@ -6,6 +6,15 @@ entropy best-basis analysis over the subdivision tree, and the scale-4
 Cantor measure with its exponential spectrum.
 """
 
+import os
+import sys
+
+# The library's one BLAS call (the Gram in basis._gram_gaps) is exact in any
+# summation order, and each OpenBLAS worker thread costs every process CPU
+# time from the moment numpy loads; a value the user set always wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .dyadic import (
     DyadicStep,
     MultiIndex,

@@ -90,13 +90,21 @@ def mu_hat(lam: float) -> complex:
     Factors are multiplied while pi*|lam|*4^-m exceeds ``MU_HAT_REL_TOL``;
     each omitted factor differs from 1 by at most its angle, and the angles
     decay geometrically, so the dropped tail contributes a relative error
-    below (4/3) * pi * |lam| * 4^-M.
+    below (4/3) * pi * |lam| * 4^-M.  An argument whose pi*|lam| is not a
+    finite float (NaN, an infinity, a float near the top of the range)
+    raises ValueError; an int beyond float range raises OverflowError.
     """
+    bound = math.pi * abs(lam)
+    if not math.isfinite(bound):
+        raise ValueError(f"mu_hat needs a finite pi * |lam|, got lam = {lam!r}")
+    angle = math.pi * lam
     product = complex(1.0)
-    m = 0
-    while math.pi * abs(lam) * 4.0 ** (-m) > MU_HAT_REL_TOL:
-        product *= 0.5 * (1.0 + cmath.exp(1j * math.pi * lam * 4.0 ** (-m)))
-        m += 1
+    while bound > MU_HAT_REL_TOL:
+        product *= 0.5 * (1.0 + cmath.exp(1j * angle))
+        # a quarter is exact while the bound stays above the tolerance, so
+        # each angle and bound is the float pi * lam * 4^-m
+        angle *= 0.25
+        bound *= 0.25
     return product
 
 
@@ -200,6 +208,30 @@ def gram_exponentials(p: int) -> VerificationReport:
                                 [pt.value for pt in lambda_set(p)])
 
 
+def _coefficients(lams, f: CantorStep):
+    """``exp_coefficient(lam, f)`` for each lam in turn, in one pass per
+    lam over the nonzero cells of ``f``, which are read once."""
+    k = f.level
+    four_k = 1 << (2 * k)
+    den = f.den
+    cells = [(u / den, _cell_left_numerator(k, i))
+             for i, u in enumerate(f.num.tolist()) if u != 0]
+    for lam in lams:
+        if isinstance(lam, LambdaPoint):
+            lam = lam.value
+        tail = mu_hat(lam * 4.0 ** (-k)).conjugate()
+        total = complex(0.0)
+        if isinstance(lam, int):
+            factor = -2 * as_rational(lam)
+            for weight, t in cells:
+                total += weight * cmath.exp(1j * math.pi * (factor * t % (2 * four_k) / four_k))
+        else:
+            turn = -2j * math.pi * lam
+            for weight, t in cells:
+                total += weight * cmath.exp(turn * (t / four_k))
+        yield total * tail / (1 << k)
+
+
 def exp_coefficient(lam, f: CantorStep) -> complex:
     """Coefficient <e_lam | f> of a cylinder step against an exponential.
 
@@ -210,39 +242,19 @@ def exp_coefficient(lam, f: CantorStep) -> complex:
     is reduced as an integer mod 2 * 4^k, then divided by 4^k once, which
     rounds correctly, as float(Fraction) does.
     """
-    if isinstance(lam, LambdaPoint):
-        lam = lam.value
-    k = f.level
-    tail = mu_hat(lam * 4.0 ** (-k)).conjugate()
-    total = complex(0.0)
-    four_k = 1 << (2 * k)
-    if isinstance(lam, int):
-        factor = -2 * as_rational(lam)
-    den = f.den
-    for i, u in enumerate(f.num.tolist()):
-        if u == 0:
-            continue
-        t = _cell_left_numerator(k, i)
-        if isinstance(lam, int):
-            phase = cmath.exp(1j * math.pi * (factor * t % (2 * four_k) / four_k))
-        else:
-            phase = cmath.exp(-2j * math.pi * lam * (t / four_k))
-        total += u / den * phase
-    return total * tail / (1 << k)
+    return next(_coefficients((lam,), f))
 
 
 def bessel_sum(f: CantorStep, p: int) -> float:
     """Sum of squared spectrum coefficients over the depth-p spectrum."""
-    return sum(abs(exp_coefficient(pt, f)) ** 2 for pt in lambda_set(p))
+    return sum(abs(c) ** 2 for c in _coefficients(lambda_set(p), f))
 
 
 def coefficient_table(f: CantorStep, p: int) -> list[dict]:
     """JSON-ready spectrum coefficient rows: {"lambda", "re", "im"}."""
-    rows = []
-    for pt in lambda_set(p):
-        c = exp_coefficient(pt, f)
-        rows.append({"lambda": pt.value, "re": c.real, "im": c.imag})
-    return rows
+    points = lambda_set(p)
+    return [{"lambda": pt.value, "re": c.real, "im": c.imag}
+            for pt, c in zip(points, _coefficients(points, f))]
 
 
 # ---------------------------------------------------------------------------

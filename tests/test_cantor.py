@@ -4,6 +4,7 @@ its exact zero set, the exponential spectrum, and the word identities."""
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,15 @@ class TestMuHat:
             with pytest.raises(ValueError):
                 mu_hat_is_zero(bad)
         assert mu_hat_is_zero(3.0) and mu_hat_is_zero(Fraction(12, 1))
+
+    def test_rejects_non_finite_arguments(self):
+        # NaN once returned 1 (no factor taken) and inf nan+nanj after 538
+        # factors; 1e308 is finite, but pi * 1e308 is not
+        for bad in (float("nan"), float("inf"), float("-inf"), 1e308):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                mu_hat(bad)
+        with pytest.raises(OverflowError):
+            mu_hat(10 ** 400)
 
     def test_predicate_matches_numeric(self):
         for delta in range(-1000, 1001):

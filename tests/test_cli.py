@@ -565,6 +565,19 @@ PROCFS = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                             reason="reads the peak resident size from procfs")
 
 
+def fresh_python(args, blas_threads=None) -> str:
+    """stdout of a fresh interpreter run with ``args``, this checkout's
+    package first on its path, and OPENBLAS_NUM_THREADS set to
+    ``blas_threads`` or, when that is None, not set."""
+    src_dir = os.path.dirname(os.path.dirname(cuntz_bases.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def main_peak_kb(args) -> int:
     """How far ``main(args)`` raises the peak resident size, in kB: in a
     fresh interpreter, the delta leaving out the imports; VmHWM, as in
@@ -577,11 +590,41 @@ def main_peak_kb(args) -> int:
             "before = peak()\n"
             f"assert main({list(args)!r}) == 0\n"
             "print(peak() - before)\n")
-    src_dir = os.path.dirname(os.path.dirname(cuntz_bases.__file__))
-    env = {**os.environ, "PYTHONPATH": src_dir}
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return int(out)
+    return int(fresh_python(["-c", code]))
+
+
+class TestBlasThreads:
+    """The package asks OpenBLAS for one thread when it loads before numpy:
+    its one BLAS call, the exact Gram, needs no worker."""
+
+    # the variable, then the process's thread count
+    REPORT = ("import os\n"
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+              "with open('/proc/self/status') as status:\n"
+              "    print(next(line.split()[1] for line in status\n"
+              "               if line.startswith('Threads:')))\n")
+
+    @PROCFS
+    def test_one_thread_by_default(self):
+        out = fresh_python(["-c", "import cuntz_bases.cli\n" + self.REPORT])
+        assert out.split() == ["1", "1"]
+
+    @PROCFS
+    def test_user_value_wins(self):
+        out = fresh_python(["-c", "import cuntz_bases.cli\n" + self.REPORT], blas_threads="2")
+        assert out.split()[0] == "2"
+
+    @PROCFS
+    def test_nothing_set_after_numpy(self):
+        # too late to change numpy's threads; a child would only inherit it
+        out = fresh_python(["-c", "import numpy\nimport cuntz_bases\n" + self.REPORT])
+        assert out.split()[0] == "None"
+
+    def test_walsh_suite_same_on_one_and_two_threads(self):
+        # the suite holds the Gram products, exact in any summation order
+        args = ["-m", "cuntz_bases.cli", "verify", "--suite", "walsh"]
+        one, two = (fresh_python(args, blas_threads=n) for n in ("1", "2"))
+        assert one == two and "PASS" in one
 
 
 @PROCFS

@@ -30,6 +30,7 @@ from cuntz_bases.basis import (
     walsh_synthesize,
 )
 from cuntz_bases.cantor import (
+    MU_HAT_REL_TOL,
     CantorStep,
     LambdaPoint,
     bessel_sum,
@@ -455,12 +456,22 @@ def test_gram_scan_matches_pair_by_pair_reference(values):
             report.checked) == reference_gram("r", values)
 
 
+def reference_mu_hat(lam):
+    """The product with each factor's angle and bound recomputed from m."""
+    product = complex(1.0)
+    m = 0
+    while math.pi * abs(lam) * 4.0 ** (-m) > MU_HAT_REL_TOL:
+        product *= 0.5 * (1.0 + cmath.exp(1j * math.pi * lam * 4.0 ** (-m)))
+        m += 1
+    return product
+
+
 def reference_exp_coefficient(lam, f):
     """The closed form with Fraction cell endpoints and Fraction phases."""
     if isinstance(lam, LambdaPoint):
         lam = lam.value
     k = f.level
-    tail = mu_hat(lam * 4.0 ** (-k)).conjugate()
+    tail = reference_mu_hat(lam * 4.0 ** (-k)).conjugate()
     total = complex(0.0)
     for i, c in enumerate(f.coeffs):
         if c == 0:
@@ -491,6 +502,16 @@ LAMBDAS = st.one_of(
 CANTOR_STEPS = st.one_of(
     steps(st.one_of(INTS, FRACTIONS), CantorStep),
     steps(st.one_of(st.just(0), st.just(0), st.just(0), INTS, FRACTIONS), CantorStep))
+
+
+@PROPERTY
+@given(lam=st.one_of(st.integers(-(4 ** 30), 4 ** 30), st.floats(-1e300, 1e300),
+                     st.builds(Fraction, st.integers(-(10 ** 12), 10 ** 12),
+                               st.integers(1, 10 ** 6))))
+@example(lam=0)
+@example(lam=-3)
+def test_mu_hat_matches_factor_by_factor_product(lam):
+    assert _hex(mu_hat(lam)) == _hex(reference_mu_hat(lam))
 
 
 @PROPERTY
