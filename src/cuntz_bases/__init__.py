@@ -51,7 +51,6 @@ from .operators import (
 from .basis import (
     GeneratorCover,
     SubspaceFrame,
-    WalshSystem,
     build_frame,
     compute_K,
     frames_orthogonal,

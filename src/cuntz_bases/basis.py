@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -30,51 +31,26 @@ from .dyadic import (
     word_code,
     word_keys,
 )
-from .operators import INTERVAL_REP, apply_word, s_apply, s_word
+from . import operators
+from .operators import INTERVAL_REP, apply_word, s_word
 from .reporting import Tally, VerificationReport
 
 
-# walsh(n) is stored only below this index, i.e. for levels <= 10: at most
-# 8 KB per step and about 5.6 MB for all of them
-_MEMO_LIMIT = 1 << 10
-
-
-class WalshSystem:
-    """Memoized generator of the square-wave basis steps.
-
-    Steps below ``_MEMO_LIMIT`` (levels <= 10) are kept.  A deeper step is
-    rebuilt on every call by the same ``s_apply`` recursion from its stored
-    level-10 ancestor and is not kept, so the memo never grows past about
-    5.6 MB, whatever range of indices a caller walks.
-    """
-
-    def __init__(self):
-        self._cache: dict[int, DyadicStep] = {0: DyadicStep.ones()}
-
-    def walsh(self, n: int) -> DyadicStep:
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        cached = self._cache.get(n)
-        if cached is not None:
-            return cached
-        half, bit = divmod(n, 2)
-        value = s_apply(bit, self.walsh(half))
-        if n < _MEMO_LIMIT:
-            self._cache[n] = value
-        return value
-
-
-_SYSTEM = WalshSystem()
-
-
 def walsh(n: int) -> DyadicStep:
-    """n-th square-wave basis step (level = bit length of n, values +-1)."""
-    return _SYSTEM.walsh(n)
+    """n-th square-wave basis step: the word ``walsh_word(n)`` on the
+    constant function, an int64 step over 1 at level ``n.bit_length()``
+    whose cells are the word's sign row (``operators.word_signs``, looked
+    up at call time), values +-1."""
+    word = walsh_word(n)
+    signs = operators.word_signs(len(word), word.code)
+    return DyadicStep._trusted(len(word), signs.astype(np.int64), 1)
 
 
 def walsh_word(n: int) -> MultiIndex:
     """The operator word that produces walsh(n) from the constant function:
-    the bits of n, lowest first."""
+    the bits of n, lowest first.  ``n`` is read with ``operator.index``, so
+    a float raises TypeError."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("index must be nonnegative")
     return MultiIndex._from_code(n.bit_length(), n)

@@ -17,7 +17,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,23 +36,6 @@ MAX_WALSH_INDEX = (1 << 16) - 1  # the step of index n has 2**bit_length(n) cell
 MAX_WALSH_FILES = 256  # walsh writes one file per index of the range
 
 IO_BLOCK = 4096  # signal lines read, and output rows written, at a time
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    level: Optional[int] = None
-    depth: int = 6
-    spectrum_depth: int = 4
-    tol: Optional[float] = None  # verify --tol; None keeps each check's own
-    out_format: str = "csv"
-    as_float: bool = False
-    suite: str = "all"
-    index_range: Optional[str] = None
-    cantor_sub: Optional[str] = None
-    timings: bool = False
 
 
 class InputError(Exception):
@@ -127,15 +109,15 @@ def _check_output_path(path: str) -> None:
         raise InputError(f"cannot write {path}: {reason}")
 
 
-def _write_rows(config: RunConfig, header: list[str], rows: list[list]) -> None:
-    with _output(config.output_path) as handle:
+def _write_rows(path, header: list[str], rows: list[list]) -> None:
+    with _output(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _write_json(config: RunConfig, payload) -> None:
-    with _output(config.output_path) as handle:
+def _write_json(path, payload) -> None:
+    with _output(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -235,10 +217,10 @@ def _check_writable(rows, den: int, peak: int, as_float: bool, name) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_walsh(config: RunConfig) -> int:
+def cmd_walsh(args: argparse.Namespace) -> int:
     """One plot-ready file per basis index, (x_left, value) for each cell at
     the step's minimal level, streamed through ``_stream``."""
-    indices = _parse_range(config.index_range or "")
+    indices = _parse_range(args.index_range)
     if not indices:
         return 0
     if indices[0] < 0:
@@ -248,71 +230,69 @@ def cmd_walsh(config: RunConfig) -> int:
     if len(indices) > MAX_WALSH_FILES:
         raise InputError(f"--range names {len(indices)} indices; "
                          f"at most {MAX_WALSH_FILES} files per call")
-    if config.output_path is None:
+    if args.output is None:
         raise InputError("walsh needs --output DIR (one file per index)")
-    out_dir = Path(config.output_path)
+    out_dir = Path(args.output)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from None
-    layout = WALSH_LAYOUTS[config.out_format, config.as_float]
+    layout = WALSH_LAYOUTS[args.format, args.as_float]
     for n in indices:
         step = walsh(n)
         cells = np.arange(1 << step.level)  # cell i starts at x = i / 2**level
-        blocks = ([*_ratio_columns(cells[start:start + IO_BLOCK], len(cells), config.as_float),
-                   *_ratio_columns(step.num[start:start + IO_BLOCK], step.den, config.as_float)]
+        blocks = ([*_ratio_columns(cells[start:start + IO_BLOCK], len(cells), args.as_float),
+                   *_ratio_columns(step.num[start:start + IO_BLOCK], step.den, args.as_float)]
                   for start in range(0, len(cells), IO_BLOCK))
-        _stream(out_dir / f"walsh_{n:04d}.{config.out_format}", layout, blocks,
+        _stream(out_dir / f"walsh_{n:04d}.{args.format}", layout, blocks,
                 index=n, level=step.level)
     return 0
 
 
-def _ingest(config: RunConfig) -> tuple[tuple[np.ndarray, int], int]:
+def _ingest(args: argparse.Namespace) -> tuple[tuple[np.ndarray, int], int]:
     """The input's samples as ``(num, den)``, ``num`` a step's numerator
     array (``dyadic._as_array``), and its level."""
-    if config.input_path is None:
-        raise InputError("missing --input FILE")
-    ints, den = _read_samples(config.input_path)
+    ints, den = _read_samples(args.input)
     count = len(ints)
     if count == 0 or count & (count - 1):
-        raise InputError(f"{config.input_path}: sample count {count} is not a power of two")
+        raise InputError(f"{args.input}: sample count {count} is not a power of two")
     level = count.bit_length() - 1
-    if config.level is not None and config.level != level:
-        raise InputError(f"--level {config.level} does not match the file's "
+    if args.level is not None and args.level != level:
+        raise InputError(f"--level {args.level} does not match the file's "
                          f"{count} samples (level {level})")
     return (_as_array(ints), den), level
 
 
-def cmd_expand(config: RunConfig) -> int:
+def cmd_expand(args: argparse.Namespace) -> int:
     """Stream the Walsh coefficients through ``_stream`` once every one is
     proved writable."""
-    (num, den), level = _ingest(config)
+    (num, den), level = _ingest(args)
     rows = butterfly(num, level).ravel()
     den <<= level
-    _check_writable(rows, den, _peak(rows), config.as_float, "coefficient {}".format)
+    _check_writable(rows, den, _peak(rows), args.as_float, "coefficient {}".format)
     blocks = ([range(start, start + IO_BLOCK),
-               *_ratio_columns(rows[start:start + IO_BLOCK], den, config.as_float)]
+               *_ratio_columns(rows[start:start + IO_BLOCK], den, args.as_float)]
               for start in range(0, len(rows), IO_BLOCK))
-    _stream(config.output_path, EXPAND_LAYOUTS[config.out_format, config.as_float], blocks,
+    _stream(args.output, EXPAND_LAYOUTS[args.format, args.as_float], blocks,
             level=level)
     return 0
 
 
-def cmd_entropy(config: RunConfig) -> int:
+def cmd_entropy(args: argparse.Namespace) -> int:
     """Stream one row per tree node, from the tree's integer mass levels,
     through ``_stream`` once every mass is proved writable."""
-    (num, _den), level = _ingest(config)
+    (num, _den), level = _ingest(args)
     if not num.any():
         raise InputError("cannot analyze the zero signal")
     # every mass is a ratio of sums of squares, so the scale leaves the tree
     # unchanged: it is built from the integer step den * f / gcd
     num = _as_array((num // np.gcd.reduce(num)).tolist())
-    tree = build_entropy_tree(DyadicStep._trusted(level, num, 1), config.depth)
-    as_float = config.as_float or config.out_format == "json"
+    tree = build_entropy_tree(DyadicStep._trusted(level, num, 1), args.depth)
+    as_float = args.as_float or args.format == "json"
     for k, (nums, den) in enumerate(tree.levels):
         _check_writable(nums, den, den, as_float, lambda code: f"mass of word {word_str(k, code)}")
     best = {(len(word), word.code) for word in tree.best_leaves}
-    no, yes = ("false", "true") if config.out_format == "json" else ("0", "1")
+    no, yes = ("false", "true") if args.format == "json" else ("0", "1")
 
     def blocks():
         for k, ((nums, den), terms) in enumerate(zip(tree.levels, tree.terms)):
@@ -324,26 +304,26 @@ def cmd_entropy(config: RunConfig) -> int:
                        [yes if (k, code) in best else no for code in codes]]
 
     level_entropy = ",\n".join(f"    {e!r}" for e in tree.level_entropy)
-    _stream(config.output_path, ENTROPY_LAYOUTS[config.out_format, as_float], blocks(),
+    _stream(args.output, ENTROPY_LAYOUTS[args.format, as_float], blocks(),
             best_cost=tree.best_cost, depth=tree.depth, level_entropy=level_entropy)
     return 0
 
 
-def cmd_cantor(config: RunConfig) -> int:
-    sub = config.cantor_sub
-    p = config.spectrum_depth
+def cmd_cantor(args: argparse.Namespace) -> int:
+    sub = args.cantor_sub
+    p = args.p
     if sub == "spectrum":
         points = lambda_set(p)
-        if config.out_format == "json":
-            _write_json(config, [{"lambda": pt.value, "digits": _digit_string(pt, p)}
-                                 for pt in points])
+        if args.format == "json":
+            _write_json(args.output, [{"lambda": pt.value, "digits": _digit_string(pt, p)}
+                                      for pt in points])
         else:
-            _write_rows(config, ["lambda", "digits"],
+            _write_rows(args.output, ["lambda", "digits"],
                         [[pt.value, _digit_string(pt, p)] for pt in points])
         return 0
     if sub == "gram":
         report = gram_exponentials(p)
-        _emit_report(config, report)
+        _emit_report(args, report)
         return 0 if report.passed else 1
     if sub == "partition":
         report = verify_lambda_partition(p)
@@ -356,12 +336,12 @@ def cmd_cantor(config: RunConfig) -> int:
                 m //= 4
                 j += 1
             rows.append([pt.value, m, j])
-        if config.out_format == "json":
-            _write_json(config, {"report": report.to_json(),
-                                 "orbits": [{"lambda": a, "odd": b, "power": c}
-                                            for a, b, c in rows]})
+        if args.format == "json":
+            _write_json(args.output, {"report": report.to_json(),
+                                      "orbits": [{"lambda": a, "odd": b, "power": c}
+                                                 for a, b, c in rows]})
         else:
-            _write_rows(config, ["lambda", "odd_m", "power"], rows)
+            _write_rows(args.output, ["lambda", "odd_m", "power"], rows)
         return 0 if report.passed else 1
     raise InputError(f"unknown cantor subcommand {sub!r}")
 
@@ -371,33 +351,33 @@ def _digit_string(point, p: int) -> str:
     return "".join(str(d) for d in reversed(digits)) or "0"
 
 
-def _emit_report(config: RunConfig, report) -> None:
-    if config.out_format == "json":
-        _write_json(config, report.to_json())
+def _emit_report(args: argparse.Namespace, report) -> None:
+    if args.format == "json":
+        _write_json(args.output, report.to_json())
     else:
-        _write_rows(config, ["relation", "maxViolation", "witness", "passed", "checked"],
+        _write_rows(args.output, ["relation", "maxViolation", "witness", "passed", "checked"],
                     [[report.relation, repr(report.max_violation),
                       report.witness or "", int(report.passed), report.checked]])
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    reports = run_suite(config.suite, tol_override=config.tol)
+    reports = run_suite(args.suite, tol_override=args.tol)
     total_s = time.perf_counter() - start
-    if config.out_format == "json":
-        payload = [r.to_json(timings=config.timings) for r in reports]
-        if config.timings:
+    if args.format == "json":
+        payload = [r.to_json(timings=args.timings) for r in reports]
+        if args.timings:
             payload = {"reports": payload, "elapsedSeconds": total_s}
-        _write_json(config, payload)
+        _write_json(args.output, payload)
     else:
-        with _output(config.output_path) as handle:
+        with _output(args.output) as handle:
             for report in reports:
-                print(f"{report} {report.elapsed_s:.3f}s" if config.timings else report,
+                print(f"{report} {report.elapsed_s:.3f}s" if args.timings else report,
                       file=handle)
-            if config.timings:
+            if args.timings:
                 print(f"total {total_s:.3f}s for {len(reports)} checks", file=handle)
     failed = [r for r in reports if not r.passed]
-    if failed and config.out_format != "json":
+    if failed and args.format != "json":
         print(f"{len(failed)} of {len(reports)} checks failed", file=sys.stderr)
     return 1 if failed else 0
 
@@ -442,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_entropy)
 
     p_cantor = sub.add_parser("cantor", help="Cantor spectrum tables and certificates")
-    p_cantor.add_argument("subcommand", choices=("spectrum", "gram", "partition"))
+    p_cantor.add_argument("cantor_sub", choices=("spectrum", "gram", "partition"))
     p_cantor.add_argument("--p", type=int, default=4, help="spectrum digit depth (default 4)")
     common(p_cantor)
 
@@ -457,34 +437,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.input_path = getattr(args, "input", None)
-    config.output_path = getattr(args, "output", None)
-    config.level = getattr(args, "level", None)
-    config.depth = getattr(args, "depth", 6)
-    config.spectrum_depth = getattr(args, "p", 4)
-    config.out_format = getattr(args, "format", "csv")
-    config.as_float = getattr(args, "as_float", False)
-    config.suite = getattr(args, "suite", "all")
-    config.index_range = getattr(args, "index_range", None)
-    config.cantor_sub = getattr(args, "subcommand", None)
-    config.timings = getattr(args, "timings", False)
-    if config.command == "entropy" and not 1 <= config.depth <= MAX_ENTROPY_DEPTH:
+def _check_args(args: argparse.Namespace) -> None:
+    """Refuse, before any work, an entropy depth, a cantor digit depth or a
+    verify tolerance out of range and an unwritable output file; the parsed
+    namespace is then the run's configuration."""
+    if args.command == "entropy" and not 1 <= args.depth <= MAX_ENTROPY_DEPTH:
         raise InputError(f"--depth must be between 1 and {MAX_ENTROPY_DEPTH}, "
-                         f"got {config.depth}")
-    if config.command == "cantor" and not 0 <= config.spectrum_depth <= MAX_SPECTRUM_DEPTH:
+                         f"got {args.depth}")
+    if args.command == "cantor" and not 0 <= args.p <= MAX_SPECTRUM_DEPTH:
         raise InputError(f"--p must be between 0 and {MAX_SPECTRUM_DEPTH}, "
-                         f"got {config.spectrum_depth}")
-    config.tol = getattr(args, "tol", None)
-    if config.tol is not None:
-        if not config.tol > 0:  # NaN fails this too
+                         f"got {args.p}")
+    if args.command == "verify" and args.tol is not None:
+        if not args.tol > 0:  # NaN fails this too
             raise InputError("--tol must be positive")
-        if math.isinf(config.tol):
+        if math.isinf(args.tol):
             raise InputError("--tol must be finite")
-    if config.output_path is not None and config.command != "walsh":
-        _check_output_path(config.output_path)
-    return config
+    if args.output is not None and args.command != "walsh":
+        _check_output_path(args.output)
 
 
 _COMMANDS = {
@@ -500,8 +469,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,7 +42,8 @@ def word_signs(length: int, code: int) -> np.ndarray:
     the first letter as the top bit (``code`` has it as the lowest bit): the
     top bit of a cell index says which branch the outermost operator put it
     in.  The parity splits over 8-bit chunks of t and m, so the row is the
-    Kronecker product of rows of the 8-bit table (read-only).
+    Kronecker product of rows of the 8-bit table (read-only).  With
+    ``length == code.bit_length()`` it is the row of ``basis.walsh(code)``.
     """
     mask = int(f"{code:0{length}b}"[::-1], 2)
     row = _SIGN_ROWS[mask & 0xFF, :1 << min(length, 8)]

@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from .basis import (
-    WalshSystem,
     build_frame,
     greedy_generators,
     verify_decomposition,
@@ -28,7 +27,6 @@ from .basis import (
     walsh,
     walsh_expand,
     walsh_synthesize,
-    walsh_word,
 )
 from .cantor import (
     CantorStep,
@@ -45,7 +43,6 @@ from .entropy import best_basis, build_entropy_tree, entropy, verify_entropy_rec
 from .operators import (
     GeneralRepN,
     INTERVAL_REP,
-    apply_word,
     s_adjoint,
     s_adjoint_hybrid,
     s_apply,
@@ -175,11 +172,13 @@ def check_general_projections():
 # ---------------------------------------------------------------------------
 
 def check_walsh_two_paths():
-    system = WalshSystem()
-    one = DyadicStep.ones()
+    # the recursion one step at a time against the sign rows: walsh(0) is
+    # the constant and walsh(n) is S_{n mod 2} walsh(n // 2), so by induction
+    # the recursion from the constant builds every word path walsh(n)
     tally = Tally()
-    for n in range(4096):
-        tally.record(system.walsh(n) != apply_word(walsh_word(n), one), f"n = {n}")
+    tally.record(walsh(0) != DyadicStep.ones(), "n = 0")
+    for n in range(1, 4096):
+        tally.record(s_apply(n % 2, walsh(n // 2)) != walsh(n), f"n = {n}")
     return tally.report("square-wave-recursion-vs-word-path-4096")
 
 

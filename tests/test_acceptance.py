@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from cuntz_bases import verification
-from cuntz_bases.basis import WalshSystem, gram_identity_gap
+from cuntz_bases.basis import gram_identity_gap, walsh
 from cuntz_bases.cantor import CantorStep, bessel_sum, mu_hat
 from cuntz_bases.cli import main
 from cuntz_bases.dyadic import DyadicStep, as_rational
@@ -57,8 +57,7 @@ class TestCriterion1Relations:
 
 class TestCriterion2WalshBasis:
     def test_gram_and_two_paths(self):
-        system = WalshSystem()
-        vectors = [system.walsh(n) for n in range(1024)]
+        vectors = [walsh(n) for n in range(1024)]
         gap, _ = gram_identity_gap(vectors)
         two_paths = registered(verification.check_walsh_two_paths)
         ok = gap == 0.0 and exact(two_paths, 4096)

@@ -2,20 +2,15 @@
 
 import dataclasses
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import cuntz_bases
-from cuntz_bases import basis
+from conftest import PROCFS, peak_kb
 from cuntz_bases.basis import (
     CoverCollisionError,
-    WalshSystem,
     build_frame,
     compute_K,
     frames_orthogonal,
@@ -68,7 +63,7 @@ class TestWalsh:
             assert walsh(n) == apply_word(walsh_word(n), DyadicStep.ones())
 
     def test_negative_word_index_rejected(self):
-        # a negative index has no bits to read (divmod by 2 never reaches 0)
+        # a negative index has no bits to read
         with pytest.raises(ValueError):
             walsh_word(-1)
 
@@ -90,57 +85,43 @@ class TestWalsh:
             for j, v in enumerate(vectors):
                 assert u.inner(v) == (1 if i == j else 0)
 
-    def test_local_system_isolated(self):
-        system = WalshSystem()
-        assert system.walsh(5) == walsh(5)
-        system = WalshSystem()
-        assert system.walsh(5) == walsh(5)
+    def test_index_read_with_operator_index(self):
+        # a float raises TypeError; a numpy int is an index like any other
+        for value in (5.0, 2.5):
+            with pytest.raises(TypeError):
+                walsh(value)
+            with pytest.raises(TypeError):
+                walsh_word(value)
+        assert walsh(np.int64(5)) == walsh(5)
+        assert walsh_word(np.int64(5)) == walsh_word(5)
+        with pytest.raises(ValueError):
+            walsh(-1)
 
+    @pytest.mark.parametrize("n", [2047, 4096, 40961, 65535])
+    def test_deep_steps_match_pointwise_and_word_path(self, n):
+        w = walsh(n)
+        assert w.level == n.bit_length() and w.num.dtype == np.int64 and w.den == 1
+        assert w == apply_word(walsh_word(n), DyadicStep.ones())
+        cells = random.Random(n).sample(range(1 << w.level), 64) + [0, (1 << w.level) - 1]
+        for i in cells:
+            x = Fraction(i, 1 << w.level)
+            assert w.evaluate(x) == eval_walsh_pointwise(n, x)
 
-PROCFS = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                            reason="reads the peak resident size from procfs")
+    def test_two_path_check_judges_the_recursion(self, monkeypatch):
+        # S_1 negating the first half instead of the second: the recursion
+        # side no longer builds the sign rows, from walsh(1) on
+        def mirrored(j, f):
+            num = f.num
+            halves = (num, num) if j == 0 else (-num, num)
+            return f._trusted(f.level + 1, np.concatenate(halves), f.den)
 
-
-def check_peak_kb(check: str) -> int:
-    """How far one verification check raises the peak resident size, in kB.
-
-    The check runs in a fresh interpreter and the delta leaves out the
-    imports.  The peak is VmHWM, the high-water mark of this program image:
-    ru_maxrss would start from the size of the forking process."""
-    code = ("from cuntz_bases import verification\n"
-            "def peak():\n"
-            "    with open('/proc/self/status') as status:\n"
-            "        return next(int(line.split()[1]) for line in status\n"
-            "                    if line.startswith('VmHWM:'))\n"
-            "before = peak()\n"
-            f"assert verification.{check}().passed\n"
-            "print(peak() - before)\n")
-    src = os.path.dirname(os.path.dirname(cuntz_bases.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return int(out)
+        monkeypatch.setattr("cuntz_bases.verification.s_apply", mirrored)
+        report = verification.check_walsh_two_paths()
+        assert not report.passed and report.witness == "n = 1"
 
 
 class TestWalshMemo:
-    def test_deep_steps_rebuilt_not_stored(self):
-        system = WalshSystem()
-        one = DyadicStep.ones()
-        for n in range(4096):
-            assert system.walsh(n) == apply_word(walsh_word(n), one)
-        assert max(step.level for step in system._cache.values()) <= 10
-        assert len(system._cache) == 1024
-        for n in range(1024, 4096):
-            assert system.walsh(n) == s_apply(n % 2, system.walsh(n // 2))
-
-    def test_module_memo_does_not_grow(self):
-        for n in range(1024):
-            walsh(n)
-        assert len(basis._SYSTEM._cache) == 1024
-        for n in range(65280, 65536):
-            assert walsh(n).level == 16
-        assert len(basis._SYSTEM._cache) == 1024
-        assert walsh(65535) == apply_word(walsh_word(65535), DyadicStep.ones())
+    """Peak memory of the square-wave checks, each step built on demand."""
 
     @PROCFS
     def test_two_path_check_memory(self):
@@ -152,6 +133,12 @@ class TestWalshMemo:
         # the 1,024 x 1,024 float64 row matrix is 8 MB; a list of the steps
         # or the whole Gram next to it would add 8 MB each
         assert check_peak_kb(check) < 16 * 1024
+
+
+def check_peak_kb(check: str) -> int:
+    """How far one verification check raises the peak resident size, in kB
+    (``conftest.peak_kb``)."""
+    return peak_kb("from cuntz_bases import verification", f"verification.{check}().passed")
 
 
 class TestTransform:

@@ -7,7 +7,6 @@ import json
 import os
 import random
 import re
-import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cuntz_bases
+from conftest import PROCFS, fresh_python, peak_kb
 from cuntz_bases.basis import walsh, walsh_butterfly, walsh_expand
 from cuntz_bases.cli import IO_BLOCK, MAX_WALSH_FILES, MAX_WALSH_INDEX, main
 from cuntz_bases.dyadic import MAX_EXPONENT, DyadicStep, lift
@@ -561,36 +560,10 @@ class TestLateErrorsBeforeOutput:
                              "coefficient 5000 is too large for --float")
 
 
-PROCFS = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                            reason="reads the peak resident size from procfs")
-
-
-def fresh_python(args, blas_threads=None) -> str:
-    """stdout of a fresh interpreter run with ``args``, this checkout's
-    package first on its path, and OPENBLAS_NUM_THREADS set to
-    ``blas_threads`` or, when that is None, not set."""
-    src_dir = os.path.dirname(os.path.dirname(cuntz_bases.__file__))
-    env = {**os.environ, "PYTHONPATH": src_dir}
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, check=True).stdout
-
-
 def main_peak_kb(args) -> int:
-    """How far ``main(args)`` raises the peak resident size, in kB: in a
-    fresh interpreter, the delta leaving out the imports; VmHWM, as in
-    test_basis.py's two-path check."""
-    code = ("from cuntz_bases.cli import main\n"
-            "def peak():\n"
-            "    with open('/proc/self/status') as status:\n"
-            "        return next(int(line.split()[1]) for line in status\n"
-            "                    if line.startswith('VmHWM:'))\n"
-            "before = peak()\n"
-            f"assert main({list(args)!r}) == 0\n"
-            "print(peak() - before)\n")
-    return int(fresh_python(["-c", code]))
+    """How far ``main(args)`` raises the peak resident size, in kB
+    (``conftest.peak_kb``)."""
+    return peak_kb("from cuntz_bases.cli import main", f"main({list(args)!r}) == 0")
 
 
 class TestBlasThreads:
