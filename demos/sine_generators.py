@@ -17,26 +17,26 @@ from cuntz_bases import (
     hybrid_inner,
     hybrid_norm_sq,
     make_sine,
-    s_adjoint_hybrid,
-    s_apply_hybrid,
+    s_adjoint,
+    s_apply,
 )
 
 print("Reflection symmetry of the first six sines:")
 for n in range(1, 7):
     label = classify_reflection(make_sine(n))
-    norm = math.sqrt(hybrid_norm_sq(s_adjoint_hybrid(0, make_sine(n))))
+    norm = math.sqrt(hybrid_norm_sq(s_adjoint(0, make_sine(n))))
     print(f"  sin(2pi {n} x): {label:18s} |adjoint_0| = {norm:.3e}")
 
 print()
 print("Adjoint halving is an identity of atoms, not a small number:")
-print(f"  adjoint_0 sin(2pi 4x) == sin(2pi 2x): {s_adjoint_hybrid(0, make_sine(4)) == make_sine(2)}")
-print(f"  apply_0   sin(2pi 3x) == sin(2pi 6x): {s_apply_hybrid(0, make_sine(3)) == make_sine(6)}")
+print(f"  adjoint_0 sin(2pi 4x) == sin(2pi 2x): {s_adjoint(0, make_sine(4)) == make_sine(2)}")
+print(f"  apply_0   sin(2pi 3x) == sin(2pi 6x): {s_apply(0, make_sine(3)) == make_sine(6)}")
 
 print()
 print("Scanning for the first non-orthogonal word of the seed sin(2pi x):")
 k_word = compute_K(make_sine(1), max_depth=4, tol=1e-10)
 print(f"  first collision at word {tuple(k_word.digits)}")
-value = hybrid_inner(make_sine(1), s_apply_hybrid(1, s_apply_hybrid(1, make_sine(1))))
+value = hybrid_inner(make_sine(1), s_apply(1, s_apply(1, make_sine(1))))
 print(f"  witness inner product <s1, S1 S1 s1> = {value:.6f}  (exact value -8/(15 pi) = {-8 / (15 * math.pi):.6f})")
 
 print()

@@ -42,9 +42,7 @@ from .operators import (
     adjoint_word,
     apply_word,
     s_adjoint,
-    s_adjoint_hybrid,
     s_apply,
-    s_apply_hybrid,
     verify_cuntz,
     verify_unitary_matrix,
 )

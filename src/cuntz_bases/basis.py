@@ -32,7 +32,7 @@ from .dyadic import (
     word_keys,
 )
 from . import operators
-from .operators import INTERVAL_REP, apply_word, s_word
+from .operators import apply_word, s_adjoint, s_word
 from .reporting import Tally, VerificationReport
 
 
@@ -214,7 +214,7 @@ def compute_K(psi, max_depth: int = 6, tol: float = 0.0) -> Optional[MultiIndex]
     if norm_sq == 0.0:
         raise ValueError("seed must be nonzero")
     threshold = tol * norm_sq if tol > 0 else 0.0
-    kernel_gap = abs(float(INTERVAL_REP.adjoint(0, psi).norm_sq()))
+    kernel_gap = abs(float(s_adjoint(0, psi).norm_sq()))
     if kernel_gap > threshold:
         raise ValueError(
             f"seed not in the kernel of the first adjoint (residual {kernel_gap:.3e})")

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .basis import butterfly
 from .dyadic import MultiIndex, StepFunction
-from .operators import INTERVAL_REP
+from .operators import s_adjoint
 from .reporting import Tally, VerificationReport
 
 # below this, a mass is an exact zero for the 0*ln(0) = 0 convention
@@ -75,7 +75,7 @@ def _mass_levels(f, depth: int) -> list[tuple[list, object]]:
     frontier = [f]
     levels = [([1.0], 1)]
     for _ in range(depth):
-        frontier = [INTERVAL_REP.adjoint(digit, g) for digit in (0, 1) for g in frontier]
+        frontier = [s_adjoint(digit, g) for digit in (0, 1) for g in frontier]
         levels.append(([float(g.norm_sq()) / total for g in frontier], 1))
     return levels
 
@@ -165,7 +165,7 @@ def verify_entropy_recursion(f, k: int, tol: float = 1e-12) -> VerificationRepor
     rhs = entropy(f, 1)
     total = float(f.norm_sq())
     for digit in (0, 1):
-        g = INTERVAL_REP.adjoint(digit, f)
+        g = s_adjoint(digit, f)
         mass = float(g.norm_sq()) / total
         if mass > ZERO_MASS:
             rhs += mass * entropy(g, k)

@@ -8,9 +8,10 @@ the integer numerators over one denominator:
 
 and the adjoints average/difference the two halves one level up (the
 denominator doubles, then the pair is brought to lowest terms).  The same
-rules drive the general case of N branches, where the k-th branch block is
-twisted by the unit root exp(2i pi jk / N); that carrier uses complex floats
-because the roots are irrational for N not in {1, 2, 4}.
+two functions act on trig hybrids atom by atom.  The same rules drive the
+general case of N branches, where the k-th branch block is twisted by the
+unit root exp(2i pi jk / N); that carrier uses complex floats because the
+roots are irrational for N not in {1, 2, 4}.
 """
 
 from __future__ import annotations
@@ -66,18 +67,32 @@ def s_word(length: int, code: int, f: StepFunction) -> StepFunction:
     return f._trusted(f.level + length, num, f.den)
 
 
-def s_apply(j: int, f: StepFunction) -> StepFunction:
-    """Apply isometry j in {0,1} to a step function (exact, level + 1)."""
+def s_apply(j: int, f: Vector) -> Vector:
+    """Apply isometry j in {0,1} to a step (exact, level + 1) or a hybrid.
+
+    A step doubles its numerators, the second half negated for S_1; a hybrid
+    is composed with the doubling map, its second branch times -1 for S_1
+    (:func:`trig.compose_doubling`).  Step subclasses keep their class.
+    """
     if j not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
+    if isinstance(f, HybridFunction):
+        return compose_doubling(f, 1 if j == 0 else -1)
     num = f.num
     return f._trusted(f.level + 1, np.concatenate((num, num if j == 0 else -num)), f.den)
 
 
-def s_adjoint(j: int, f: StepFunction) -> StepFunction:
-    """Apply the adjoint of isometry j (exact, level - 1)."""
+def s_adjoint(j: int, f: Vector) -> Vector:
+    """Apply the adjoint of isometry j to a step (exact, level - 1) or a hybrid.
+
+    A step sums (S_0*) or differences (S_1*) its two halves over twice the
+    denominator; a hybrid averages its two halves the same way
+    (:func:`trig.average_halves`).
+    """
     if j not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
+    if isinstance(f, HybridFunction):
+        return average_halves(f, 1 if j == 0 else -1)
     if f.level == 0:
         return f if j == 0 else f._trusted(0, np.zeros(1, dtype=np.int64), 1)
     half = len(f.num) // 2
@@ -85,24 +100,10 @@ def s_adjoint(j: int, f: StepFunction) -> StepFunction:
     return f._reduced(f.level - 1, lo + hi if j == 0 else lo - hi, 2 * f.den)
 
 
-def s_apply_hybrid(j: int, f: HybridFunction) -> HybridFunction:
-    if j not in (0, 1):
-        raise ValueError("branch index must be 0 or 1")
-    return compose_doubling(f, 1 if j == 0 else -1)
-
-
-def s_adjoint_hybrid(j: int, f: HybridFunction) -> HybridFunction:
-    if j not in (0, 1):
-        raise ValueError("branch index must be 0 or 1")
-    return average_halves(f, 1 if j == 0 else -1)
-
-
 class IntervalRep2:
-    """The fixed two-branch representation on [0,1): halving maps tau_0, tau_1
-    and the doubling map, acting exactly on steps and symbolically on hybrids.
-
-    The same coefficient rules serve every carrier indexed by binary words,
-    so step subclasses (e.g. Cantor cylinder steps) work unchanged.  A
+    """The two-branch representation on [0,1) as an object for
+    :func:`verify_cuntz` (and for test doubles that subclass it): ``apply``
+    and ``adjoint`` are :func:`s_apply` and :func:`s_adjoint`.  A
     representation only acts; each carrier measures itself (``inner``,
     ``norm_sq``).
     """
@@ -110,13 +111,9 @@ class IntervalRep2:
     N = 2
 
     def apply(self, j: int, f: Vector) -> Vector:
-        if isinstance(f, HybridFunction):
-            return s_apply_hybrid(j, f)
         return s_apply(j, f)
 
     def adjoint(self, j: int, f: Vector) -> Vector:
-        if isinstance(f, HybridFunction):
-            return s_adjoint_hybrid(j, f)
         return s_adjoint(j, f)
 
 
@@ -133,14 +130,14 @@ def apply_word(word, f: Vector) -> Vector:
     if isinstance(f, StepFunction):
         return s_word(len(word.digits), word.code, f)
     for j in reversed(word.digits):
-        f = s_apply_hybrid(j, f)
+        f = s_apply(j, f)
     return f
 
 
 def adjoint_word(word, f: Vector) -> Vector:
     """(S_{j1} ... S_{jk})* f = S_{jk}* ... S_{j1}* f."""
     for j in as_word(word).digits:
-        f = INTERVAL_REP.adjoint(j, f)
+        f = s_adjoint(j, f)
     return f
 
 

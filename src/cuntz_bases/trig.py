@@ -87,7 +87,8 @@ class TrigAtom:
     Canonical means: the window is at its minimal level, ``freq >= 0``, and
     the phase (as a multiple of pi) has been folded into [0, 1/2) using
     quarter-turn identities; a pure cosine of frequency zero is the
-    ``const`` mode.  Use :func:`make_atom`, which performs the folding.
+    ``const`` mode.  :func:`make_atom`, which performs the folding, is the
+    one public constructor.
     ``freq`` and ``phase`` read as Fractions; the atom holds them as reduced
     ``(numerator, log2 denominator)`` int pairs, which the module's
     arithmetic, merging and integration use.
@@ -95,28 +96,14 @@ class TrigAtom:
 
     __slots__ = ("window", "mode", "_freq", "_phase")
 
-    def __init__(self, window: DyadicStep, mode: str, freq, phase):
-        if mode not in (MODE_CONST, MODE_COS, MODE_SIN):
-            raise ValueError(f"unknown mode {mode!r}")
-        freq = _require_dyadic(freq, "frequency")
-        phase = _require_dyadic(phase, "phase")
-        if mode == MODE_CONST and (freq != _ZERO or phase != _ZERO):
-            raise ValueError("const atoms must have zero frequency and phase")
-        if freq[0] < 0:
-            raise ValueError("frequency must be nonnegative")
-        self._set(window, mode, freq, phase)
-
-    def _set(self, window, mode, freq, phase):
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_freq", freq)
-        object.__setattr__(self, "_phase", phase)
-
     @classmethod
     def _trusted(cls, window: DyadicStep, mode: str, freq: Dyadic, phase: Dyadic) -> "TrigAtom":
         """Build from reduced pairs already in canonical form, unchecked."""
         self = object.__new__(cls)
-        self._set(window, mode, freq, phase)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "_freq", freq)
+        object.__setattr__(self, "_phase", phase)
         return self
 
     def __setattr__(self, name, value):
@@ -345,12 +332,6 @@ def compose_doubling(f: HybridFunction, second_sign: int) -> HybridFunction:
     """f(2x mod 1), with the second branch multiplied by ``second_sign``."""
     atoms = []
     for a in f.atoms:
-        if a.mode == MODE_CONST:
-            w = a.window
-            doubled = np.concatenate((w.num, second_sign * w.num))
-            atoms.append(_fold(DyadicStep._trusted(w.level + 1, doubled, w.den),
-                               MODE_CONST, _ZERO, _ZERO))
-            continue
         freq = _double(a._freq)
         atoms.append(_fold(_embed_half(a.window, 0), a.mode, freq, a._phase))
         atoms.append(_fold(_embed_half(a.window, 1).scale(second_sign),
@@ -363,10 +344,6 @@ def average_halves(f: HybridFunction, second_sign: int) -> HybridFunction:
     atoms = []
     for a in f.atoms:
         lo, hi = _window_halves(a.window)
-        if a.mode == MODE_CONST:
-            atoms.append(_fold((lo + hi.scale(second_sign)).scale(_HALF),
-                               MODE_CONST, _ZERO, _ZERO))
-            continue
         freq = _halve(a._freq)
         atoms.append(_fold(lo.scale(_HALF), a.mode, freq, a._phase))
         atoms.append(_fold(hi.scale(second_sign * _HALF), a.mode, freq,

@@ -120,7 +120,7 @@ class TestWalsh:
         assert not report.passed and report.witness == "n = 1"
 
 
-class TestWalshMemo:
+class TestSquareWaveCheckMemory:
     """Peak memory of the square-wave checks, each step built on demand."""
 
     @PROCFS

@@ -787,32 +787,6 @@ class TestVerifyCommand:
         assert [r["checked"] for r in data] == [
             256 * 255 // 2, 1000, 2001, 126, 8, 7, 5 * 5, 6 * 2]
 
-    @staticmethod
-    def _outputs_with_threads_env(capsys, monkeypatch, value):
-        # the pair scans once read a thread count from CUNTZ_BASES_THREADS;
-        # returns (output without the variable, output with it set to value)
-        outputs = []
-        for setting in (None, value):
-            if setting is None:
-                monkeypatch.delenv("CUNTZ_BASES_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("CUNTZ_BASES_THREADS", setting)
-            assert main(["verify", "--suite", "cantor"]) == 0
-            assert main(["verify", "--suite", "entropy"]) == 0
-            assert main(["cantor", "gram", "--p", "6"]) == 0
-            outputs.append(capsys.readouterr())
-        return outputs
-
-    def test_threads_env(self, capsys, monkeypatch):
-        without, with_env = self._outputs_with_threads_env(capsys, monkeypatch, "2")
-        assert without == with_env
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        # a value that is not a count is ignored too, it no longer exits 2
-        without, with_env = self._outputs_with_threads_env(capsys, monkeypatch, "many")
-        assert without == with_env
-        assert with_env.err == ""
-
     def test_sine_suite_output_pinned(self, capsys):
         # the two float residues are the last bits of hybrid_inner's rounding
         assert main(["verify", "--suite", "sine"]) == 0

@@ -54,7 +54,7 @@ from cuntz_bases.dyadic import (
     word_code,
 )
 from cuntz_bases.entropy import ZERO_MASS, _nlogn, build_entropy_tree, entropy, projection_masses
-from cuntz_bases.operators import INTERVAL_REP, apply_word, s_adjoint, s_apply, s_word, word_signs
+from cuntz_bases.operators import apply_word, s_adjoint, s_apply, s_word, word_signs
 from cuntz_bases.reporting import Tally, VerificationReport
 from cuntz_bases.trig import (
     MODE_CONST,
@@ -95,7 +95,7 @@ def reference_masses(f, depth):
         deeper = {}
         for word, g in frontier.items():
             for digit in (0, 1):
-                child = INTERVAL_REP.adjoint(digit, g)
+                child = s_adjoint(digit, g)
                 masses[word + (digit,)] = norm(child.norm_sq()) / total
                 deeper[word + (digit,)] = child
         frontier = deeper
@@ -201,6 +201,25 @@ def test_isometry_relations_exact(cls, data):
         for j in (0, 1):
             assert s_adjoint(i, s_apply(j, f)) == (f if i == j else zero)
     assert s_apply(0, s_adjoint(0, f)) + s_apply(1, s_adjoint(1, f)) == f
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+@PROPERTY
+@given(data=st.data())
+def test_hybrid_action_on_steps_is_the_step_action(kind, data):
+    # a step carried as a hybrid's const atom goes through compose_doubling
+    # and average_halves' general atom rule to the same function
+    w = data.draw(steps(VALUES[kind]))
+    lifted = HybridFunction.from_step(w)
+    for j in (0, 1):
+        assert s_apply(j, lifted) == HybridFunction.from_step(s_apply(j, w))
+        assert s_adjoint(j, lifted) == HybridFunction.from_step(s_adjoint(j, w))
+
+
+@pytest.mark.parametrize("op", [s_apply, s_adjoint])
+def test_branch_index_checked_on_hybrids(op):
+    with pytest.raises(ValueError, match="branch index must be 0 or 1"):
+        op(2, make_sine(1))
 
 
 # magnitudes on both sides of 2**62: int64 below it, object numerators past it

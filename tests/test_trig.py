@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from cuntz_bases import trig, verification
 from cuntz_bases.basis import build_frame
 from cuntz_bases.dyadic import DyadicStep
-from cuntz_bases.operators import s_adjoint_hybrid, s_apply_hybrid
+from cuntz_bases.operators import s_adjoint, s_apply
 from cuntz_bases.trig import (
     ANTIPERIODIC_HALF,
     NEITHER,
@@ -57,7 +57,7 @@ class TestInner:
         for m in range(1, 21):
             sm = make_sine(m)
             for n in range(1, 21):
-                value = hybrid_inner(sm, s_apply_hybrid(1, make_sine(n)))
+                value = hybrid_inner(sm, s_apply(1, make_sine(n)))
                 assert abs(value) < 1e-12, (m, n)
 
     def test_const_agrees_with_exact_inner(self):
@@ -84,18 +84,18 @@ class TestInner:
 class TestAdjointAtoms:
     def test_even_sine_halves_exactly(self):
         # atom-level identity, no floats involved
-        assert s_adjoint_hybrid(0, make_sine(4)) == make_sine(2)
-        assert s_adjoint_hybrid(0, make_sine(10)) == make_sine(5)
+        assert s_adjoint(0, make_sine(4)) == make_sine(2)
+        assert s_adjoint(0, make_sine(10)) == make_sine(5)
 
     def test_odd_sine_annihilated_exactly(self):
         for n in (1, 3, 5, 99):
-            assert s_adjoint_hybrid(0, make_sine(n)).is_zero()
+            assert s_adjoint(0, make_sine(n)).is_zero()
 
     def test_frequency_doubling(self):
         for m in (1, 2):
             f = make_sine(3)
             for _ in range(m):
-                f = s_apply_hybrid(0, f)
+                f = s_apply(0, f)
             assert f == make_sine(3 * 2 ** m)
 
     def test_deep_adjoint_words_stay_symbolic(self):
@@ -103,7 +103,7 @@ class TestAdjointAtoms:
         # the representation must stay exact (phases fold, never floats)
         f = make_sine(1)
         for j in (1, 0, 0):
-            f = s_adjoint_hybrid(j, f)
+            f = s_adjoint(j, f)
         assert all(a.freq.denominator in (1, 2, 4, 8) for a in f.atoms)
         assert hybrid_norm_sq(f) >= 0
 
@@ -124,7 +124,7 @@ class TestFourier:
         rng = random.Random(17)
         for _ in range(5):
             f = random_trig_poly(rng)
-            g = s_adjoint_hybrid(0, f)
+            g = s_adjoint(0, f)
             c_f, s_f = fourier_coeffs(f, 12)
             c_g, s_g = fourier_coeffs(g, 6)
             for n in range(7):
@@ -152,8 +152,8 @@ class TestReflection:
 
     def test_adjoint_norms_direct(self):
         f = make_sine(1) + make_sine(2)
-        assert hybrid_norm_sq(s_adjoint_hybrid(0, f)) > 0.01
-        assert hybrid_norm_sq(s_adjoint_hybrid(1, f)) > 0.01
+        assert hybrid_norm_sq(s_adjoint(0, f)) > 0.01
+        assert hybrid_norm_sq(s_adjoint(1, f)) > 0.01
 
 
 class TestRepresentation:
@@ -164,8 +164,9 @@ class TestRepresentation:
     def test_const_mode_invariants(self):
         atom = make_atom(DyadicStep.ones(), "cos", 0, 0)
         assert atom.mode == "const"
-        with pytest.raises(ValueError):
-            TrigAtom(DyadicStep.ones(), "const", Fraction(1), Fraction(0))
+        # make_atom is the one constructor: the class itself takes no arguments
+        with pytest.raises(TypeError):
+            TrigAtom(DyadicStep.ones(), "sin", 1, Fraction(1, 2))
 
     def test_dyadic_frequency_enforced(self):
         with pytest.raises(ValueError):
@@ -179,7 +180,7 @@ class TestRepresentation:
             make_atom(DyadicStep.ones(), "sin", freq, phase)
 
     def test_json_round_trip(self):
-        f = s_adjoint_hybrid(1, make_sine(3)) + ONE.scale(Fraction(2, 3))
+        f = s_adjoint(1, make_sine(3)) + ONE.scale(Fraction(2, 3))
         assert HybridFunction.from_json(f.to_json()) == f
 
     def test_quarter_turn_folding(self):
