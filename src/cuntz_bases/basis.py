@@ -28,7 +28,6 @@ from .dyadic import (
     _ratio,
     as_word,
     lift,
-    word_code,
     word_keys,
 )
 from . import operators
@@ -41,19 +40,24 @@ def walsh(n: int) -> DyadicStep:
     constant function, an int64 step over 1 at level ``n.bit_length()``
     whose cells are the word's sign row (``operators.word_signs``, looked
     up at call time), values +-1."""
-    word = walsh_word(n)
-    signs = operators.word_signs(len(word), word.code)
-    return DyadicStep._trusted(len(word), signs.astype(np.int64), 1)
+    n = _basis_index(n)
+    level = n.bit_length()
+    return DyadicStep._trusted(level, operators.word_signs(level, n).astype(np.int64), 1)
 
 
 def walsh_word(n: int) -> MultiIndex:
     """The operator word that produces walsh(n) from the constant function:
     the bits of n, lowest first.  ``n`` is read with ``operator.index``, so
     a float raises TypeError."""
+    n = _basis_index(n)
+    return MultiIndex._from_code(n.bit_length(), n)
+
+
+def _basis_index(n) -> int:
     n = operator.index(n)
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return MultiIndex._from_code(n.bit_length(), n)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +147,21 @@ class CoverCollisionError(ValueError):
 @dataclass(frozen=True)
 class GeneratorCover:
     """Factorization of every binary word (up to a length bound) as K * J
-    with K of weight <= 1 and J one of the chosen generator words."""
+    with K of weight <= 1 and J one of the chosen generator words.
+
+    ``coverage`` maps each covered word's ``(length, code)`` pair to its
+    factors ``(K, J)``; ``factor`` and ``words`` read and decode these pairs.
+    """
 
     max_word_len: int
     generators: tuple[MultiIndex, ...]
-    coverage: dict[tuple[int, ...], tuple[MultiIndex, MultiIndex]] = field(hash=False)
+    coverage: dict[tuple[int, int], tuple[MultiIndex, MultiIndex]] = field(hash=False)
 
     def factor(self, word) -> tuple[MultiIndex, MultiIndex]:
-        return self.coverage[as_word(word).digits]
+        return self.coverage[as_word(word).sort_key]
 
     def words(self) -> Iterable[MultiIndex]:
-        return (MultiIndex(d) for d in self.coverage)
+        return (MultiIndex._from_code(length, code) for length, code in self.coverage)
 
     def generator_basis_index(self, gen: MultiIndex) -> int:
         """Index n of the basis step produced by applying the generator word
@@ -175,11 +183,10 @@ def greedy_generators(max_word_len: int) -> GeneratorCover:
     prefixes = [(length, code, MultiIndex._from_code(length, code))
                 for length in range(max_word_len + 1)
                 for code in [0] + [1 << pos for pos in range(length)]]
-    covered: set[tuple[int, int]] = set()
-    coverage: dict[tuple[int, ...], tuple[MultiIndex, MultiIndex]] = {}
+    coverage: dict[tuple[int, int], tuple[MultiIndex, MultiIndex]] = {}
     generators: list[MultiIndex] = []
     for length, code in word_keys(max_word_len):
-        if (length, code) in covered:
+        if (length, code) in coverage:
             continue
         u = MultiIndex._from_code(length, code)
         generators.append(u)
@@ -187,12 +194,11 @@ def greedy_generators(max_word_len: int) -> GeneratorCover:
             if k_len + length > max_word_len:
                 break
             key = (k_len + length, k_code | code << k_len)
-            w = k.digits + u.digits
-            if key in covered:
+            if key in coverage:
+                w = MultiIndex._from_code(*key).digits
                 raise CoverCollisionError(
-                    f"word {w} covered by both {coverage[w]} and ({k}, {u})")
-            covered.add(key)
-            coverage[w] = (k, u)
+                    f"word {w} covered by both {coverage[key]} and ({k}, {u})")
+            coverage[key] = (k, u)
     return GeneratorCover(max_word_len, tuple(generators), coverage)
 
 
@@ -279,23 +285,28 @@ def frames_orthogonal(frame_a: SubspaceFrame, frame_b: SubspaceFrame,
 # Exact Gram checks and the level-k completeness certificate
 # ---------------------------------------------------------------------------
 
-# rows of the Gram formed at a time: 64 rows of a 1,024-vector Gram are 512 KB
+# rows of the Gram formed at a time, and rows of the row matrix turned to
+# float64 at a time: 64 rows of a 1,024-vector Gram are 512 KB
 _GRAM_BLOCK = 64
 
 
 def _exact_gram_rows(count: int, k: int, peak: int) -> np.ndarray:
-    """An empty float64 ``(count, 2**k)`` matrix for the cells of ``count``
+    """An empty ``(count, 2**k)`` integer matrix for the cells of ``count``
     integer steps refined to level k, whose |cells| are at most ``peak``.
 
-    Raises ValueError unless every product and partial sum of their Gram is
-    an integer below 2**53: then the matmul is exact, and so is the
-    subtraction of 2**k on the diagonal.
+    Its dtype is the narrowest signed one that holds both +peak and -peak:
+    int8 for +-1 cells, so 1,024 rows of 1,024 cells take 1 MB.  Raises
+    ValueError unless every product and partial sum of their Gram is an
+    integer below 2**53: then the float64 products of :func:`_gram_gaps`
+    are exact, and so is the subtraction of 2**k on the diagonal.
     """
     if k > 22:
         raise ValueError("level too large for the exact integer Gram path")
     if peak * peak << k >= 1 << 53:
         raise ValueError("values too large for the exact float64 Gram path")
-    return np.empty((count, 1 << k), dtype=np.float64)
+    # peak < 2**27 here, so int32 always holds it
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= peak)
+    return np.empty((count, 1 << k), dtype=dtype)
 
 
 def _gram_gaps(rows: np.ndarray, k: int,
@@ -303,19 +314,25 @@ def _gram_gaps(rows: np.ndarray, k: int,
     """For each n of ``sizes``: the largest |<v_i, v_j> - delta_ij| over
     i, j < n, with the first pair in row-major order to reach it.
 
-    ``rows`` holds the cells of the vectors at level k (see
+    ``rows`` holds the integer cells of the vectors at level k (see
     :func:`_exact_gram_rows`), so their Gram is 2**-k times an exact integer
     matrix.  It is formed ``_GRAM_BLOCK`` rows at a time and never held
-    whole.  The Gram is symmetric, so the first pair to reach the largest
-    gap has i <= j: each block's rows start at their own diagonal, which
-    halves the products.  A block's best pair replaces the running one only
-    when its gap is strictly larger, so the witness is the full matrix's
-    argmax; dividing a gap by 2**k is exact.
+    whole: each block's rows (the head) and one ``_GRAM_BLOCK``-row piece of
+    the columns at a time are turned to float64 for one BLAS product, exact
+    by the bound of :func:`_exact_gram_rows`.  The Gram is symmetric, so the
+    first pair to reach the largest gap has i <= j: each block's rows start
+    at their own diagonal, which halves the products.  A block's best pair
+    replaces the running one only when its gap is strictly larger, so the
+    witness is the full matrix's argmax; dividing a gap by 2**k is exact.
     """
     count = len(rows)
     best = [(0.0, 0, 0)] * len(sizes)
     for r0 in range(0, count, _GRAM_BLOCK):
-        block = rows[r0:r0 + _GRAM_BLOCK] @ rows[r0:].T  # columns r0 and on
+        head = rows[r0:r0 + _GRAM_BLOCK].astype(np.float64)
+        block = np.empty((len(head), count - r0))  # columns r0 and on
+        for c0 in range(r0, count, _GRAM_BLOCK):
+            piece = rows[c0:c0 + _GRAM_BLOCK].astype(np.float64)
+            block[:, c0 - r0:c0 - r0 + len(piece)] = head @ piece.T
         block.flat[::count - r0 + 1] -= 1 << k  # the diagonal
         np.abs(block, out=block)
         for s, n in enumerate(sizes):
@@ -367,8 +384,7 @@ def verify_decomposition_levels(cover: GeneratorCover,
     top = max(levels)
     if cover.max_word_len < top - 1:
         raise ValueError("cover is too shallow for the requested level")
-    keys = sorted((len(digits), word_code(digits)) for digits in cover.coverage
-                  if len(digits) < top)
+    keys = sorted(key for key in cover.coverage if key[0] < top)
     # the level-j vectors: the constant and the words shorter than j
     sizes = [1 + bisect.bisect_left(keys, (level, 0)) for level in levels]
     full = [n for level, n in zip(levels, sizes) if n == 1 << level]
@@ -377,7 +393,7 @@ def verify_decomposition_levels(cover: GeneratorCover,
         count = max(full)
         k = keys[count - 2][0] + 1 if count > 1 else 0
         rows = _exact_gram_rows(count, k, 1)  # every cell is +-1
-        rows[0] = 1.0
+        rows[0] = 1
         psi = walsh(1)
         for i, (length, code) in enumerate(keys[:count - 1], start=1):
             rows[i] = s_word(length, code, psi)._cells(k)

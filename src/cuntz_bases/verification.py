@@ -38,7 +38,7 @@ from .cantor import (
     mu_hat_is_zero,
     verify_lambda_partition,
 )
-from .dyadic import DyadicStep, MultiIndex
+from .dyadic import DyadicStep, MultiIndex, word_keys
 from .entropy import best_basis, build_entropy_tree, entropy, verify_entropy_recursion
 from .operators import (
     GeneralRepN,
@@ -225,17 +225,14 @@ def check_generator_cover():
     # every word of length <= 12 is covered once, as a weight <= 1 word
     # followed by a generator; the first generators are the greedy ones
     cover = greedy_generators(12)
-    rank = {g.digits: i for i, g in enumerate(cover.generators)}
-    first = {(): 0, (1, 1): 1, (1, 1, 0): 2, (1, 0, 1): 3}
+    rank = {g.sort_key: i for i, g in enumerate(cover.generators)}
+    first = {(0, 0): 0, (2, 3): 1, (3, 3): 2, (3, 5): 3}  # (), 11, 110, 101
     tally = Tally()
-    words = [()]  # all words of one length, in code order
-    for _ in range(13):
-        for digits in words:
-            k, j = cover.coverage.get(digits, (None, None))
-            tally.record(k is None or k.digits + j.digits != digits or k.weight > 1
-                         or (digits in first and rank.get(digits) != first[digits]),
-                         f"word {digits}")
-        words = [w + (0,) for w in words] + [w + (1,) for w in words]
+    for key in word_keys(12):
+        k, j = cover.coverage.get(key, (None, None))
+        bad = (k is None or (len(k) + len(j), k.code | j.code << len(k)) != key
+               or k.weight > 1 or (key in first and rank.get(key) != first[key]))
+        tally.record(bad, f"word {MultiIndex._from_code(*key).digits}" if bad else None)
     return tally.report("generator-cover-bijection-len12")
 
 

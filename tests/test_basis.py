@@ -125,14 +125,24 @@ class TestSquareWaveCheckMemory:
 
     @PROCFS
     def test_two_path_check_memory(self):
-        assert check_peak_kb("check_walsh_two_paths") < 32 * 1024
+        assert check_peak_kb("check_walsh_two_paths") < 4 * 1024
 
     @PROCFS
     @pytest.mark.parametrize("check", ["check_walsh_gram", "check_decomposition_levels"])
     def test_gram_check_memory(self, check):
-        # the 1,024 x 1,024 float64 row matrix is 8 MB; a list of the steps
-        # or the whole Gram next to it would add 8 MB each
-        assert check_peak_kb(check) < 16 * 1024
+        # the 1,024 x 1,024 int8 row matrix is 1 MB and the float64 pieces
+        # of one row block 1.5 MB; a float64 row matrix alone would be 8 MB
+        assert check_peak_kb(check) < 6 * 1024
+
+    @PROCFS
+    def test_generator_cover_check_memory(self):
+        # 8,191 words keyed by (length, code) pairs, with no digit tuples
+        assert check_peak_kb("check_generator_cover") < 3 * 1024
+
+    @PROCFS
+    def test_whole_suite_memory(self):
+        assert peak_kb("from cuntz_bases import verification",
+                       "all(r.passed for r in verification.run_suite('all'))") < 16 * 1024
 
 
 def check_peak_kb(check: str) -> int:
@@ -195,6 +205,11 @@ class TestIngest:
             ingest_signal([1, 2, 3], 2)
 
 
+def word_digits(length, code):
+    """The letters of the word ``(length, code)``: the first is the lowest bit."""
+    return tuple(code >> i & 1 for i in range(length))
+
+
 class TestGeneratorCover:
     def test_first_four_generators(self):
         cover = greedy_generators(4)
@@ -213,12 +228,20 @@ class TestGeneratorCover:
     def test_bijection_all_lengths(self):
         cover = greedy_generators(8)
         by_len = {}
-        for digits, (k, j) in cover.coverage.items():
-            assert k.digits + j.digits == digits
+        for (length, code), (k, j) in cover.coverage.items():
+            assert k.digits + j.digits == word_digits(length, code)
             assert k.weight <= 1
-            by_len[len(digits)] = by_len.get(len(digits), 0) + 1
+            by_len[length] = by_len.get(length, 0) + 1
         for length in range(9):
             assert by_len[length] == 1 << length
+
+    def test_factor_and_words_read_the_pairs(self):
+        cover = greedy_generators(5)
+        assert sorted(cover.words()) == list(enumerate_words(5))
+        for word in cover.words():
+            k, j = cover.factor(word)
+            assert cover.factor(list(word.digits)) == (k, j)
+            assert k.digits + j.digits == word.digits and k.weight <= 1
 
     def test_generator_weights_even(self):
         cover = greedy_generators(8)
@@ -339,8 +362,8 @@ class TestDecomposition:
 def decomposition_oracle(cover, level):
     """One level judged on its own: its vectors, an int64 Gram at that
     level, and the first pair with the largest gap in row-major order."""
-    words = sorted((MultiIndex(d) for d in cover.coverage if len(d) < level),
-                   key=lambda w: w.sort_key)
+    words = sorted((MultiIndex(word_digits(*key)) for key in cover.coverage
+                    if key[0] < level), key=lambda w: w.sort_key)
     vectors = [DyadicStep.ones()] + [apply_word(w, walsh(1)) for w in words]
     n = len(vectors)
     if n != 1 << level:
@@ -355,9 +378,9 @@ def decomposition_oracle(cover, level):
 
 def thinned(cover, length):
     """The cover without its first word of the given length."""
-    drop = next(d for d in cover.coverage if len(d) == length)
+    drop = next(key for key in cover.coverage if key[0] == length)
     return dataclasses.replace(
-        cover, coverage={d: f for d, f in cover.coverage.items() if d != drop})
+        cover, coverage={key: f for key, f in cover.coverage.items() if key != drop})
 
 
 def flipped_signs(length, code):
