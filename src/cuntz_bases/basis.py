@@ -88,14 +88,23 @@ def butterfly(num: np.ndarray, stages: int) -> np.ndarray:
     same stages also synthesize.  The arithmetic is int64 while every
     partial sum stays below 2**62, numpy ``object`` (exact Python ints)
     otherwise.
+
+    Each stage writes into one of two buffers of ``len(num)`` entries,
+    allocated once, in turn; the result is a view of one of them (of ``num``
+    itself when ``stages`` is 0), and ``num``, which may be read-only, is
+    never written.
     """
     if num.dtype != object and _peak(num) << stages >= _WIDE:
         num = num.astype(object)
     rows = num.reshape(1, -1)
-    for _ in range(stages):
-        half = rows.shape[1] // 2
+    buffers = [np.empty_like(num) for _ in range(min(stages, 2))]
+    for stage in range(stages):
+        count, half = rows.shape[0], rows.shape[1] // 2
+        out = buffers[stage & 1].reshape(2 * count, half)
         lo, hi = rows[:, :half], rows[:, half:]
-        rows = np.concatenate((lo + hi, lo - hi))
+        np.add(lo, hi, out=out[:count])
+        np.subtract(lo, hi, out=out[count:])
+        rows = out
     return rows
 
 

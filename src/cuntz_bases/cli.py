@@ -24,10 +24,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import butterfly, walsh
-from .cantor import lambda_set, gram_exponentials, verify_lambda_partition
 from .dyadic import DyadicStep, SampleError, _as_array, _peak, join_lifts, lift, word_str
-from .entropy import build_entropy_tree
-from .verification import SUITES, run_suite
+from .reporting import SUITES
+
+# cantor, entropy and verification are imported by the commands that use
+# them, so that a process loads only what its command runs
 
 # size limits, checked before any input is read or memory allocated
 MAX_ENTROPY_DEPTH = 16  # the mass tree has 2**(depth + 1) - 1 nodes
@@ -53,15 +54,17 @@ def _parse_range(text: str) -> range:
         raise InputError(f"bad index range {text!r}; use N or LO..HI") from None
 
 
-def _read_samples(path: str) -> tuple[list[int], int]:
+def _read_samples(path: str) -> tuple[np.ndarray, int]:
     """The samples of a file, one per non-blank line, lifted to integer
-    numerators over their least common denominator (``dyadic.lift``).
+    numerators over their least common denominator (``dyadic.lift``), as
+    a step's numerator array (``dyadic._as_array``) and that denominator.
 
-    The file is read and lifted ``IO_BLOCK`` lines at a time and the blocks
-    joined by ``dyadic.join_lifts``, so no list of every line is held.  A
-    malformed sample is reported only after the rest of the file has been
-    decoded: a decoding error anywhere in the file takes precedence.  A
-    UTF-8 byte-order mark at the start of the file is skipped.
+    The file is read and lifted ``IO_BLOCK`` lines at a time, each block
+    kept as an array until ``dyadic.join_lifts`` joins them, so no list of
+    every line is held.  A malformed sample is reported only after the rest
+    of the file has been decoded: a decoding error anywhere in the file
+    takes precedence.  A UTF-8 byte-order mark at the start of the file is
+    skipped.
     """
     def blocks(handle):
         first = 1  # the file line of the block's first line
@@ -252,15 +255,15 @@ def cmd_walsh(args: argparse.Namespace) -> int:
 def _ingest(args: argparse.Namespace) -> tuple[tuple[np.ndarray, int], int]:
     """The input's samples as ``(num, den)``, ``num`` a step's numerator
     array (``dyadic._as_array``), and its level."""
-    ints, den = _read_samples(args.input)
-    count = len(ints)
+    num, den = _read_samples(args.input)
+    count = len(num)
     if count == 0 or count & (count - 1):
         raise InputError(f"{args.input}: sample count {count} is not a power of two")
     level = count.bit_length() - 1
     if args.level is not None and args.level != level:
         raise InputError(f"--level {args.level} does not match the file's "
                          f"{count} samples (level {level})")
-    return (_as_array(ints), den), level
+    return (num, den), level
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
@@ -287,6 +290,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     # every mass is a ratio of sums of squares, so the scale leaves the tree
     # unchanged: it is built from the integer step den * f / gcd
     num = _as_array((num // np.gcd.reduce(num)).tolist())
+    from .entropy import build_entropy_tree
     tree = build_entropy_tree(DyadicStep._trusted(level, num, 1), args.depth)
     as_float = args.as_float or args.format == "json"
     for k, (nums, den) in enumerate(tree.levels):
@@ -310,6 +314,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_cantor(args: argparse.Namespace) -> int:
+    from .cantor import gram_exponentials, lambda_set, verify_lambda_partition
     sub = args.cantor_sub
     p = args.p
     if sub == "spectrum":
@@ -361,6 +366,7 @@ def _emit_report(args: argparse.Namespace, report) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import run_suite
     start = time.perf_counter()
     reports = run_suite(args.suite, tol_override=args.tol)
     total_s = time.perf_counter() - start

@@ -139,7 +139,10 @@ def _lift_tokens(values: Sequence) -> tuple[list[int], int]:
             raise SampleError(index, value, "malformed sample") from None
         nums.append(num)
         dens.append(den)
-    nums, den = _over_lcm(nums, dens)
+    distinct = set(dens)
+    den = math.lcm(*distinct)
+    if len(distinct) > 1:
+        nums = [num * (den // d) for num, d in zip(nums, dens)]
     # decimal denominators are powers of ten, not yet the least common one
     common = math.gcd(den, *nums)
     if common > 1:
@@ -148,30 +151,29 @@ def _lift_tokens(values: Sequence) -> tuple[list[int], int]:
     return nums, den
 
 
-def _over_lcm(nums: list[int], dens: Sequence[int]) -> tuple[list[int], int]:
-    """The values ``nums[i] / dens[i]`` as numerators over the lcm of the dens."""
-    distinct = set(dens)
-    den = math.lcm(*distinct)
-    if len(distinct) > 1:
-        nums = [num * (den // d) for num, d in zip(nums, dens)]
-    return nums, den
-
-
-def join_lifts(lifts: Iterable[tuple[list[int], int]]) -> tuple[list[int], int]:
-    """The lift of consecutive runs of values, from the lift of each run.
+def join_lifts(lifts: Iterable[tuple[list[int], int]]) -> tuple[np.ndarray, int]:
+    """The lift of consecutive runs of values as one numerator array.
 
     Each item of ``lifts`` is ``lift(run)`` for one run, in order; the
-    result equals ``lift`` of all the runs' values together.  A lift's
-    denominator is the lcm of its values' reduced denominators, so the lcm
-    of the runs' denominators is already the least common one.  ``lifts``
-    may be an iterator: a run's list is released once copied.
+    result is ``(_as_array(ints), den)`` for ``(ints, den)`` the lift of all
+    the runs' values together, dtype included.  A lift's denominator is the
+    lcm of its values' reduced denominators, so the lcm of the runs'
+    denominators is already the least common one.  ``lifts`` may be an
+    iterator: each run's list becomes an array as it arrives, and the
+    arrays are brought to the common denominator and joined once, at the
+    end.
     """
-    nums: list[int] = []
-    dens: list[int] = []
-    for ints, den in lifts:
-        nums += ints
-        dens += [den] * len(ints)
-    return _over_lcm(nums, dens)
+    runs = [(_as_array(ints), den) for ints, den in lifts if ints]
+    den = math.lcm(*(d for _num, d in runs))
+    parts = [np.zeros(0, dtype=np.int64)]  # an empty join is an empty int64 array
+    for num, d in runs:
+        scale, peak = den // d, _peak(num)
+        if scale > 1 and peak:
+            if peak * scale >= _WIDE:
+                num = num.astype(object)
+            num = num * scale
+        parts.append(num)
+    return np.concatenate(parts), den
 
 
 def _ratio(num: int, den: int) -> Scalar:

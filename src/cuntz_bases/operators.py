@@ -17,15 +17,18 @@ roots are irrational for N not in {1, 2, 4}.
 from __future__ import annotations
 
 import cmath
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
 from .dyadic import StepFunction, as_word
 from .reporting import Tally, VerificationReport
-from .trig import HybridFunction, average_halves, compose_doubling
 
-Vector = Union[StepFunction, HybridFunction]
+if TYPE_CHECKING:
+    from .trig import HybridFunction
+
+# trig loads only when a hybrid is acted on
+Vector = Union[StepFunction, "HybridFunction"]
 
 
 # row m, entry t is (-1)**popcount(t & m) for 8-bit m and t: the sign rows
@@ -76,10 +79,11 @@ def s_apply(j: int, f: Vector) -> Vector:
     """
     if j not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
-    if isinstance(f, HybridFunction):
-        return compose_doubling(f, 1 if j == 0 else -1)
-    num = f.num
-    return f._trusted(f.level + 1, np.concatenate((num, num if j == 0 else -num)), f.den)
+    if isinstance(f, StepFunction):
+        num = f.num
+        return f._trusted(f.level + 1, np.concatenate((num, num if j == 0 else -num)), f.den)
+    from .trig import compose_doubling
+    return compose_doubling(f, 1 if j == 0 else -1)
 
 
 def s_adjoint(j: int, f: Vector) -> Vector:
@@ -91,13 +95,14 @@ def s_adjoint(j: int, f: Vector) -> Vector:
     """
     if j not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
-    if isinstance(f, HybridFunction):
-        return average_halves(f, 1 if j == 0 else -1)
-    if f.level == 0:
-        return f if j == 0 else f._trusted(0, np.zeros(1, dtype=np.int64), 1)
-    half = len(f.num) // 2
-    lo, hi = f.num[:half], f.num[half:]
-    return f._reduced(f.level - 1, lo + hi if j == 0 else lo - hi, 2 * f.den)
+    if isinstance(f, StepFunction):
+        if f.level == 0:
+            return f if j == 0 else f._trusted(0, np.zeros(1, dtype=np.int64), 1)
+        half = len(f.num) // 2
+        lo, hi = f.num[:half], f.num[half:]
+        return f._reduced(f.level - 1, lo + hi if j == 0 else lo - hi, 2 * f.den)
+    from .trig import average_halves
+    return average_halves(f, 1 if j == 0 else -1)
 
 
 class IntervalRep2:

@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+# the names of the verification suites, by which ``verification.CHECKS`` groups its checks
+SUITES = ("cuntz", "walsh", "sine", "entropy", "cantor")
+
 
 @dataclass(frozen=True)
 class VerificationReport:

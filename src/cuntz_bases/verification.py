@@ -48,7 +48,7 @@ from .operators import (
     verify_cuntz,
     verify_unitary_matrix,
 )
-from .reporting import Tally, VerificationReport
+from .reporting import SUITES, Tally, VerificationReport
 from .trig import (
     ANTIPERIODIC_HALF,
     NEITHER,
@@ -61,9 +61,6 @@ from .trig import (
     make_cos,
     make_sine,
 )
-
-SUITES = ("cuntz", "walsh", "sine", "entropy", "cantor")
-
 
 def _random_step(rng, level, span=9) -> DyadicStep:
     return DyadicStep(level, [rng.randint(-span, span) for _ in range(1 << level)])

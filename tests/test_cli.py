@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -130,17 +131,19 @@ class TestWalshCommand:
 # an output path that cannot be written, for each way the CLI writes: a
 # file in a missing directory, a directory in place of a file, a file under
 # a file, and a file in place of the walsh output directory; with the
-# command's work function, which must not run before the path is refused
+# command's work function, which must not run before the path is refused, as
+# "module.name" of the package module the command reads it from when it runs
 UNWRITABLE_OUTPUTS = {
     "expand-missing-directory": (["expand", "--input", "{tmp}/sig.csv",
-                                  "--output", "{tmp}/nodir/x.csv"], "butterfly"),
+                                  "--output", "{tmp}/nodir/x.csv"], "cli.butterfly"),
     "entropy-directory": (["entropy", "--input", "{tmp}/sig.csv", "--output", "{tmp}/adir"],
-                          "build_entropy_tree"),
+                          "entropy.build_entropy_tree"),
     "cantor-gram-directory": (["cantor", "gram", "--output", "{tmp}/adir"],
-                              "gram_exponentials"),
-    "verify-directory": (["verify", "--suite", "all", "--output", "{tmp}/adir"], "run_suite"),
+                              "cantor.gram_exponentials"),
+    "verify-directory": (["verify", "--suite", "all", "--output", "{tmp}/adir"],
+                         "verification.run_suite"),
     "verify-parent-is-file": (["verify", "--suite", "cuntz", "--format", "json",
-                               "--output", "{tmp}/afile/x.json"], "run_suite"),
+                               "--output", "{tmp}/afile/x.json"], "verification.run_suite"),
     "walsh-existing-file": (["walsh", "--range", "3", "--output", "{tmp}/afile"], None),
 }
 
@@ -156,7 +159,9 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, monkeypatch, 
     if work is not None:
         def fail(*_args, **_kwargs):
             raise AssertionError(f"{work} ran before the output path was checked")
-        monkeypatch.setattr(f"cuntz_bases.cli.{work}", fail)
+        # by module object: the package attribute ``entropy`` is a function
+        module, name = work.split(".")
+        monkeypatch.setattr(importlib.import_module(f"cuntz_bases.{module}"), name, fail)
     write_samples(tmp_path / "sig.csv", ["1", "-1", "2", "0"])
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
@@ -616,6 +621,15 @@ def seeded_signal(path):
     """65,536 samples ``randint(-9, 9)`` of ``random.Random(7)``, one a line."""
     rng = random.Random(7)
     write_samples(path, [str(rng.randint(-9, 9)) for _ in range(1 << 16)])
+
+
+@PROCFS
+def test_expand_memory_of_2_16_samples(tmp_path):
+    # the blocks kept as arrays and a two-buffer butterfly: about 2.6 MB;
+    # int lists of every sample and three arrays a stage took about 3.5 MB
+    src, dst = tmp_path / "sig.csv", tmp_path / "out"
+    seeded_signal(src)
+    assert main_peak_kb(["expand", "--input", str(src), "--output", str(dst)]) < 3 * 1024
 
 
 class TestEntropyCommand:

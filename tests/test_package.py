@@ -1,8 +1,12 @@
-"""The package's public surface: the names ``import cuntz_bases`` exports."""
+"""The package's public surface: the names ``import cuntz_bases`` exports,
+and the package modules that each command loads in a fresh process."""
 
-import types
+import sys
+
+import pytest
 
 import cuntz_bases
+from conftest import fresh_python
 
 PUBLIC = [
     "CantorStep", "DyadicStep", "EntropyTree", "GeneralRepN", "GeneratorCover",
@@ -22,11 +26,76 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned_and_importable():
-    # modules (the submodules, and os and sys) are not part of the surface
-    names = sorted(name for name, value in vars(cuntz_bases).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
-    assert names == PUBLIC
-    for name in names:
+    # the names load on first use, so the surface is __all__, not vars()
+    assert cuntz_bases.__all__ == PUBLIC
+    assert set(PUBLIC) <= set(dir(cuntz_bases))
+    for name in PUBLIC:
         scope = {}
         exec(f"from cuntz_bases import {name}", scope)
-        assert scope[name] is getattr(cuntz_bases, name)
+        value = scope[name]
+        assert value is getattr(cuntz_bases, name)
+        # the object its defining module holds under the same name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError):
+        cuntz_bases.no_such_name
+
+
+def run_fresh(setup: str, report: str) -> str:
+    """stdout of ``report`` run in a fresh interpreter after ``setup``."""
+    return fresh_python(["-c", f"import sys\n{setup}\n{report}"])
+
+
+def cli_call(*args) -> str:
+    return f"from cuntz_bases.cli import main\nassert main({list(args)!r}) in (0, 1)"
+
+
+def commands(tmp_path) -> dict:
+    """A statement per way in, each run against a small signal file."""
+    src, out = tmp_path / "sig.csv", str(tmp_path / "out")
+    src.write_text("1\n-1\n2\n0\n", encoding="utf-8")
+    return {
+        "import": "import cuntz_bases",
+        "expand": cli_call("expand", "--input", str(src), "--output", out),
+        "entropy": cli_call("entropy", "--input", str(src), "--output", out),
+        "cantor-gram": cli_call("cantor", "gram", "--output", out),
+        "verify": cli_call("verify", "--suite", "cuntz", "--output", out),
+    }
+
+
+# the package itself, its eager ``entropy`` binding and what that imports
+PACKAGE = ["", ".basis", ".dyadic", ".entropy", ".operators", ".reporting"]
+LOADS = {
+    "import": PACKAGE,
+    "expand": PACKAGE + [".cli"],
+    "entropy": PACKAGE + [".cli"],
+    "cantor-gram": PACKAGE + [".cantor", ".cli"],
+    "verify": PACKAGE + [".cantor", ".cli", ".trig", ".verification"],
+}
+
+
+@pytest.mark.parametrize("command", list(LOADS))
+def test_modules_loaded_per_command(tmp_path, command):
+    loaded = run_fresh(commands(tmp_path)[command],
+                       "print(*sorted(m for m in sys.modules if m.split('.')[0] == "
+                       "'cuntz_bases'))").split()
+    assert loaded == sorted(f"cuntz_bases{module}" for module in LOADS[command])
+
+
+@pytest.mark.parametrize("order", ["first", "entropy-module", "verification-module",
+                                   "entropy-command", "verify-entropy"])
+def test_entropy_name_is_the_function_in_any_order(tmp_path, order):
+    # loading the submodule cuntz_bases.entropy must not replace the function
+    setup = {
+        "first": "",
+        "entropy-module": "import cuntz_bases.entropy",
+        "verification-module": "import cuntz_bases.verification",
+        "entropy-command": commands(tmp_path)["entropy"],
+        "verify-entropy": cli_call("verify", "--suite", "entropy",
+                                   "--output", str(tmp_path / "report")),
+    }[order]
+    out = run_fresh(setup, "import cuntz_bases\n"
+                           "from cuntz_bases import entropy\n"
+                           "function = sys.modules['cuntz_bases.entropy'].entropy\n"
+                           "print(callable(entropy), entropy is function,\n"
+                           "      cuntz_bases.entropy is function)")
+    assert out.split() == ["True", "True", "True"]

@@ -11,6 +11,7 @@ import cmath
 import dataclasses
 import fractions
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -19,10 +20,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuntz_bases import verification
+from cuntz_bases import cli, verification
 from cuntz_bases.basis import (
     _exact_gram_rows,
     _gram_gaps,
+    butterfly,
     gram_identity_gap,
     greedy_generators,
     verify_decomposition_levels,
@@ -49,6 +51,7 @@ from cuntz_bases.dyadic import (
     DyadicStep,
     MultiIndex,
     SampleError,
+    _as_array,
     _parse_token,
     as_rational,
     join_lifts,
@@ -881,15 +884,94 @@ def test_lift_is_exact_over_the_least_common_denominator(tokens, exact):
 
 
 
+def lift_array(values):
+    """``_as_array`` of ``lift(values)``, with its denominator; an empty
+    array for no values."""
+    ints, den = lift(values)
+    return (_as_array(ints) if ints else np.zeros(0, dtype=np.int64)), den
+
+
+def assert_same_array(got, want):
+    assert got[0].dtype == want[0].dtype
+    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+    assert all(type(u) is int for u in got[0].tolist())
+
+
+# values a little below and above 2**62 / 2**k, so that a run's rescale to
+# the common denominator (a product of small factors) crosses 2**62 or not
+NEAR_SWITCH = st.builds(lambda k, off, sign: str(sign * (((1 << 62) >> k) + off)),
+                        st.integers(0, 12), st.integers(-3, 3), st.sampled_from((1, -1)))
+
+
 @PROPERTY
-@given(values=st.lists(st.one_of(VALID_TOKENS, st.just("0"), INTS, FRACTIONS), max_size=24),
+@given(values=st.lists(st.one_of(VALID_TOKENS, st.just("0"), INTS, FRACTIONS, NEAR_SWITCH),
+                       max_size=24),
        data=st.data())
 def test_join_of_block_lifts_is_the_lift(values, data):
     # any split, empty runs included, as the CLI reads a file in blocks
     cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=5)))
     bounds = [0, *cuts, len(values)]
     runs = [values[a:b] for a, b in zip(bounds, bounds[1:])]
-    assert join_lifts(lift(run) for run in runs) == lift(values)
+    assert_same_array(join_lifts(lift(run) for run in runs), lift_array(values))
+
+
+@PROPERTY
+@given(lines=st.lists(st.one_of(VALID_TOKENS, NEAR_SWITCH, st.sampled_from(["", " "])),
+                      max_size=40),
+       block=st.integers(1, 8))
+def test_blockwise_reader_is_the_lift_of_the_file(tmp_path_factory, lines, block):
+    # IO_BLOCK lines a read, at a size that puts several blocks in a file
+    path = tmp_path_factory.mktemp("signal") / "sig.csv"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    with mock.patch.object(cli, "IO_BLOCK", block):
+        got = cli._read_samples(str(path))
+    assert_same_array(got, lift_array([line.strip() for line in lines if line.strip()]))
+
+
+def test_reader_rescales_a_block_past_2_62(tmp_path):
+    # three 4096-line blocks over 1, 1000 and 7: the first holds 2**61 + 5 as
+    # int64, and its rescale by 7000 makes the joined array ``object``
+    rng = random.Random("rescale")
+    tokens = ([str((1 << 61) + 5)] + [str(rng.randint(-9, 9)) for _ in range(cli.IO_BLOCK - 1)]
+              + [f"{rng.randint(-999, 999) / 1000:.3f}" for _ in range(cli.IO_BLOCK)]
+              + [f"{rng.randint(-60, 60)}/7" for _ in range(cli.IO_BLOCK)])
+    runs = [tokens[start:start + cli.IO_BLOCK] for start in range(0, len(tokens), cli.IO_BLOCK)]
+    assert [lift(run)[1] for run in runs] == [1, 1000, 7]
+    assert _as_array(lift(runs[0])[0]).dtype == np.int64
+    path = tmp_path / "sig.csv"
+    path.write_text("".join(f"{token}\n" for token in tokens), encoding="utf-8")
+    got = cli._read_samples(str(path))
+    assert got[0].dtype == object and got[1] == 7000
+    assert_same_array(got, lift_array(tokens))
+
+
+def concatenated_butterfly(num, stages):
+    """The butterfly as three new arrays a stage: halves' sum and difference,
+    then their concatenation."""
+    if num.dtype != object and int(np.abs(num).max()) << stages >= 1 << 62:
+        num = num.astype(object)
+    rows = num.reshape(1, -1)
+    for _ in range(stages):
+        half = rows.shape[1] // 2
+        lo, hi = rows[:, :half], rows[:, half:]
+        rows = np.concatenate((lo + hi, lo - hi))
+    return rows
+
+
+@PROPERTY
+@given(level=st.integers(0, 7), data=st.data())
+def test_two_buffer_butterfly_matches_concatenation(level, data):
+    stages = data.draw(st.integers(0, level))
+    # int64 just below the object switch, at it, and object input past 2**62
+    edge = (1 << 62) >> stages
+    value = st.one_of(INTS, st.sampled_from([edge - 1, 1 - edge, edge, -edge, 1 << 62]))
+    num = _as_array(data.draw(st.lists(value, min_size=1 << level, max_size=1 << level)))
+    num.setflags(write=False)
+    kept = num.copy()
+    rows, want = butterfly(num, stages), concatenated_butterfly(kept, stages)
+    assert rows.dtype == want.dtype and rows.shape == want.shape
+    assert rows.tolist() == want.tolist()
+    assert num.dtype == kept.dtype and num.tolist() == kept.tolist()
 
 
 def test_lift_names_the_bad_sample():
