@@ -23,7 +23,6 @@ from .dyadic import (
     DyadicStep,
     MultiIndex,
     Scalar,
-    _as_array,
     _peak,
     _ratio,
     as_word,
@@ -64,17 +63,6 @@ def _basis_index(n) -> int:
 # Exact transform: one lifted integer butterfly (cross-checked against the
 # Gram definition in the test suite)
 # ---------------------------------------------------------------------------
-
-def walsh_butterfly(values: Sequence, stages: int) -> tuple[np.ndarray, int]:
-    """Lift exact values to integers and run ``stages`` unnormalized butterfly stages.
-
-    Returns ``(rows, den)``: ``den`` is the common denominator of the values
-    as :func:`~cuntz_bases.dyadic.lift` finds it, and ``rows`` is
-    :func:`butterfly` of the numerators.
-    """
-    ints, den = lift(values)
-    return butterfly(_as_array(ints), stages), den
-
 
 def butterfly(num: np.ndarray, stages: int) -> np.ndarray:
     """``stages`` unnormalized butterfly stages on integer numerators.
@@ -125,24 +113,28 @@ def walsh_expand(f: DyadicStep, level: Optional[int] = None) -> list[Scalar]:
 
 def walsh_synthesize(coeffs: Sequence) -> DyadicStep:
     """Inverse of :func:`walsh_expand`; input length must be a power of two."""
-    if len(coeffs) & (len(coeffs) - 1) or not coeffs:
+    if len(coeffs) & (len(coeffs) - 1) or not len(coeffs):
         raise ValueError("coefficient table length must be a power of two")
     level = (len(coeffs) - 1).bit_length()
-    rows, den = walsh_butterfly(coeffs, level)
-    return DyadicStep._reduced(level, rows.ravel(), den)
+    num, den = lift(coeffs)
+    return DyadicStep._reduced(level, butterfly(num, level).ravel(), den)
 
 
 def ingest_signal(samples: Sequence, level: int) -> DyadicStep:
     """Turn 2**level samples into an exact step, one sample per cell.
 
-    Decimal strings and floats are rationalized from their decimal notation
-    verbatim ("0.1" becomes 1/10, never the binary float).  A malformed
-    string raises :class:`~cuntz_bases.dyadic.SampleError`.
+    Decimal strings and floats (numpy's too) are rationalized from their
+    decimal notation verbatim ("0.1" becomes 1/10, never the binary float),
+    numpy integers are read with ``operator.index``, and the rest goes to
+    :func:`~cuntz_bases.dyadic.lift` as it is.  A malformed string raises
+    :class:`~cuntz_bases.dyadic.SampleError`.
     """
     if len(samples) != 1 << level:
         raise ValueError(f"expected {1 << level} samples, got {len(samples)}")
-    ints, den = lift([repr(s) if isinstance(s, float) else s for s in samples])
-    return DyadicStep._trusted(level, _as_array(ints), den)
+    num, den = lift([repr(float(s)) if isinstance(s, float)
+                     else operator.index(s) if isinstance(s, np.integer) else s
+                     for s in samples])
+    return DyadicStep._trusted(level, num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import butterfly, walsh
-from .dyadic import DyadicStep, SampleError, _as_array, _peak, join_lifts, lift, word_str
+from .dyadic import DyadicStep, SampleError, _peak, join_lifts, lift, word_str
 from .reporting import SUITES
 
 # cantor, entropy and verification are imported by the commands that use
@@ -55,9 +55,9 @@ def _parse_range(text: str) -> range:
 
 
 def _read_samples(path: str) -> tuple[np.ndarray, int]:
-    """The samples of a file, one per non-blank line, lifted to integer
-    numerators over their least common denominator (``dyadic.lift``), as
-    a step's numerator array (``dyadic._as_array``) and that denominator.
+    """The samples of a file, one per non-blank line, lifted to a step's
+    integer numerator array over their least common denominator
+    (``dyadic.lift``), and that denominator.
 
     The file is read and lifted ``IO_BLOCK`` lines at a time, each block
     kept as an array until ``dyadic.join_lifts`` joins them, so no list of
@@ -195,7 +195,7 @@ def _ratio_columns(rows: np.ndarray, den: int, as_float: bool) -> tuple[list, ..
 
 def _check_writable(rows, den: int, peak: int, as_float: bool, name) -> None:
     """Before any output opens, raise the InputError of the first value
-    ``rows[n] / den`` (rows an array or a list) that cannot be written as a
+    ``rows[n] / den`` (rows an array) that cannot be written as a
     float or as num/den text, named by ``name(n)``.  In lowest terms no value
     has a numerator above ``peak`` (max|rows|, or ``den`` for a mass, which
     is at most 1) or a denominator above ``den``: only when those two do
@@ -205,7 +205,7 @@ def _check_writable(rows, den: int, peak: int, as_float: bool, name) -> None:
     if (peak < den << 1023) if as_float else (not limit or max(peak, den) < bound):
         return
     for start in range(0, len(rows), IO_BLOCK):
-        block = _ratio_columns(_as_array(rows[start:start + IO_BLOCK]), den, False)
+        block = _ratio_columns(rows[start:start + IO_BLOCK], den, False)
         for n, (num, d) in enumerate(zip(*block), start):
             if as_float:
                 try:
@@ -254,7 +254,7 @@ def cmd_walsh(args: argparse.Namespace) -> int:
 
 def _ingest(args: argparse.Namespace) -> tuple[tuple[np.ndarray, int], int]:
     """The input's samples as ``(num, den)``, ``num`` a step's numerator
-    array (``dyadic._as_array``), and its level."""
+    array as ``dyadic.lift`` gives it, and its level."""
     num, den = _read_samples(args.input)
     count = len(num)
     if count == 0 or count & (count - 1):
@@ -289,9 +289,9 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         raise InputError("cannot analyze the zero signal")
     # every mass is a ratio of sums of squares, so the scale leaves the tree
     # unchanged: it is built from the integer step den * f / gcd
-    num = _as_array((num // np.gcd.reduce(num)).tolist())
     from .entropy import build_entropy_tree
-    tree = build_entropy_tree(DyadicStep._trusted(level, num, 1), args.depth)
+    tree = build_entropy_tree(DyadicStep._reduced(level, num // np.gcd.reduce(num), 1),
+                              args.depth)
     as_float = args.as_float or args.format == "json"
     for k, (nums, den) in enumerate(tree.levels):
         _check_writable(nums, den, den, as_float, lambda code: f"mass of word {word_str(k, code)}")
@@ -303,7 +303,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
             for start in range(0, len(nums), IO_BLOCK):
                 codes = range(start, min(start + IO_BLOCK, len(nums)))
                 yield [[word_str(k, code) for code in codes],
-                       *_ratio_columns(_as_array(nums[start:start + IO_BLOCK]), den, as_float),
+                       *_ratio_columns(nums[start:start + IO_BLOCK], den, as_float),
                        terms[start:start + IO_BLOCK],
                        [yes if (k, code) in best else no for code in codes]]
 

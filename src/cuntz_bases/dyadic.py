@@ -98,24 +98,26 @@ class SampleError(ValueError):
         self.index, self.value, self.reason = index, value, reason
 
 
-def lift(values: Sequence) -> tuple[list[int], int]:
-    """Exact values as integer numerators over their least common denominator.
+def lift(values: Sequence) -> tuple[np.ndarray, int]:
+    """Exact values as a step's numerator array over their least common
+    denominator: the one gate through which exact values enter the library.
 
-    ``values`` holds ints, Fractions and sample tokens (strings, read as
-    ``Fraction(token)`` reads them, by :func:`_parse_token`).  Returns
-    ``(ints, den)``: a list of Python ints with ``values[i] == ints[i] / den``.
-    No Fraction is built for a
-    token of integer, decimal or ``a/b`` form.  A token that is not an
-    exact rational, or whose exponent exceeds ``MAX_EXPONENT``, raises
-    :class:`SampleError` naming its index; any other non-scalar raises
-    TypeError, as :func:`as_rational` does.
+    ``values`` holds what :func:`as_rational` accepts: ints (not bool),
+    Fractions and sample tokens (read as ``Fraction(token)`` reads them, by
+    :func:`_parse_token`, with no Fraction built for a token of integer,
+    decimal or ``a/b`` form).  Returns ``(num, den)`` with ``values[i] ==
+    num[i] / den`` and ``num`` as ``_as_array`` makes it (empty int64 for no
+    values).  A token that is not an exact rational, or whose exponent
+    exceeds ``MAX_EXPONENT``, raises :class:`SampleError` naming its index;
+    a bool, a float or a numpy scalar raises the TypeError of ``as_rational``.
     """
-    try:
+    if set(map(type, values)) <= {int, Fraction}:
         dens = [v.denominator for v in values]
-    except AttributeError:  # a token among the values
-        return _lift_tokens(values)
-    den = math.lcm(*dens)
-    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
+        den = math.lcm(*dens)
+        ints = [v.numerator * (den // d) for v, d in zip(values, dens)]
+    else:
+        ints, den = _lift_tokens(values)
+    return _as_array(ints), den
 
 
 def _lift_tokens(values: Sequence) -> tuple[list[int], int]:
@@ -151,19 +153,18 @@ def _lift_tokens(values: Sequence) -> tuple[list[int], int]:
     return nums, den
 
 
-def join_lifts(lifts: Iterable[tuple[list[int], int]]) -> tuple[np.ndarray, int]:
+def join_lifts(lifts: Iterable[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
     """The lift of consecutive runs of values as one numerator array.
 
     Each item of ``lifts`` is ``lift(run)`` for one run, in order; the
-    result is ``(_as_array(ints), den)`` for ``(ints, den)`` the lift of all
-    the runs' values together, dtype included.  A lift's denominator is the
-    lcm of its values' reduced denominators, so the lcm of the runs'
-    denominators is already the least common one.  ``lifts`` may be an
-    iterator: each run's list becomes an array as it arrives, and the
-    arrays are brought to the common denominator and joined once, at the
-    end.
+    result is the lift of all the runs' values together, dtype included.  A
+    lift's denominator is the lcm of its values' reduced denominators, so
+    the lcm of the runs' denominators is already the least common one.
+    ``lifts`` may be an iterator: each run's array is kept as it arrives,
+    and the arrays are brought to the common denominator and joined once,
+    at the end.
     """
-    runs = [(_as_array(ints), den) for ints, den in lifts if ints]
+    runs = [(num, den) for num, den in lifts if len(num)]
     den = math.lcm(*(d for _num, d in runs))
     parts = [np.zeros(0, dtype=np.int64)]  # an empty join is an empty int64 array
     for num, d in runs:
@@ -202,7 +203,7 @@ def _peak(num: np.ndarray) -> int:
 
 def _as_array(ints: Sequence[int]) -> np.ndarray:
     """Python ints as step numerators: int64 below ``_WIDE``, object past it."""
-    wide = max(map(abs, ints)) >= _WIDE
+    wide = max(map(abs, ints), default=0) >= _WIDE
     return np.array(ints, dtype=object if wide else np.int64)
 
 
@@ -258,18 +259,16 @@ class StepFunction:
     __slots__ = ("level", "num", "den", "_coeffs")
 
     def __init__(self, level: int, coeffs: Iterable):
-        coeffs = tuple(as_rational(c) for c in coeffs)
+        num, den = lift(tuple(coeffs))
         if level < 0:
             raise ValueError("level must be nonnegative")
-        if len(coeffs) != 1 << level:
-            raise ValueError(f"expected {1 << level} coefficients, got {len(coeffs)}")
-        ints, den = lift(coeffs)
-        num = _as_array(ints)
+        if len(num) != 1 << level:
+            raise ValueError(f"expected {1 << level} coefficients, got {len(num)}")
         num.setflags(write=False)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_coeffs", None)
 
     @classmethod
     def _trusted(cls, level: int, num: np.ndarray, den: int):
@@ -444,7 +443,7 @@ class DyadicStep(StepFunction):
 
     @classmethod
     def from_json(cls, data: dict) -> "DyadicStep":
-        return cls(data["level"], [as_rational(c) for c in data["coeffs"]])
+        return cls(data["level"], data["coeffs"])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .basis import butterfly
 from .dyadic import MultiIndex, StepFunction
 from .operators import s_adjoint
@@ -55,15 +57,15 @@ def _mass(num, den):
     return num if isinstance(num, float) else Fraction(num, den)
 
 
-def _mass_levels(f, depth: int) -> list[tuple[list, object]]:
+def _mass_levels(f, depth: int) -> list[tuple[object, object]]:
     """Normalized masses ||S_J* f||^2 / ||f||^2 for all |J| <= depth.
 
     ``levels[k]`` is ``(nums, den)``: the length-k word with code ``c``
     (first letter = lowest bit, the butterfly's row index) has the mass
     ``nums[c] / den``, so the children of ``(k, c)`` are ``(k + 1, c)`` and
-    ``(k + 1, c | 1 << k)``.  A step has exact masses, Python ints over one
-    int per level; a hybrid is measured adjoint by adjoint, its float masses
-    over 1.
+    ``(k + 1, c | 1 << k)``.  A step has exact masses, an ``object`` array
+    of Python ints over one int per level; a hybrid is measured adjoint by
+    adjoint, a list of its float masses over 1.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -80,15 +82,16 @@ def _mass_levels(f, depth: int) -> list[tuple[list, object]]:
     return levels
 
 
-def _packet_mass_levels(f: StepFunction, depth: int) -> list[tuple[list[int], int]]:
-    """The mass levels of a step as sums of squared Walsh-packet coefficients.
+def _packet_mass_levels(f: StepFunction, depth: int) -> list[tuple[np.ndarray, int]]:
+    """The mass levels of a step as sums of squared Walsh-packet coefficients,
+    each level's numerators an ``object`` array of Python ints.
 
     Row J of the butterfly on the step's numerators after |J| stages is
     den * 2**|J| * S_J* f, so mass(J) = (sum of its squares) / (total << |J|),
-    where total is the root's sum of squares.  The squares are summed at the deepest stage only:
-    a parent's sum is half the sum of its two children's.  Past the step's
-    level the adjoints act on constants: child 0 keeps the parent's mass and
-    child 1 gets none.
+    where total is the root's sum of squares.  The squares are summed at the
+    deepest stage only: a parent's sum is half the sum of its two children's.
+    Past the step's level the adjoints act on constants: child 0 keeps the
+    parent's mass and child 1 gets none.
     """
     stages = min(depth, f.level)
     rows = butterfly(f.num, stages)
@@ -101,10 +104,10 @@ def _packet_mass_levels(f: StepFunction, depth: int) -> list[tuple[list[int], in
     total = sums[0][0]
     if total == 0:
         raise ValueError("cannot analyze the zero function")
-    levels = [(sums[k].tolist(), total << k) for k in range(stages + 1)]
+    levels = [(sums[k], total << k) for k in range(stages + 1)]
     for _ in range(stages, depth):
         nums, den = levels[-1]
-        levels.append((nums + [0] * len(nums), den))
+        levels.append((np.concatenate((nums, np.zeros_like(nums))), den))
     return levels
 
 
@@ -186,11 +189,12 @@ class EntropyTree:
     ``levels[k]`` is ``(nums, den)`` and ``terms[k]`` holds the entropy
     terms -m ln m, each computed once per node: the length-k word with code
     ``c`` has the mass ``nums[c] / den`` and the term ``terms[k][c]``.
-    Fractions and words are built only where the views below are asked for.
+    ``nums`` is an ``object`` array of Python ints on a step, a list of floats
+    on a hybrid; Fractions and words are built only by ``masses`` and ``rows``.
     """
 
     depth: int
-    levels: tuple[tuple[list, object], ...]
+    levels: tuple[tuple[object, object], ...]
     terms: tuple[list[float], ...]
     level_entropy: tuple[float, ...]
     best_leaves: tuple[MultiIndex, ...]
@@ -203,10 +207,6 @@ class EntropyTree:
         return {MultiIndex._from_code(k, code).digits: _mass(nums[code], den)
                 for k, (codes, (nums, den)) in enumerate(zip(_lex_codes(self.depth), self.levels))
                 for code in codes}
-
-    def mass(self, word):
-        word = tuple(word.digits) if isinstance(word, MultiIndex) else tuple(word)
-        return self.masses[word]
 
     def rows(self):
         """(word, mass, entropy term, best leaf) rows in (length, code) order,

@@ -11,6 +11,7 @@ so the count it reports is the number of cases it ran.  The command line's
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 import time
@@ -22,7 +23,6 @@ import numpy as np
 from .basis import (
     build_frame,
     greedy_generators,
-    verify_decomposition,
     verify_decomposition_levels,
     walsh,
     walsh_expand,
@@ -185,8 +185,16 @@ def check_walsh_two_paths():
     return tally.report("square-wave-recursion-vs-word-path-4096")
 
 
+@functools.cache
+def _square_wave_levels() -> tuple[VerificationReport, ...]:
+    """The decomposition reports at levels 1-10 of the greedy cover of the
+    words up to length 9, from one 1,024-vector Gram shared by the two
+    checks below."""
+    return tuple(verify_decomposition_levels(greedy_generators(9), range(1, 11)))
+
+
 def check_walsh_gram():
-    return dataclasses.replace(verify_decomposition(greedy_generators(9), 10),
+    return dataclasses.replace(_square_wave_levels()[-1],
                                relation="square-wave-gram-identity-1024")
 
 
@@ -241,9 +249,8 @@ def check_generator_weights():
 
 
 def check_decomposition_levels():
-    levels = range(1, 11)
     tally = Tally()
-    for level, report in zip(levels, verify_decomposition_levels(greedy_generators(9), levels)):
+    for level, report in enumerate(_square_wave_levels(), start=1):
         tally.absorb(report, f"level {level}")
     return tally.report("square-wave-decomposition-levels-1-10", 0.0)
 

@@ -204,6 +204,11 @@ class TestIngest:
         with pytest.raises(ValueError):
             ingest_signal([1, 2, 3], 2)
 
+    def test_numpy_samples(self):
+        # repr(np.float64(0.5)) is 'np.float64(0.5)' under numpy 2
+        assert ingest_signal(np.array([0.5, 0.25]), 1) == DyadicStep(1, ["0.5", "0.25"])
+        assert ingest_signal(np.array([3, -1], dtype=np.int16), 1) == DyadicStep(1, [3, -1])
+
 
 def word_digits(length, code):
     """The letters of the word ``(length, code)``: the first is the lowest bit."""

@@ -119,9 +119,11 @@ class TestMuHat:
             mu_hat(10 ** 400)
 
     def test_predicate_matches_numeric(self):
-        for delta in range(-1000, 1001):
-            numeric = abs(mu_hat(delta)) < 1e-8
-            assert numeric == mu_hat_is_zero(delta), delta
+        # the registered check compares the two for every integer in [-1000, 1000]
+        check = verification.check_mu_hat_zero_consistency
+        assert check in [fn for _suite, fn in verification.CHECKS]
+        report = check()
+        assert report.passed and report.max_violation == 0.0 and report.checked == 2001
 
 
 class TestSpectrum:

@@ -1,7 +1,9 @@
 """The package's public surface: the names ``import cuntz_bases`` exports,
 and the package modules that each command loads in a fresh process."""
 
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,3 +101,17 @@ def test_entropy_name_is_the_function_in_any_order(tmp_path, order):
                            "print(callable(entropy), entropy is function,\n"
                            "      cuntz_bases.entropy is function)")
     assert out.split() == ["True", "True", "True"]
+
+
+def test_only_dyadic_knows_the_numerator_width():
+    # the int64-or-object rule of step numerators lives in dyadic._as_array,
+    # which lift applies; every other module takes lift's array as it is
+    package = Path(cuntz_bases.__file__).parent
+    users = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
+            if "_as_array" in names:
+                users.add(path.stem)
+    assert users == {"dyadic"}

@@ -29,7 +29,6 @@ from cuntz_bases.basis import (
     greedy_generators,
     verify_decomposition_levels,
     walsh,
-    walsh_butterfly,
     walsh_expand,
     walsh_synthesize,
 )
@@ -139,7 +138,7 @@ def test_round_trip_and_parseval_exact(kind, data):
     assert all(type(c) is int for c in coeffs + list(synthesized.coeffs) if c == int(c))
     if f.normalize().level <= 4:
         assert coeffs == [walsh(n).inner(f) for n in range(len(coeffs))]
-    rows, _den = walsh_butterfly(f.coeffs, f.level)
+    rows = butterfly(lift(f.coeffs)[0], f.level)
     assert (rows.dtype == object) == (kind == "near-2^70")
 
 
@@ -872,23 +871,39 @@ VALID_TOKENS = st.one_of(
 )
 
 
+# what as_rational refuses (bools, floats, numpy ints) and malformed tokens
+REFUSED = st.one_of(st.booleans(), st.floats(-9, 9), st.builds(np.int64, INTS),
+                    st.sampled_from(["oops", "1/0", f"1e{MAX_EXPONENT + 1}"]))
+
+
 @PROPERTY
-@given(tokens=st.lists(VALID_TOKENS, min_size=1, max_size=16),
-       exact=st.lists(st.one_of(INTS, FRACTIONS), max_size=4))
-def test_lift_is_exact_over_the_least_common_denominator(tokens, exact):
-    values = [Fraction(t) for t in tokens] + list(exact)
-    ints, den = lift(tokens + exact)
-    assert den == math.lcm(*(v.denominator for v in values))
-    assert [Fraction(u, den) for u in ints] == values
-    assert all(type(u) is int for u in ints)
-
-
-
-def lift_array(values):
-    """``_as_array`` of ``lift(values)``, with its denominator; an empty
-    array for no values."""
-    ints, den = lift(values)
-    return (_as_array(ints) if ints else np.zeros(0, dtype=np.int64)), den
+@given(values=st.lists(st.one_of(VALID_TOKENS, INTS, FRACTIONS, NEAR_2_70,
+                                 st.sampled_from([(1 << 62) - 1, -(1 << 62)]), REFUSED),
+                       max_size=20))
+@example(values=[])
+@example(values=[True, 0])
+def test_lift_is_exact_over_the_least_common_denominator(values):
+    # lift raises exactly when as_rational does, at the first value it refuses
+    for index, value in enumerate(values):
+        try:
+            as_rational(value)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as raised:
+                lift(values)
+            assert str(raised.value) == str(exc)
+            return
+        except (ValueError, ZeroDivisionError, OverflowError):
+            with pytest.raises(SampleError) as raised:
+                lift(values)
+            assert raised.value.index == index
+            return
+    want = [Fraction(v) for v in values]
+    num, den = lift(values)
+    assert den == math.lcm(*(v.denominator for v in want))
+    assert [Fraction(u, den) for u in num.tolist()] == want
+    assert all(type(u) is int for u in num.tolist())
+    wide = max((abs(u) for u in num.tolist()), default=0) >= 1 << 62
+    assert num.dtype == (object if wide else np.int64)
 
 
 def assert_same_array(got, want):
@@ -912,7 +927,7 @@ def test_join_of_block_lifts_is_the_lift(values, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=5)))
     bounds = [0, *cuts, len(values)]
     runs = [values[a:b] for a, b in zip(bounds, bounds[1:])]
-    assert_same_array(join_lifts(lift(run) for run in runs), lift_array(values))
+    assert_same_array(join_lifts(lift(run) for run in runs), lift(values))
 
 
 @PROPERTY
@@ -925,7 +940,7 @@ def test_blockwise_reader_is_the_lift_of_the_file(tmp_path_factory, lines, block
     path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
     with mock.patch.object(cli, "IO_BLOCK", block):
         got = cli._read_samples(str(path))
-    assert_same_array(got, lift_array([line.strip() for line in lines if line.strip()]))
+    assert_same_array(got, lift([line.strip() for line in lines if line.strip()]))
 
 
 def test_reader_rescales_a_block_past_2_62(tmp_path):
@@ -937,12 +952,12 @@ def test_reader_rescales_a_block_past_2_62(tmp_path):
               + [f"{rng.randint(-60, 60)}/7" for _ in range(cli.IO_BLOCK)])
     runs = [tokens[start:start + cli.IO_BLOCK] for start in range(0, len(tokens), cli.IO_BLOCK)]
     assert [lift(run)[1] for run in runs] == [1, 1000, 7]
-    assert _as_array(lift(runs[0])[0]).dtype == np.int64
+    assert lift(runs[0])[0].dtype == np.int64
     path = tmp_path / "sig.csv"
     path.write_text("".join(f"{token}\n" for token in tokens), encoding="utf-8")
     got = cli._read_samples(str(path))
     assert got[0].dtype == object and got[1] == 7000
-    assert_same_array(got, lift_array(tokens))
+    assert_same_array(got, lift(tokens))
 
 
 def concatenated_butterfly(num, stages):
@@ -987,6 +1002,11 @@ def test_lift_names_the_bad_sample():
             index, values[index], reason)
     with pytest.raises(TypeError):
         lift(["1", 0.5])  # floats are not exact scalars
+    with pytest.raises(TypeError, match="int64"):
+        walsh_synthesize([np.int64(2**62), Fraction(1, 3)])  # wrapped around in int64
+    for table in (np.array([1, 2]), np.array([0])):  # no truth test of the table
+        with pytest.raises(TypeError, match="int64"):
+            walsh_synthesize(table)
 
 
 def test_exponent_bound_before_any_power():
