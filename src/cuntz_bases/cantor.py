@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import StepFunction, as_rational, as_word, binary_words
+from .dyadic import StepFunction, as_rational, as_word, word_cell
 from .operators import s_word
 from .reporting import Tally, VerificationReport
 
@@ -40,21 +40,19 @@ from .reporting import Tally, VerificationReport
 class CantorStep(StepFunction):
     """Exact step function on the level-k cylinder cells of the Cantor set.
 
-    Cell i (binary word read most-significant-first) has measure 2**-level
-    and left endpoint sum of 2*j_m/4^m; the inner product weights are the
-    same as for dyadic steps, so all operator combinatorics are shared.
+    Cell i (binary word read most-significant-first, ``dyadic.word_cell``)
+    has measure 2**-level and left endpoint sum of 2*j_m/4^m; the inner
+    product weights are the same as for dyadic steps, so all operator
+    combinatorics are shared.
     """
 
     __slots__ = ()
 
     @classmethod
     def indicator_cell(cls, word) -> "CantorStep":
+        """The indicator of the cylinder cell of ``word``."""
         word = as_word(word)
-        level = len(word.digits)
-        index = 0
-        for d in word.digits:
-            index = (index << 1) | d
-        return cls(level, [1 if i == index else 0 for i in range(1 << level)])
+        return cls.indicator(len(word), word_cell(len(word), word.code))
 
     def cell_left(self, cell: int) -> Fraction:
         """Left endpoint of cell ``cell`` at this level."""
@@ -75,6 +73,12 @@ def _cell_left_numerator(level: int, cell: int) -> int:
     base-4 digit 2 at position b, so T is twice its binary digits read in
     base 4 (only the low ``level`` bits of the index count)."""
     return 2 * int(format(cell & ((1 << level) - 1), "b"), 4)
+
+
+def _lowest_bit(value: int) -> int:
+    """The position of the lowest set bit of an int (-1 for 0): ``value``
+    is 4**j times an odd number exactly when this position is 2j."""
+    return (value & -value).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +115,17 @@ def mu_hat(lam: float) -> complex:
 def mu_hat_is_zero(delta: int) -> bool:
     """Exact vanishing test for integer arguments: 4^a times an odd number.
 
-    Pure integer arithmetic: strip factors of 4, check the remainder is odd
-    (one product factor is then (1 + exp(i pi odd))/2 = 0 exactly).  The
-    test says nothing about other arguments (|mu_hat(1.5)| is about 0.58),
-    so a non-integral ``delta`` raises ValueError.
+    Pure integer arithmetic: the lowest set bit of delta sits at an even
+    position 2a (one product factor is then (1 + exp(i pi odd))/2 = 0
+    exactly).  The test says nothing about other arguments (|mu_hat(1.5)|
+    is about 0.58), so a non-integral ``delta`` raises ValueError.
     """
     if type(delta) is not int:
         if not (isinstance(delta, numbers.Real) and math.isfinite(delta)
                 and delta == int(delta)):
             raise ValueError(f"mu_hat_is_zero needs an integer, got {delta!r}")
         delta = int(delta)
-    delta = abs(delta)
-    if delta == 0:
-        return False
-    while delta % 4 == 0:
-        delta //= 4
-    return delta % 2 == 1
+    return _lowest_bit(delta) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +134,11 @@ def mu_hat_is_zero(delta: int) -> bool:
 
 @dataclass(frozen=True, order=True)
 class LambdaPoint:
-    """A spectrum point: nonnegative integer whose base-4 digits are 0 or 1."""
+    """A spectrum point: nonnegative integer whose base-4 digits are 0 or 1.
+
+    ``digits`` are its base-4 digits, lowest first, with no trailing zeros
+    (``()`` for 0).
+    """
 
     value: int
     digits: tuple[int, ...]
@@ -144,26 +147,24 @@ class LambdaPoint:
     def from_value(cls, value: int) -> "LambdaPoint":
         if value < 0:
             raise ValueError("value must be nonnegative")
-        digits = []
-        rest = value
-        while rest:
-            rest, d = divmod(rest, 4)
-            if d not in (0, 1):
-                raise ValueError(f"{value} has a base-4 digit other than 0/1")
-            digits.append(d)
-        return cls(value, tuple(digits))
+        bits = f"{value:b}"[::-1] if value else ""  # lowest first
+        if "1" in bits[1::2]:  # a set bit at an odd position: digit 2 or 3
+            raise ValueError(f"{value} has a base-4 digit other than 0/1")
+        return cls(value, tuple(map(int, bits[::2])))
 
 
 def lambda_set(p: int) -> list[LambdaPoint]:
     """All 2**p spectrum points with at most p base-4 digits, ascending."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    # digit i of the point with index mask is bit i of the mask, so its value
-    # spreads the mask's bits to the even positions: the mask's binary digits
-    # read in base 4
-    *_, digits = binary_words(p)
-    return [LambdaPoint(int(f"{mask:b}", 4), d)
-            for mask, d in enumerate(digits)]  # ascending: the spread is monotone in mask
+    # the point of mask m spreads m's bits to base 4: its lowest digit is
+    # m & 1, then come the digits of the point of m >> 1
+    values, digits = [0], [()]
+    for mask in range(1, 1 << p):
+        rest = mask >> 1
+        values.append(4 * values[rest] + (mask & 1))
+        digits.append((mask & 1, *digits[rest]))
+    return list(map(LambdaPoint, values, digits))  # ascending: the spread is monotone in mask
 
 
 # bits 0, 2, 4, ..., 62: the lowest set bit of d lies in this mask exactly
@@ -174,8 +175,9 @@ _SCAN_LIMIT = 1 << 62
 
 
 def transform_vanishes(deltas: np.ndarray) -> np.ndarray:
-    """Elementwise ``mu_hat_is_zero`` on an int64 array (two's complement
-    keeps the lowest set bit of -d that of d, so negatives need no abs)."""
+    """Elementwise ``mu_hat_is_zero`` on an int64 array, by the same
+    lowest-set-bit rule (two's complement keeps the lowest set bit of -d
+    that of d, so negatives need no abs)."""
     return (deltas & -deltas) & _EVEN_BITS != 0
 
 

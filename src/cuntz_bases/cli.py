@@ -314,7 +314,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_cantor(args: argparse.Namespace) -> int:
-    from .cantor import gram_exponentials, lambda_set, verify_lambda_partition
+    from .cantor import _lowest_bit, gram_exponentials, lambda_set, verify_lambda_partition
     sub = args.cantor_sub
     p = args.p
     if sub == "spectrum":
@@ -330,30 +330,24 @@ def cmd_cantor(args: argparse.Namespace) -> int:
         report = gram_exponentials(p)
         _emit_report(args, report)
         return 0 if report.passed else 1
-    if sub == "partition":
-        report = verify_lambda_partition(p)
-        rows = []
-        for pt in lambda_set(p):
-            if pt.value == 0:
-                continue
-            m, j = pt.value, 0
-            while m % 4 == 0:
-                m //= 4
-                j += 1
-            rows.append([pt.value, m, j])
-        if args.format == "json":
-            _write_json(args.output, {"report": report.to_json(),
-                                      "orbits": [{"lambda": a, "odd": b, "power": c}
-                                                 for a, b, c in rows]})
-        else:
-            _write_rows(args.output, ["lambda", "odd_m", "power"], rows)
-        return 0 if report.passed else 1
-    raise InputError(f"unknown cantor subcommand {sub!r}")
+    # partition: each nonzero point is 4**j times the odd m, j half its lowest bit
+    report = verify_lambda_partition(p)
+    rows = []
+    for pt in lambda_set(p)[1:]:
+        j = _lowest_bit(pt.value) // 2
+        rows.append([pt.value, pt.value >> 2 * j, j])
+    if args.format == "json":
+        _write_json(args.output, {"report": report.to_json(),
+                                  "orbits": [{"lambda": a, "odd": b, "power": c}
+                                             for a, b, c in rows]})
+    else:
+        _write_rows(args.output, ["lambda", "odd_m", "power"], rows)
+    return 0 if report.passed else 1
 
 
 def _digit_string(point, p: int) -> str:
-    digits = list(point.digits) + [0] * (p - len(point.digits))
-    return "".join(str(d) for d in reversed(digits)) or "0"
+    """The point's p base-4 digits, highest first ("0" when p is 0)."""
+    return "".join(map(str, reversed(point.digits))).zfill(p) or "0"
 
 
 def _emit_report(args: argparse.Namespace, report) -> None:
@@ -477,10 +471,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         _check_args(args)
         return _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

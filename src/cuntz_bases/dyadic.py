@@ -301,6 +301,15 @@ class StepFunction:
         """The zero function (level 0)."""
         return cls._trusted(0, np.zeros(1, dtype=np.int64), 1)
 
+    @classmethod
+    def indicator(cls, level: int, cell: int):
+        """The indicator of cell ``cell`` of the level-``level`` partition."""
+        if not 0 <= cell < 1 << level:
+            raise ValueError("cell index out of range")
+        num = np.zeros(1 << level, dtype=np.int64)
+        num[cell] = 1
+        return cls._trusted(level, num, 1)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -424,12 +433,6 @@ class DyadicStep(StepFunction):
 
     __slots__ = ()
 
-    @classmethod
-    def indicator(cls, level: int, cell: int) -> "DyadicStep":
-        if not 0 <= cell < 1 << level:
-            raise ValueError("cell index out of range")
-        return cls(level, [1 if i == cell else 0 for i in range(1 << level)])
-
     def evaluate(self, x) -> Scalar:
         """Value at x in [0,1); cells are closed on the left."""
         x = Fraction(as_rational(x))
@@ -504,9 +507,13 @@ class MultiIndex:
         return (len(self.digits), self.code)
 
     def __lt__(self, other: "MultiIndex") -> bool:
+        if not isinstance(other, MultiIndex):
+            return NotImplemented
         return self.sort_key < other.sort_key
 
     def __le__(self, other: "MultiIndex") -> bool:
+        if not isinstance(other, MultiIndex):
+            return NotImplemented
         return self.sort_key <= other.sort_key
 
     def __str__(self) -> str:
@@ -520,16 +527,6 @@ def word_keys(max_len: int) -> Iterator[tuple[int, int]]:
             yield length, code
 
 
-def binary_words(max_len: int) -> Iterator[list[tuple[int, ...]]]:
-    """For each length 0 .. max_len, the digit tuples of all binary words of
-    that length in code order (the last letter is the top bit of the code)."""
-    words: list[tuple[int, ...]] = [()]
-    yield words
-    for _ in range(max_len):
-        words = [w + (0,) for w in words] + [w + (1,) for w in words]
-        yield words
-
-
 def word_code(digits: Sequence[int]) -> int:
     """The code of a word given by its digits: the first is the lowest bit."""
     return sum(d << i for i, d in enumerate(digits))
@@ -539,6 +536,13 @@ def word_str(length: int, code: int) -> str:
     """The text of the binary word ``(length, code)``, first letter first:
     ``str`` of its ``MultiIndex`` without building one."""
     return format(code, f"0{length}b")[::-1] if length else ""
+
+
+def word_cell(length: int, code: int) -> int:
+    """The cell index of the binary word ``(length, code)`` at level
+    ``length``: its first letter is the top bit, as the outermost operator
+    picks the half (the bits of ``code`` reversed)."""
+    return int(word_str(length, code) or "0", 2)
 
 
 def enumerate_words(max_len: int) -> Iterator[MultiIndex]:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
-from .dyadic import StepFunction, as_word
+from .dyadic import StepFunction, as_word, word_cell
 from .reporting import Tally, VerificationReport
 
 if TYPE_CHECKING:
@@ -42,14 +42,14 @@ _SIGN_ROWS.setflags(write=False)
 def word_signs(length: int, code: int) -> np.ndarray:
     """The +-1 row of the binary word (length, code) on the constant 1.
 
-    Entry t is (-1)**popcount(t & m), where m holds the word's letters with
-    the first letter as the top bit (``code`` has it as the lowest bit): the
-    top bit of a cell index says which branch the outermost operator put it
-    in.  The parity splits over 8-bit chunks of t and m, so the row is the
-    Kronecker product of rows of the 8-bit table (read-only).  With
-    ``length == code.bit_length()`` it is the row of ``basis.walsh(code)``.
+    Entry t is (-1)**popcount(t & m), where m is the word's cell
+    (``dyadic.word_cell``: the first letter is its top bit, the branch the
+    outermost operator put the cell in).  The parity splits over 8-bit
+    chunks of t and m, so the row is the Kronecker product of rows of the
+    8-bit table (read-only).  With ``length == code.bit_length()`` it is the
+    row of ``basis.walsh(code)``.
     """
-    mask = int(f"{code:0{length}b}"[::-1], 2)
+    mask = word_cell(length, code)
     row = _SIGN_ROWS[mask & 0xFF, :1 << min(length, 8)]
     for low in range(8, length, 8):
         high = _SIGN_ROWS[mask >> low & 0xFF, :1 << min(length - low, 8)]
@@ -171,24 +171,28 @@ class NAdicStep:
         reps = self.base ** (target_level - self.level)
         return NAdicStep(self.base, target_level, np.repeat(self.coeffs, reps))
 
-    def inner(self, other: "NAdicStep") -> complex:
+    def _aligned(self, other: "NAdicStep") -> tuple[int, np.ndarray, np.ndarray]:
+        """The common level k and both coefficient vectors at level k; a
+        step of another base raises ValueError."""
         if other.base != self.base:
             raise ValueError("base mismatch")
         k = max(self.level, other.level)
-        a = self.refine(k).coeffs
-        b = other.refine(k).coeffs
+        return k, self.refine(k).coeffs, other.refine(k).coeffs
+
+    def inner(self, other: "NAdicStep") -> complex:
+        k, a, b = self._aligned(other)
         return complex(np.vdot(a, b) / self.base ** k)
 
     def norm_sq(self) -> float:
         return float(self.inner(self).real)
 
     def __sub__(self, other: "NAdicStep") -> "NAdicStep":
-        k = max(self.level, other.level)
-        return NAdicStep(self.base, k, self.refine(k).coeffs - other.refine(k).coeffs)
+        k, a, b = self._aligned(other)
+        return NAdicStep(self.base, k, a - b)
 
     def __add__(self, other: "NAdicStep") -> "NAdicStep":
-        k = max(self.level, other.level)
-        return NAdicStep(self.base, k, self.refine(k).coeffs + other.refine(k).coeffs)
+        k, a, b = self._aligned(other)
+        return NAdicStep(self.base, k, a + b)
 
 
 class GeneralRepN:

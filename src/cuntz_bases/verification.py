@@ -38,7 +38,7 @@ from .cantor import (
     mu_hat_is_zero,
     verify_lambda_partition,
 )
-from .dyadic import DyadicStep, MultiIndex, word_keys
+from .dyadic import DyadicStep, MultiIndex, enumerate_words, word_keys
 from .entropy import best_basis, build_entropy_tree, entropy, verify_entropy_recursion
 from .operators import (
     GeneralRepN,
@@ -84,8 +84,7 @@ def check_interval_relations_level6():
 
 
 def check_cantor_relations_level6():
-    vectors = [CantorStep.indicator_cell(MultiIndex(tuple((i >> m) & 1 for m in range(6))))
-               for i in range(64)]
+    vectors = [CantorStep.indicator_cell(MultiIndex._from_code(6, i)) for i in range(64)]
     return dataclasses.replace(verify_cuntz(INTERVAL_REP, vectors, tol=0.0),
                                relation="cantor-relations-exact-level6-indicators")
 
@@ -474,7 +473,7 @@ def check_branch_permutation():
 # ---------------------------------------------------------------------------
 
 def check_cantor_spectrum_gram():
-    return dataclasses.replace(gram_exponentials(8), relation="spectrum-orthogonality-p8")
+    return gram_exponentials(8)
 
 
 def check_mu_hat_functional_equation():
@@ -497,9 +496,8 @@ def check_mu_hat_zero_consistency():
 
 def check_indicator_expansions():
     tally = Tally()
-    for length in range(1, 7):
-        for mask in range(1 << length):
-            word = MultiIndex(tuple((mask >> m) & 1 for m in range(length)))
+    for word in enumerate_words(6):
+        if len(word):
             tally.record(indicator_relation_check(word).max_violation, f"word {word.digits}")
     return tally.report("cell-indicator-expansion-words-to-len6", 0.0)
 

@@ -137,8 +137,21 @@ class TestSpectrum:
             assert sum(d * 4 ** i for i, d in enumerate(pt.digits)) == pt.value
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ValueError):
-            LambdaPoint.from_value(2)
+        for bad in (2, 3, 6, 8, 18, 4 ** 20 * 2 + 1):
+            with pytest.raises(ValueError, match="base-4 digit other than 0/1"):
+                LambdaPoint.from_value(bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            LambdaPoint.from_value(-1)
+
+    def test_from_value_is_the_set_point(self):
+        # one digit rule: lowest first, no trailing zeros, so equal points
+        # compare and hash equal whichever way they were made
+        for p in range(11):
+            for pt in lambda_set(p):
+                again = LambdaPoint.from_value(pt.value)
+                assert again == pt and hash(again) == hash(pt)
+        assert LambdaPoint.from_value(5) == lambda_set(3)[3]
+        assert lambda_set(3)[1].digits == (1,) and lambda_set(3)[0].digits == ()
 
     def test_gram_small(self):
         for p in (0, 2, 4):

@@ -759,6 +759,35 @@ class TestCantorCommand:
             '  "witness": null\n'
             '}\n')
 
+    def test_spectrum_and_partition_output_pinned(self, capsys):
+        def out(*argv):
+            assert main(["cantor", *argv]) == 0
+            return capsys.readouterr().out
+
+        assert out("spectrum", "--p", "0") == "lambda,digits\n0,0\n"
+        assert out("spectrum", "--p", "0", "--format", "json") == (
+            '[\n  {\n    "digits": "0",\n    "lambda": 0\n  }\n]\n')
+        assert out("spectrum", "--p", "2") == "lambda,digits\n0,00\n1,01\n4,10\n5,11\n"
+        assert out("spectrum", "--p", "2", "--format", "json") == "[\n" + ",\n".join(
+            f'  {{\n    "digits": "{d}",\n    "lambda": {v}\n  }}'
+            for v, d in ((0, "00"), (1, "01"), (4, "10"), (5, "11"))) + "\n]\n"
+        assert out("partition", "--p", "2") == "lambda,odd_m,power\n1,1,0\n4,1,1\n5,5,0\n"
+        assert out("partition", "--p", "2", "--format", "json") == (
+            '{\n  "orbits": [\n' + ",\n".join(
+                f'    {{\n      "lambda": {v},\n      "odd": {m},\n      "power": {j}\n    }}'
+                for v, m, j in ((1, 1, 0), (4, 1, 1), (5, 5, 0))) +
+            '\n  ],\n  "report": {\n    "checked": 3,\n    "maxViolation": 0.0,\n'
+            '    "passed": true,\n    "relation": "spectrum-odd-orbit-partition-p2",\n'
+            '    "tol": 0.0,\n    "witness": null\n  }\n}\n')
+        digests = {(sub, fmt): hashlib.sha256(out(sub, "--p", "11", "--format", fmt)
+                                              .encode("utf-8")).hexdigest()
+                   for sub in ("spectrum", "partition") for fmt in ("csv", "json")}
+        assert digests == {
+            ("spectrum", "csv"): "8579d8b1b2540a8aa3509f53d1238276928329c3979ac5ba59cab59874da522d",
+            ("spectrum", "json"): "04a604b3c16fae5e74b3e0495a278dccb9441411b4edf56033a4c25698cc2189",
+            ("partition", "csv"): "3650f8d8f2bfcfcc60d2721d05fec156578756c77d77d4700ef875e974816883",
+            ("partition", "json"): "2dc9d0ed9d935156ed4ca2c7bad80d0f48a6ddb2ab9dc359e593834a0c1874a8"}
+
     def test_p_bounded(self, capsys):
         for sub in ("spectrum", "gram", "partition"):
             for p in ("-1", "12"):

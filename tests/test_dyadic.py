@@ -13,6 +13,8 @@ from cuntz_bases.dyadic import (
     as_rational,
     enumerate_words,
     rational_str,
+    word_cell,
+    word_str,
 )
 
 
@@ -69,6 +71,21 @@ class TestConstruction:
         assert doubled.num.dtype == np.int64 and doubled.den == 1
         assert doubled.num.tolist() == [1, 3, 4, -1]
         assert type(doubled.inner(DyadicStep(0, [4]))) is int
+
+
+class TestIndicator:
+    def test_one_hot_matches_the_public_constructor(self):
+        for level in range(5):
+            for cell in range(1 << level):
+                f = DyadicStep.indicator(level, cell)
+                want = DyadicStep(level, [int(i == cell) for i in range(1 << level)])
+                assert f == want and hash(f) == hash(want)
+                assert f.num.dtype == np.int64 and f.den == 1 and not f.num.flags.writeable
+
+    def test_cell_out_of_range(self):
+        for cell in (-1, 4):
+            with pytest.raises(ValueError, match="cell index out of range"):
+                DyadicStep.indicator(2, cell)
 
 
 class TestInner:
@@ -158,6 +175,26 @@ class TestWords:
         assert a < b and not b <= a
         assert b > a and not a >= b
         assert a <= MultiIndex((1,)) <= a
+
+    def test_order_against_a_non_word_raises_type_error(self):
+        # a tuple has no sort key: the comparison is not the word's to make
+        word = MultiIndex((1,))
+        for compare in (lambda: word < (1,), lambda: word <= (1,),
+                        lambda: word > (1,), lambda: word >= (1,),
+                        lambda: (1,) < word, lambda: word < 1):
+            with pytest.raises(TypeError):
+                compare()
+        assert word != (1,)
+
+    def test_word_cell_reverses_the_code(self):
+        # the first letter is the top bit of the cell
+        assert word_cell(0, 0) == 0
+        assert word_cell(3, 0b001) == 0b100 and word_cell(3, 0b110) == 0b011
+        for length, code in ((1, 1), (4, 6), (7, 77)):
+            digits = MultiIndex._from_code(length, code).digits
+            assert word_cell(length, code) == sum(d << (length - 1 - i)
+                                                  for i, d in enumerate(digits))
+            assert format(word_cell(length, code), f"0{length}b") == word_str(length, code)
 
     def test_codes(self):
         assert MultiIndex((1, 1, 0)).code == 3

@@ -200,6 +200,18 @@ class TestUnitaryMatrix:
                 assert abs(abs(rep.filter_value(j, x)) - 1.0) < 1e-15
 
 
+class TestNAdicStep:
+    def test_base_mismatch_raises_for_every_operation(self):
+        # unequal bases once gave a base-2 difference, or numpy's broadcast
+        # error when the levels differed too
+        for a, b in ((NAdicStep(2, 0, [1]), NAdicStep(3, 0, [1])),
+                     (NAdicStep(2, 1, [1, 2]), NAdicStep(3, 0, [1])),
+                     (NAdicStep(3, 2, range(9)), NAdicStep(2, 3, range(8)))):
+            for combine in (a.inner, a.__add__, a.__sub__, b.inner, b.__add__, b.__sub__):
+                with pytest.raises(ValueError, match="^base mismatch$"):
+                    combine(b if combine.__self__ is a else a)
+
+
 class TestGeneralProjections:
     def test_orthogonal_idempotents_sum_to_identity(self):
         rep = GeneralRepN(4)
