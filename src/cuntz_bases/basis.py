@@ -23,6 +23,7 @@ from .dyadic import (
     DyadicStep,
     MultiIndex,
     Scalar,
+    _index,
     _peak,
     _ratio,
     as_word,
@@ -39,24 +40,16 @@ def walsh(n: int) -> DyadicStep:
     constant function, an int64 step over 1 at level ``n.bit_length()``
     whose cells are the word's sign row (``operators.word_signs``, looked
     up at call time), values +-1."""
-    n = _basis_index(n)
+    n = _index(n, "n")
     level = n.bit_length()
     return DyadicStep._trusted(level, operators.word_signs(level, n).astype(np.int64), 1)
 
 
 def walsh_word(n: int) -> MultiIndex:
     """The operator word that produces walsh(n) from the constant function:
-    the bits of n, lowest first.  ``n`` is read with ``operator.index``, so
-    a float raises TypeError."""
-    n = _basis_index(n)
+    the bits of n, lowest first."""
+    n = _index(n, "n")
     return MultiIndex._from_code(n.bit_length(), n)
-
-
-def _basis_index(n) -> int:
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +97,10 @@ def walsh_expand(f: DyadicStep, level: Optional[int] = None) -> list[Scalar]:
     (default: the minimal level of f) sets the table size 2**level.
     """
     f = f.normalize()
-    if level is None:
-        level = f.level
-    rows = butterfly(f.refine(level).num, level)
-    den = f.den << level
+    if level is not None:
+        f = f.refine(level)
+    rows = butterfly(f.num, f.level)
+    den = f.den << f.level
     return [_ratio(u, den) for u in rows.ravel().tolist()]
 
 
@@ -129,6 +122,7 @@ def ingest_signal(samples: Sequence, level: int) -> DyadicStep:
     :func:`~cuntz_bases.dyadic.lift` as it is.  A malformed string raises
     :class:`~cuntz_bases.dyadic.SampleError`.
     """
+    level = _index(level, "level")
     if len(samples) != 1 << level:
         raise ValueError(f"expected {1 << level} samples, got {len(samples)}")
     num, den = lift([repr(float(s)) if isinstance(s, float)
@@ -178,8 +172,7 @@ def greedy_generators(max_word_len: int) -> GeneratorCover:
     that this never happens is exactly the index-level orthogonality of the
     resulting subspace decomposition.
     """
-    if max_word_len < 0:
-        raise ValueError("max_word_len must be nonnegative")
+    max_word_len = _index(max_word_len, "max_word_len")
     # the words of weight <= 1, as (length, code, word), in (length, code) order
     prefixes = [(length, code, MultiIndex._from_code(length, code))
                 for length in range(max_word_len + 1)
@@ -382,6 +375,7 @@ def verify_decomposition_levels(cover: GeneratorCover,
     blocks of the Gram (:func:`_gram_gaps`); a level with the wrong count
     fails on the count alone.
     """
+    levels = [_index(level, "level") for level in levels]
     top = max(levels)
     if cover.max_word_len < top - 1:
         raise ValueError("cover is too shallow for the requested level")

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import StepFunction, as_rational, as_word, word_cell
+from .dyadic import StepFunction, _index, as_word, word_cell
 from .operators import s_word
 from .reporting import Tally, VerificationReport
 
@@ -55,17 +55,19 @@ class CantorStep(StepFunction):
         return cls.indicator(len(word), word_cell(len(word), word.code))
 
     def cell_left(self, cell: int) -> Fraction:
-        """Left endpoint of cell ``cell`` at this level."""
+        """Left endpoint of cell ``cell`` at this level; any int is read
+        modulo ``2**level`` (only its low ``level`` bits count)."""
+        cell = _index(cell, "cell index", -math.inf)
         return Fraction(_cell_left_numerator(self.level, cell), 1 << (2 * self.level))
 
     @staticmethod
     def cell_mass(level: int) -> Fraction:
-        return Fraction(1, 1 << level)
+        return Fraction(1, 1 << _index(level, "level"))
 
     @staticmethod
     def cell_diameter(level: int) -> Fraction:
         # the carrier set spans [0, 2/3]; each contraction shrinks by 4
-        return Fraction(2, 3) / 4 ** level
+        return Fraction(2, 3) / 4 ** _index(level, "level")
 
 
 def _cell_left_numerator(level: int, cell: int) -> int:
@@ -132,31 +134,52 @@ def mu_hat_is_zero(delta: int) -> bool:
 # The exponential spectrum
 # ---------------------------------------------------------------------------
 
+# looked up once, not per point: lambda_set builds its 2**p points through
+# LambdaPoint._trusted
+_new, _set = object.__new__, object.__setattr__
+
+
 @dataclass(frozen=True, order=True)
 class LambdaPoint:
     """A spectrum point: nonnegative integer whose base-4 digits are 0 or 1.
 
     ``digits`` are its base-4 digits, lowest first, with no trailing zeros
-    (``()`` for 0).
+    (``()`` for 0).  The constructor checks that ``value`` is a spectrum
+    point and that ``digits`` are its digits, else ValueError;
+    :meth:`from_value` computes the digits.
     """
 
     value: int
     digits: tuple[int, ...]
 
+    def __post_init__(self):
+        point = LambdaPoint.from_value(self.value)
+        if self.digits != point.digits:
+            raise ValueError(f"digits {self.digits} are not those of value {point.value}")
+        _set(self, "value", point.value)
+        _set(self, "digits", point.digits)
+
+    @classmethod
+    def _trusted(cls, value: int, digits: tuple[int, ...]) -> "LambdaPoint":
+        """Build from a point's int value and its digits, unchecked: for
+        points the library made itself, as ``MultiIndex._trusted`` is."""
+        self = _new(cls)
+        _set(self, "value", value)
+        _set(self, "digits", digits)
+        return self
+
     @classmethod
     def from_value(cls, value: int) -> "LambdaPoint":
-        if value < 0:
-            raise ValueError("value must be nonnegative")
+        value = _index(value, "value")
         bits = f"{value:b}"[::-1] if value else ""  # lowest first
         if "1" in bits[1::2]:  # a set bit at an odd position: digit 2 or 3
-            raise ValueError(f"{value} has a base-4 digit other than 0/1")
-        return cls(value, tuple(map(int, bits[::2])))
+            raise ValueError(f"value {value} has a base-4 digit other than 0/1")
+        return cls._trusted(value, tuple(map(int, bits[::2])))
 
 
 def lambda_set(p: int) -> list[LambdaPoint]:
     """All 2**p spectrum points with at most p base-4 digits, ascending."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    p = _index(p, "p")
     # the point of mask m spreads m's bits to base 4: its lowest digit is
     # m & 1, then come the digits of the point of m >> 1
     values, digits = [0], [()]
@@ -164,7 +187,8 @@ def lambda_set(p: int) -> list[LambdaPoint]:
         rest = mask >> 1
         values.append(4 * values[rest] + (mask & 1))
         digits.append((mask & 1, *digits[rest]))
-    return list(map(LambdaPoint, values, digits))  # ascending: the spread is monotone in mask
+    # ascending: the spread is monotone in mask
+    return list(map(LambdaPoint._trusted, values, digits))
 
 
 # bits 0, 2, 4, ..., 62: the lowest set bit of d lies in this mask exactly
@@ -221,10 +245,12 @@ def _coefficients(lams, f: CantorStep):
     for lam in lams:
         if isinstance(lam, LambdaPoint):
             lam = lam.value
+        elif type(lam) is not int and isinstance(lam, numbers.Integral):
+            lam = _index(lam, "lam", -math.inf)  # a numpy int takes the exact path
         tail = mu_hat(lam * 4.0 ** (-k)).conjugate()
         total = complex(0.0)
         if isinstance(lam, int):
-            factor = -2 * as_rational(lam)
+            factor = -2 * lam
             for weight, t in cells:
                 total += weight * cmath.exp(1j * math.pi * (factor * t % (2 * four_k) / four_k))
         else:
@@ -242,7 +268,9 @@ def exp_coefficient(lam, f: CantorStep) -> complex:
     conjugated transform at lam * 4^-k, so the Cantor set is never sampled
     pointwise.  With t_J = T / 4^k, an integer lam's angle -2 lam t_J mod 2
     is reduced as an integer mod 2 * 4^k, then divided by 4^k once, which
-    rounds correctly, as float(Fraction) does.
+    rounds correctly, as float(Fraction) does.  Any integral lam (a numpy
+    int too, read by ``dyadic._index``) takes this exact path; a bool raises
+    TypeError, and other reals take the float path.
     """
     return next(_coefficients((lam,), f))
 
@@ -294,8 +322,7 @@ def indicator_relation_check(word) -> VerificationReport:
 def verify_lambda_partition(p: int) -> VerificationReport:
     """Check that the nonzero depth-p spectrum splits exactly into the
     geometric orbits {m * 4^j} of its odd elements (each point hit once)."""
-    if p < 1:
-        raise ValueError("p must be at least one")
+    p = _index(p, "p", 1)
     values = {pt.value for pt in lambda_set(p)}
     target = values - {0}
     seen: dict[int, int] = {}

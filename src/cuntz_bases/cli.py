@@ -226,10 +226,9 @@ def cmd_walsh(args: argparse.Namespace) -> int:
     indices = _parse_range(args.index_range)
     if not indices:
         return 0
-    if indices[0] < 0:
-        raise InputError("basis indices must be nonnegative")
-    if indices[-1] > MAX_WALSH_INDEX:
-        raise InputError(f"basis indices must be at most {MAX_WALSH_INDEX}, got {indices[-1]}")
+    if indices[0] < 0 or indices[-1] > MAX_WALSH_INDEX:
+        raise InputError(f"basis indices must be between 0 and {MAX_WALSH_INDEX}, "
+                         f"got {indices[0]}..{indices[-1]}")
     if len(indices) > MAX_WALSH_FILES:
         raise InputError(f"--range names {len(indices)} indices; "
                          f"at most {MAX_WALSH_FILES} files per call")

@@ -11,6 +11,7 @@ use from any number of threads without coordination.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -153,6 +154,30 @@ def _lift_tokens(values: Sequence) -> tuple[list[int], int]:
     return nums, den
 
 
+def _index(value, name: str, low=0, high=None) -> int:
+    """A count or index argument as an int: the one gate through which
+    levels, depths, orders, branch digits and cells enter the library, as
+    :func:`lift` is for exact values.
+
+    ``value`` is read with ``operator.index``, so a numpy integer comes back
+    as an ``int``; a bool, a float, a Fraction or a string raises TypeError.
+    An int outside ``[low, high]`` (``high=None``: no upper bound) raises
+    ValueError naming ``name``.
+    """
+    if type(value) is not int:
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
+    if value < low or high is not None and value > high:
+        rule = (("nonnegative" if low == 0 else f"at least {low}") if high is None
+                else f"{low} or {high}" if high == low + 1 else f"in [{low}, {high}]")
+        raise ValueError(f"{name} out of range: {name} must be {rule}, got {value}")
+    return value
+
+
 def join_lifts(lifts: Iterable[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
     """The lift of consecutive runs of values as one numerator array.
 
@@ -260,8 +285,7 @@ class StepFunction:
 
     def __init__(self, level: int, coeffs: Iterable):
         num, den = lift(tuple(coeffs))
-        if level < 0:
-            raise ValueError("level must be nonnegative")
+        level = _index(level, "level")
         if len(num) != 1 << level:
             raise ValueError(f"expected {1 << level} coefficients, got {len(num)}")
         num.setflags(write=False)
@@ -304,8 +328,8 @@ class StepFunction:
     @classmethod
     def indicator(cls, level: int, cell: int):
         """The indicator of cell ``cell`` of the level-``level`` partition."""
-        if not 0 <= cell < 1 << level:
-            raise ValueError("cell index out of range")
+        level = _index(level, "level")
+        cell = _index(cell, "cell index", 0, (1 << level) - 1)
         num = np.zeros(1 << level, dtype=np.int64)
         num[cell] = 1
         return cls._trusted(level, num, 1)
@@ -336,9 +360,9 @@ class StepFunction:
         return np.repeat(self.num, 1 << (level - self.level))
 
     def refine(self, target_level: int) -> "StepFunction":
-        """Re-express on the finer level-``target_level`` partition."""
-        if target_level < self.level:
-            raise ValueError("refine cannot reduce the level (lossy)")
+        """Re-express on the finer level-``target_level`` partition; a
+        coarser level raises ValueError, as the cells could not be kept."""
+        target_level = _index(target_level, "target_level", self.level)
         if target_level == self.level:
             return self
         return self._trusted(target_level, self._cells(target_level), self.den)
@@ -442,7 +466,7 @@ class DyadicStep(StepFunction):
         return _ratio(int(self.num[cell]), self.den)
 
     def cell_left(self, cell: int) -> Scalar:
-        return _ratio(cell, 1 << self.level)
+        return _ratio(_index(cell, "cell index", 0, (1 << self.level) - 1), 1 << self.level)
 
     @classmethod
     def from_json(cls, data: dict) -> "DyadicStep":
@@ -466,9 +490,8 @@ class MultiIndex:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-        if any(d not in (0, 1) for d in self.digits):
-            raise ValueError("word digits must be 0 or 1")
+        digits = tuple([_index(d, "word digit", 0, 1) for d in self.digits])
+        object.__setattr__(self, "digits", digits)
 
     @classmethod
     def _trusted(cls, digits: tuple[int, ...]) -> "MultiIndex":
@@ -521,10 +544,10 @@ class MultiIndex:
 
 
 def word_keys(max_len: int) -> Iterator[tuple[int, int]]:
-    """The ``(length, code)`` pairs of all words of length <= max_len, in order."""
-    for length in range(max_len + 1):
-        for code in range(1 << length):
-            yield length, code
+    """The ``(length, code)`` pairs of all words of length <= max_len, in
+    order; ``max_len`` is checked at the call, not at the first pair."""
+    return ((length, code) for length in range(_index(max_len, "max_len") + 1)
+            for code in range(1 << length))
 
 
 def word_code(digits: Sequence[int]) -> int:
@@ -547,8 +570,7 @@ def word_cell(length: int, code: int) -> int:
 
 def enumerate_words(max_len: int) -> Iterator[MultiIndex]:
     """All words of length <= max_len, in (length, code) order, each once."""
-    for length, code in word_keys(max_len):
-        yield MultiIndex._from_code(length, code)
+    return (MultiIndex._from_code(length, code) for length, code in word_keys(max_len))
 
 
 def as_word(word) -> MultiIndex:

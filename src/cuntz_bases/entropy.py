@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import butterfly
-from .dyadic import MultiIndex, StepFunction
+from .dyadic import MultiIndex, StepFunction, _index
 from .operators import s_adjoint
 from .reporting import Tally, VerificationReport
 
@@ -67,8 +67,6 @@ def _mass_levels(f, depth: int) -> list[tuple[object, object]]:
     of Python ints over one int per level; a hybrid is measured adjoint by
     adjoint, a list of its float masses over 1.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     if isinstance(f, StepFunction):
         return _packet_mass_levels(f, depth)
     total = float(f.norm_sq())
@@ -127,6 +125,7 @@ def projection_masses(f, k: int) -> dict[MultiIndex, object]:
 
     Values are exact rationals for steps, floats for hybrids.
     """
+    k = _index(k, "k")
     nums, den = _mass_levels(f, k)[k]
     *_, codes = _lex_codes(k)
     return {MultiIndex._from_code(k, code): _mass(nums[code], den) for code in codes}
@@ -135,6 +134,7 @@ def projection_masses(f, k: int) -> dict[MultiIndex, object]:
 def entropy(f, k: int) -> float:
     """Entropy number of the depth-k projection masses (natural log), summed
     in lexicographic word order straight from the level's integers."""
+    k = _index(k, "k")
     nums, den = _mass_levels(f, k)[k]
     *_, codes = _lex_codes(k)
     return sum(_nlogn(nums[code], den) for code in codes)
@@ -218,8 +218,7 @@ class EntropyTree:
 
 
 def build_entropy_tree(f, depth: int) -> EntropyTree:
-    if depth < 1:
-        raise ValueError("depth must be at least one")
+    depth = _index(depth, "depth", 1)
     levels = _mass_levels(f, depth)
     terms = tuple([_nlogn(num, den) for num in nums] for nums, den in levels)
     # each level summed in lexicographic word order, the order of the float sums
@@ -250,11 +249,13 @@ def best_basis(f, max_depth: int) -> tuple[tuple[MultiIndex, ...], float]:
     split-vs-keep dynamic program is optimal because the cost is additive
     over leaves.  Ties prefer the shallower node.  With this cost the
     search is trivial: the root's mass is 1, so its term is 0.0 and no split
-    beats it.  Every input gives ``((),)`` at cost 0.0, and the verify checks
+    beats it.  So each nonnegative ``max_depth`` gives ``((),)`` at cost 0.0
+    (0 without building a tree), and the verify checks
     ``best-basis-matches-exhaustive-depth3`` and
-    ``best-basis-beats-uniform-partitions`` pass for that reason alone.
+    ``best-basis-beats-uniform-partitions`` pass for that reason alone; a
+    negative ``max_depth`` raises ValueError.
     """
-    if max_depth < 1:
+    if _index(max_depth, "max_depth") == 0:
         return (MultiIndex(()),), 0.0
     tree = build_entropy_tree(f, max_depth)
     return tree.best_leaves, tree.best_cost

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
-from .dyadic import StepFunction, as_word, word_cell
+from .dyadic import StepFunction, _index, as_word, word_cell
 from .reporting import Tally, VerificationReport
 
 if TYPE_CHECKING:
@@ -77,8 +77,7 @@ def s_apply(j: int, f: Vector) -> Vector:
     is composed with the doubling map, its second branch times -1 for S_1
     (:func:`trig.compose_doubling`).  Step subclasses keep their class.
     """
-    if j not in (0, 1):
-        raise ValueError("branch index must be 0 or 1")
+    j = _index(j, "branch index", 0, 1)
     if isinstance(f, StepFunction):
         num = f.num
         return f._trusted(f.level + 1, np.concatenate((num, num if j == 0 else -num)), f.den)
@@ -93,8 +92,7 @@ def s_adjoint(j: int, f: Vector) -> Vector:
     denominator; a hybrid averages its two halves the same way
     (:func:`trig.average_halves`).
     """
-    if j not in (0, 1):
-        raise ValueError("branch index must be 0 or 1")
+    j = _index(j, "branch index", 0, 1)
     if isinstance(f, StepFunction):
         if f.level == 0:
             return f if j == 0 else f._trusted(0, np.zeros(1, dtype=np.int64), 1)
@@ -156,8 +154,8 @@ class NAdicStep:
     __slots__ = ("base", "level", "coeffs")
 
     def __init__(self, base: int, level: int, coeffs):
-        if base < 2:
-            raise ValueError("base must be at least 2")
+        base = _index(base, "base", 2)
+        level = _index(level, "level")
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != (base ** level,):
             raise ValueError(f"expected {base ** level} coefficients")
@@ -166,8 +164,7 @@ class NAdicStep:
         self.coeffs = coeffs
 
     def refine(self, target_level: int) -> "NAdicStep":
-        if target_level < self.level:
-            raise ValueError("refine cannot reduce the level (lossy)")
+        target_level = _index(target_level, "target_level", self.level)
         reps = self.base ** (target_level - self.level)
         return NAdicStep(self.base, target_level, np.repeat(self.coeffs, reps))
 
@@ -201,8 +198,7 @@ class GeneralRepN:
     _QUARTER_TURNS = {0: 1.0 + 0.0j, 1: 1.0j, 2: -1.0 + 0.0j, 3: -1.0j}
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("need at least two branches")
+        n = _index(n, "n", 2)
         self.N = n
         # quarter-turn roots are exact units; keep them exact so the N = 2
         # and N = 4 representations carry no float noise of their own
@@ -217,16 +213,19 @@ class GeneralRepN:
 
     def filter_value(self, j: int, x: float) -> complex:
         """m_j at the point x in [0,1): the unit root of x's branch cell."""
+        j = _index(j, "branch index", 0, self.N - 1)
         branch = int(self.N * x)
         if not 0 <= branch < self.N:
             raise ValueError("x must lie in [0, 1)")
         return complex(self._roots[(j * branch) % self.N])
 
     def apply(self, j: int, f: NAdicStep) -> NAdicStep:
+        j = _index(j, "branch index", 0, self.N - 1)
         blocks = [self._roots[(j * k) % self.N] * f.coeffs for k in range(self.N)]
         return NAdicStep(self.N, f.level + 1, np.concatenate(blocks))
 
     def adjoint(self, j: int, f: NAdicStep) -> NAdicStep:
+        j = _index(j, "branch index", 0, self.N - 1)
         if f.level == 0:
             value = f.coeffs[0] if j == 0 else 0.0
             return NAdicStep(self.N, 0, [value])
@@ -235,6 +234,7 @@ class GeneralRepN:
         return NAdicStep(self.N, f.level - 1, phases @ blocks / self.N)
 
     def random_step(self, level: int, rng) -> NAdicStep:
+        level = _index(level, "level")
         shape = self.N ** level
         return NAdicStep(self.N, level,
                          rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -281,6 +281,7 @@ def verify_unitary_matrix(n: int, x_samples: Sequence[float], tol: float = 1e-12
     N = 4 cases exact in floating point (entries are exact units).
     """
     rep = GeneralRepN(n)
+    n = rep.N  # the int that GeneralRepN read
     tally = Tally()
     for x in x_samples:
         m = np.empty((n, n), dtype=np.complex128)

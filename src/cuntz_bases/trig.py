@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .dyadic import DyadicStep, _inner_parts, as_rational
+from .dyadic import DyadicStep, _index, _inner_parts, as_rational
 
 MODE_CONST = "const"
 MODE_COS = "cos"
@@ -460,10 +460,7 @@ def hybrid_inner(f: HybridFunction | DyadicStep, g: HybridFunction | DyadicStep)
     an integer ratio and converted once, so two const hybrids reproduce the
     exact step inner product to the last bit.
     """
-    if isinstance(f, DyadicStep):
-        f = HybridFunction.from_step(f)
-    if isinstance(g, DyadicStep):
-        g = HybridFunction.from_step(g)
+    f, g = _as_hybrid(f), _as_hybrid(g)
     exact_num, exact_den = 0, 1
     approx = 0.0
     for a in f.atoms:
@@ -500,6 +497,19 @@ def hybrid_inner(f: HybridFunction | DyadicStep, g: HybridFunction | DyadicStep)
     return exact_num / exact_den + approx
 
 
+def _as_hybrid(f: HybridFunction | DyadicStep) -> HybridFunction:
+    """A hybrid as it is, a dyadic step as the hybrid of its one const atom.
+    Any other carrier raises TypeError: a hybrid lives on [0, 1) with
+    Lebesgue measure, and a step on another geometry (a Cantor cylinder
+    step) has no inner product with it."""
+    if isinstance(f, DyadicStep):
+        return HybridFunction.from_step(f)
+    if not isinstance(f, HybridFunction):
+        raise TypeError(f"a trig hybrid pairs only with a hybrid or a DyadicStep, "
+                        f"not {type(f).__name__}")
+    return f
+
+
 def hybrid_norm_sq(f: HybridFunction | DyadicStep) -> float:
     return hybrid_inner(f, f)
 
@@ -510,8 +520,7 @@ def hybrid_norm_sq(f: HybridFunction | DyadicStep) -> float:
 
 def make_sine(n: int) -> HybridFunction:
     """sin(2 pi n x) on [0,1]; the zero function for n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _index(n, "n")
     if n == 0:
         return HybridFunction.zero()
     return HybridFunction((make_atom(DyadicStep.ones(), MODE_SIN, n),))
@@ -519,8 +528,7 @@ def make_sine(n: int) -> HybridFunction:
 
 def make_cos(n: int) -> HybridFunction:
     """cos(2 pi n x) on [0,1]; the constant one for n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _index(n, "n")
     if n == 0:
         return HybridFunction.from_step(DyadicStep.ones())
     return HybridFunction((make_atom(DyadicStep.ones(), MODE_COS, n),))
@@ -528,8 +536,8 @@ def make_cos(n: int) -> HybridFunction:
 
 def fourier_coeffs(f: HybridFunction | DyadicStep, max_n: int) -> tuple[list[float], list[float]]:
     """Cosine and sine coefficients c_n, s_n for n = 0..max_n (s_0 is 0)."""
-    if isinstance(f, DyadicStep):
-        f = HybridFunction.from_step(f)
+    max_n = _index(max_n, "max_n")
+    f = _as_hybrid(f)
     c = [hybrid_inner(make_cos(n), f) for n in range(max_n + 1)]
     s = [0.0] + [hybrid_inner(make_sine(n), f) for n in range(1, max_n + 1)]
     return c, s
@@ -548,8 +556,7 @@ def classify_reflection(f: HybridFunction | DyadicStep, tol: float = 1e-10) -> s
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(f, DyadicStep):
-        f = HybridFunction.from_step(f)
+    f = _as_hybrid(f)
     if math.sqrt(max(hybrid_norm_sq(average_halves(f, 1)), 0.0)) < tol:
         return ANTIPERIODIC_HALF
     if math.sqrt(max(hybrid_norm_sq(average_halves(f, -1)), 0.0)) < tol:

@@ -153,6 +153,14 @@ class TestSpectrum:
         assert LambdaPoint.from_value(5) == lambda_set(3)[3]
         assert lambda_set(3)[1].digits == (1,) and lambda_set(3)[0].digits == ()
 
+    def test_constructor_accepts_only_spectrum_points(self):
+        for pt in lambda_set(4):
+            assert LambdaPoint(pt.value, pt.digits) == pt
+        with pytest.raises(ValueError, match="digits"):
+            LambdaPoint(5, (1,))  # the digits of 1, not of 5
+        with pytest.raises(ValueError, match="base-4 digit other than 0/1"):
+            LambdaPoint(2, (2,))
+
     def test_gram_small(self):
         for p in (0, 2, 4):
             assert gram_exponentials(p).passed

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from cuntz_bases import trig, verification
 from cuntz_bases.basis import build_frame
+from cuntz_bases.cantor import CantorStep
 from cuntz_bases.dyadic import DyadicStep
 from cuntz_bases.operators import s_adjoint, s_apply
 from cuntz_bases.trig import (
@@ -79,6 +80,15 @@ class TestInner:
                 expected += quad(lambda x: u.evaluate(Fraction(x)) * v.evaluate(Fraction(x)),
                                  lo, hi, epsabs=1e-13)[0]
             assert hybrid_inner(u, v) == pytest.approx(expected, abs=1e-10)
+
+    def test_cantor_step_against_a_hybrid_is_a_type_error(self):
+        # a cylinder step lives on the Cantor measure, a hybrid on [0, 1)
+        cantor = CantorStep(2, [1, -2, 0, 3])
+        for call in (lambda: cantor.inner(S1), lambda: S1.inner(cantor),
+                     lambda: hybrid_inner(cantor, S1), lambda: fourier_coeffs(cantor, 2),
+                     lambda: classify_reflection(cantor)):
+            with pytest.raises(TypeError, match="CantorStep"):
+                call()
 
 
 class TestAdjointAtoms:
