@@ -15,7 +15,6 @@ from cuntz_bases import (
     compute_K,
     frames_orthogonal,
     hybrid_inner,
-    hybrid_norm_sq,
     make_sine,
     s_adjoint,
     s_apply,
@@ -24,7 +23,7 @@ from cuntz_bases import (
 print("Reflection symmetry of the first six sines:")
 for n in range(1, 7):
     label = classify_reflection(make_sine(n))
-    norm = math.sqrt(hybrid_norm_sq(s_adjoint(0, make_sine(n))))
+    norm = math.sqrt(s_adjoint(0, make_sine(n)).norm_sq())
     print(f"  sin(2pi {n} x): {label:18s} |adjoint_0| = {norm:.3e}")
 
 print()

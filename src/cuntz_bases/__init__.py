@@ -28,7 +28,7 @@ _EXPORTS = {
     "dyadic": ("DyadicStep", "MultiIndex", "StepFunction", "as_rational", "enumerate_words",
                "rational_str"),
     "trig": ("HybridFunction", "TrigAtom", "classify_reflection", "fourier_coeffs",
-             "hybrid_inner", "hybrid_norm_sq", "make_atom", "make_cos", "make_sine"),
+             "hybrid_inner", "make_atom", "make_cos", "make_sine"),
     "operators": ("GeneralRepN", "INTERVAL_REP", "IntervalRep2", "NAdicStep", "adjoint_word",
                   "apply_word", "s_adjoint", "s_apply", "verify_cuntz",
                   "verify_unitary_matrix"),

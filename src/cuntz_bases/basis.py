@@ -98,7 +98,7 @@ def walsh_expand(f: DyadicStep, level: Optional[int] = None) -> list[Scalar]:
     """
     f = f.normalize()
     if level is not None:
-        f = f.refine(level)
+        f = f.refine(_index(level, "level", f.level))
     rows = butterfly(f.num, f.level)
     den = f.den << f.level
     return [_ratio(u, den) for u in rows.ravel().tolist()]
@@ -210,6 +210,7 @@ def compute_K(psi, max_depth: int = 6, tol: float = 0.0) -> Optional[MultiIndex]
     must satisfy S_0* psi = 0; violations raise ValueError.  ``tol = 0``
     demands exact zeros (appropriate for step seeds).
     """
+    max_depth = _index(max_depth, "max_depth")
     norm_sq = abs(float(psi.norm_sq()))
     if norm_sq == 0.0:
         raise ValueError("seed must be nonzero")
@@ -253,6 +254,7 @@ def build_frame(psi, K: Optional[MultiIndex], depth: int) -> SubspaceFrame:
     as 0^m and 0^(m-1)(0) collapse.  With ``K = None`` the words are every
     word of weight <= 1 up to the depth.
     """
+    depth = _index(depth, "depth")
     if K is None:  # weight <= 1: the code is zero or a power of two
         keys = {(length, code) for length, code in word_keys(depth) if not code & (code - 1)}
     else:

@@ -380,9 +380,6 @@ class StepFunction:
     def is_zero(self) -> bool:
         return not self.num.any()
 
-    def to_json(self) -> dict:
-        return {"level": self.level, "coeffs": [rational_str(c) for c in self.coeffs]}
-
     # -- arithmetic ----------------------------------------------------
 
     def _combine(self, other, sign: int):
@@ -467,10 +464,6 @@ class DyadicStep(StepFunction):
 
     def cell_left(self, cell: int) -> Scalar:
         return _ratio(_index(cell, "cell index", 0, (1 << self.level) - 1), 1 << self.level)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DyadicStep":
-        return cls(data["level"], data["coeffs"])
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ multiples of pi.  Floats appear in exactly one place: the closed-form
 integration inside :func:`hybrid_inner`.  Everything upstream of that is
 symbolic, so identities like "the adjoint kills every odd sine" come out as
 exact cancellations of atoms, not as small numbers.
+
+Cell integrals are kept in a ``functools.lru_cache`` that threads may share:
+a block computed twice at once is the same floats both times.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import compress
@@ -138,23 +142,6 @@ class TrigAtom:
     def scaled(self, factor) -> "TrigAtom":
         return TrigAtom._trusted(self.window.scale(factor), self.mode, self._freq, self._phase)
 
-    def to_json(self) -> dict:
-        data = {
-            "window": self.window.to_json(),
-            "mode": self.mode,
-            "freq_num": self._freq[0],
-            "freq_log2den": self._freq[1],
-        }
-        if self._phase != _ZERO:
-            data["phase_num"], data["phase_log2den"] = self._phase
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> Optional["TrigAtom"]:
-        freq = Fraction(data["freq_num"], 1 << data["freq_log2den"])
-        phase = Fraction(data.get("phase_num", 0), 1 << data.get("phase_log2den", 0))
-        return make_atom(DyadicStep.from_json(data["window"]), data["mode"], freq, phase)
-
 
 def make_atom(window: DyadicStep, mode: str, freq=0, phase=0) -> Optional[TrigAtom]:
     """Canonicalize an atom; returns None when the atom is identically zero.
@@ -263,8 +250,6 @@ class HybridFunction:
 
     def scale(self, factor) -> "HybridFunction":
         factor = as_rational(factor)
-        if factor == 0:
-            return HybridFunction.zero()
         return HybridFunction(tuple(a.scaled(factor) for a in self.atoms))
 
     def __eq__(self, other):
@@ -299,13 +284,6 @@ class HybridFunction:
                 t = 2 * a.freq * x + a.phase
                 total += w * _trig_value(a.mode, t.numerator, t.denominator)
         return total
-
-    def to_json(self) -> list:
-        return [a.to_json() for a in self.atoms]
-
-    @classmethod
-    def from_json(cls, data: list) -> "HybridFunction":
-        return cls(tuple(TrigAtom.from_json(d) for d in data))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +340,19 @@ def _trig_value(kind: str, num: int, den: int) -> float:
     return (math.cos if kind == MODE_COS else math.sin)(math.pi * t)
 
 
-# Cell integrals are computed and kept in blocks of 2**BLOCK_BITS adjacent
-# cells of one level (the whole level when it has fewer cells), so a window
-# with a small support on a deep level computes only the blocks it touches.
+# Cell integrals are computed in blocks of 2**BLOCK_BITS adjacent cells of one
+# level (the whole level when it has fewer cells), so a window with a small
+# support on a deep level computes only the blocks it touches.  An LRU cache
+# keeps up to CACHE_BLOCKS blocks (about 1.2 MB when full), keyed by ints,
+# never by a Fraction: (kind, freq pair, phase pair, level, block).  947 is the
+# smallest size at which `verify --suite all` computes at most 3,683 of its
+# 16,641 blocks, as an 8,192-cell bound did.
 BLOCK_BITS = 5
 _BLOCK_MASK = (1 << BLOCK_BITS) - 1
+CACHE_BLOCKS = 947
 
 
+@functools.lru_cache(maxsize=CACHE_BLOCKS)
 def _cell_integrals(kind: str, freq: Dyadic, phase: Dyadic, k: int,
                     block: int) -> tuple[float, ...]:
     """Integrals of kind(2*pi*freq*x + pi*phase) over the level-k cells of
@@ -401,35 +385,6 @@ def _cell_integrals(kind: str, freq: Dyadic, phase: Dyadic, k: int,
     if kind == MODE_SIN:
         scale = -scale
     return tuple([scale * (hi - lo) for lo, hi in zip(ends, ends[1:])])
-
-
-# The memo of cell-integral blocks, keyed by the mode and ints, never by a
-# Fraction: (kind, freq pair, phase pair, level, block).  It holds at most MEMO_CELLS
-# cell integrals; the oldest blocks go first.
-MEMO_CELLS = 1 << 13
-_memo: dict[tuple, tuple[float, ...]] = {}
-_memo_cells = 0
-
-
-def _memo_integrals(kind: str, freq: Dyadic, phase: Dyadic, k: int,
-                    block: int) -> tuple[float, ...]:
-    """:func:`_cell_integrals`, through the bounded memo."""
-    global _memo_cells
-    key = (kind, freq, phase, k, block)
-    table = _memo.get(key)
-    if table is None:
-        table = _cell_integrals(kind, freq, phase, k, block)
-        while _memo_cells + len(table) > MEMO_CELLS:
-            _memo_cells -= len(_memo.pop(next(iter(_memo))))
-        _memo[key] = table
-        _memo_cells += len(table)
-    return table
-
-
-def _clear_memo() -> None:
-    global _memo_cells
-    _memo.clear()
-    _memo_cells = 0
 
 
 def _product_terms(a: TrigAtom, b: TrigAtom):
@@ -488,7 +443,7 @@ def hybrid_inner(f: HybridFunction | DyadicStep, g: HybridFunction | DyadicStep)
                     if wn:
                         if i >> BLOCK_BITS != block:
                             block = i >> BLOCK_BITS
-                            columns = [(cn, den, _memo_integrals(kind, freq, phase, k, block))
+                            columns = [(cn, den, _cell_integrals(kind, freq, phase, k, block))
                                        for cn, den, kind, freq, phase in terms]
                         j = i & _BLOCK_MASK
                         for cn, den, integrals in columns:
@@ -510,28 +465,18 @@ def _as_hybrid(f: HybridFunction | DyadicStep) -> HybridFunction:
     return f
 
 
-def hybrid_norm_sq(f: HybridFunction | DyadicStep) -> float:
-    return hybrid_inner(f, f)
-
-
 # ---------------------------------------------------------------------------
 # The sine/cosine families and Fourier coefficients
 # ---------------------------------------------------------------------------
 
 def make_sine(n: int) -> HybridFunction:
     """sin(2 pi n x) on [0,1]; the zero function for n = 0."""
-    n = _index(n, "n")
-    if n == 0:
-        return HybridFunction.zero()
-    return HybridFunction((make_atom(DyadicStep.ones(), MODE_SIN, n),))
+    return HybridFunction((make_atom(DyadicStep.ones(), MODE_SIN, _index(n, "n")),))
 
 
 def make_cos(n: int) -> HybridFunction:
     """cos(2 pi n x) on [0,1]; the constant one for n = 0."""
-    n = _index(n, "n")
-    if n == 0:
-        return HybridFunction.from_step(DyadicStep.ones())
-    return HybridFunction((make_atom(DyadicStep.ones(), MODE_COS, n),))
+    return HybridFunction((make_atom(DyadicStep.ones(), MODE_COS, _index(n, "n")),))
 
 
 def fourier_coeffs(f: HybridFunction | DyadicStep, max_n: int) -> tuple[list[float], list[float]]:
@@ -557,8 +502,8 @@ def classify_reflection(f: HybridFunction | DyadicStep, tol: float = 1e-10) -> s
     if tol <= 0:
         raise ValueError("tol must be positive")
     f = _as_hybrid(f)
-    if math.sqrt(max(hybrid_norm_sq(average_halves(f, 1)), 0.0)) < tol:
+    if math.sqrt(max(average_halves(f, 1).norm_sq(), 0.0)) < tol:
         return ANTIPERIODIC_HALF
-    if math.sqrt(max(hybrid_norm_sq(average_halves(f, -1)), 0.0)) < tol:
+    if math.sqrt(max(average_halves(f, -1).norm_sq(), 0.0)) < tol:
         return PERIODIC_HALF
     return NEITHER

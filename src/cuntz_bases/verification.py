@@ -57,7 +57,6 @@ from .trig import (
     classify_reflection,
     fourier_coeffs,
     hybrid_inner,
-    hybrid_norm_sq,
     make_cos,
     make_sine,
 )
@@ -269,7 +268,7 @@ def check_even_sine_halving():
     tally = Tally()
     for m in range(1, 50):
         half = s_adjoint(0, make_sine(2 * m))
-        norm_gap = abs(math.sqrt(hybrid_norm_sq(half)) - math.sqrt(0.5))
+        norm_gap = abs(math.sqrt(half.norm_sq()) - math.sqrt(0.5))
         tally.record(half != make_sine(m) or norm_gap > 1e-10,
                      f"sine {2 * m}, norm gap {norm_gap:.2e}")
     return tally.report("even-sine-adjoint-halving-exact")
@@ -312,7 +311,7 @@ def check_parseval():
             continue
         c, s = fourier_coeffs(f, 8)
         energy = c[0] ** 2 + 2 * sum(c[n] ** 2 + s[n] ** 2 for n in range(1, 9))
-        tally.record(abs(energy - hybrid_norm_sq(f)), f"signal {i}")
+        tally.record(abs(energy - f.norm_sq()), f"signal {i}")
     return tally.report("trig-parseval", 1e-10)
 
 

@@ -113,10 +113,9 @@ TABLE = {
     ("bessel_sum", "p"): ("p", range(0, 7), lambda v: bessel_sum(CANTOR, v)),
     ("best_basis", "max_depth"): ("max_depth", range(0, 7), lambda v: best_basis(STEP, v)),
     ("build_entropy_tree", "depth"): ("depth", range(1, 7), lambda v: build_entropy_tree(STEP, v)),
-    # compute_K and build_frame pass their bound on to word_keys, which names it
-    ("build_frame", "depth"): ("max_len", range(0, 7), lambda v: build_frame(PSI, None, v)),
+    ("build_frame", "depth"): ("depth", range(0, 7), lambda v: build_frame(PSI, None, v)),
     ("coefficient_table", "p"): ("p", range(0, 7), lambda v: coefficient_table(CANTOR, v)),
-    ("compute_K", "max_depth"): ("max_len", range(0, 7), lambda v: compute_K(PSI, v)),
+    ("compute_K", "max_depth"): ("max_depth", range(0, 7), lambda v: compute_K(PSI, v)),
     ("entropy", "k"): ("k", range(0, 7), lambda v: entropy(STEP, v)),
     ("enumerate_words", "max_len"): ("max_len", range(0, 7), lambda v: list(enumerate_words(v))),
     ("fourier_coeffs", "max_n"): ("max_n", range(0, 7), lambda v: fourier_coeffs(STEP, v)),
@@ -141,7 +140,7 @@ TABLE = {
     ("verify_lambda_partition", "p"): ("p", range(1, 7), lambda v: verify_lambda_partition(v)),
     ("verify_unitary_matrix", "n"): ("n", range(2, 7), lambda v: verify_unitary_matrix(v, [0.25])),
     ("walsh", "n"): ("n", range(0, 7), lambda v: walsh(v)),
-    ("walsh_expand", "level"): ("target_level", range(2, 7), lambda v: walsh_expand(STEP, v)),
+    ("walsh_expand", "level"): ("level", range(2, 7), lambda v: walsh_expand(STEP, v)),
     ("walsh_word", "n"): ("n", range(0, 7), lambda v: walsh_word(v)),
 }
 

@@ -18,7 +18,7 @@ PUBLIC = [
     "best_basis", "build_entropy_tree", "build_frame", "classify_reflection",
     "coefficient_table", "compute_K", "entropy", "enumerate_words", "exp_coefficient",
     "fourier_coeffs", "frames_orthogonal", "gram_exponentials", "gram_identity_gap",
-    "greedy_generators", "hybrid_inner", "hybrid_norm_sq", "indicator_relation_check",
+    "greedy_generators", "hybrid_inner", "indicator_relation_check",
     "ingest_signal", "lambda_set", "make_atom", "make_cos", "make_sine", "mu_hat",
     "mu_hat_is_zero", "onb_entropy", "projection_masses", "rational_str", "run_suite",
     "s_adjoint", "s_apply", "verify_cuntz", "verify_decomposition",

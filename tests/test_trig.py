@@ -2,6 +2,8 @@
 Fourier coefficients, and the half-shift reflection classifier."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,6 @@ from cuntz_bases.trig import (
     classify_reflection,
     fourier_coeffs,
     hybrid_inner,
-    hybrid_norm_sq,
     make_atom,
     make_cos,
     make_sine,
@@ -115,7 +116,7 @@ class TestAdjointAtoms:
         for j in (1, 0, 0):
             f = s_adjoint(j, f)
         assert all(a.freq.denominator in (1, 2, 4, 8) for a in f.atoms)
-        assert hybrid_norm_sq(f) >= 0
+        assert f.norm_sq() >= 0
 
 
 class TestFourier:
@@ -147,7 +148,7 @@ class TestFourier:
             f = random_trig_poly(rng)
             c, s = fourier_coeffs(f, 8)
             energy = c[0] ** 2 + 2 * sum(c[n] ** 2 + s[n] ** 2 for n in range(1, 9))
-            assert energy == pytest.approx(hybrid_norm_sq(f), abs=1e-10)
+            assert energy == pytest.approx(f.norm_sq(), abs=1e-10)
 
 
 class TestReflection:
@@ -162,14 +163,21 @@ class TestReflection:
 
     def test_adjoint_norms_direct(self):
         f = make_sine(1) + make_sine(2)
-        assert hybrid_norm_sq(s_adjoint(0, f)) > 0.01
-        assert hybrid_norm_sq(s_adjoint(1, f)) > 0.01
+        assert s_adjoint(0, f).norm_sq() > 0.01
+        assert s_adjoint(1, f).norm_sq() > 0.01
 
 
 class TestRepresentation:
     def test_merge_and_zero(self):
         f = make_sine(2) + make_sine(2).scale(-1)
         assert f.is_zero()
+
+    def test_zero_frequency_and_zero_factor(self):
+        # the sine of frequency 0 vanishes, the cosine is the const mode,
+        # and a zero factor leaves no window
+        assert make_sine(0) == HybridFunction.zero()
+        assert make_cos(0).atoms == HybridFunction.from_step(DyadicStep.ones()).atoms
+        assert (make_sine(3) + ONE).scale(0).is_zero()
 
     def test_const_mode_invariants(self):
         atom = make_atom(DyadicStep.ones(), "cos", 0, 0)
@@ -189,10 +197,6 @@ class TestRepresentation:
         with pytest.raises(TypeError):
             make_atom(DyadicStep.ones(), "sin", freq, phase)
 
-    def test_json_round_trip(self):
-        f = s_adjoint(1, make_sine(3)) + ONE.scale(Fraction(2, 3))
-        assert HybridFunction.from_json(f.to_json()) == f
-
     def test_quarter_turn_folding(self):
         # sin(2 pi x + pi/2) is cos(2 pi x)
         folded = make_atom(DyadicStep.ones(), "sin", Fraction(1), Fraction(1, 2))
@@ -200,36 +204,77 @@ class TestRepresentation:
 
 
 class TestIntegralMemo:
-    """The bounded memo of whole-level cell-integral tables."""
+    """The bounded LRU cache of cell-integral blocks."""
 
     def test_memo_stays_within_its_bound(self):
-        trig._clear_memo()
+        trig._cell_integrals.cache_clear()
         for n in range(1, 400):
             for k in range(7):
-                trig._memo_integrals("sin", (2 * n + 1, 3), (1, 2), k, 0)
-        assert 0 < trig._memo_cells <= trig.MEMO_CELLS
-        assert trig._memo_cells == sum(map(len, trig._memo.values()))
+                trig._cell_integrals("sin", (2 * n + 1, 3), (1, 2), k, 0)
+        info = trig._cell_integrals.cache_info()
+        assert info.misses == 399 * 7 > trig.CACHE_BLOCKS
+        assert info.currsize == info.maxsize == trig.CACHE_BLOCKS
 
     def test_deep_sparse_window_computes_only_its_block(self):
         # one cell of level 16: the whole level would be 65,536 integrals a term
         window = DyadicStep.indicator(16, 1000)
         f = HybridFunction((make_atom(window, "sin", 3), make_atom(window, "cos", 5)))
         g = HybridFunction((make_atom(window, "cos", 7),))
-        trig._clear_memo()
+        trig._cell_integrals.cache_clear()
         hybrid_inner(f, g)
-        assert len(trig._memo) == 4
-        assert {key[3:] for key in trig._memo} == {(16, 1000 >> trig.BLOCK_BITS)}
-        assert trig._memo_cells == 4 << trig.BLOCK_BITS
+        assert trig._cell_integrals.cache_info().misses == 4
+        # cos 5 * cos 7 and sin 3 * cos 7 at the difference and the sum
+        block = 1000 >> trig.BLOCK_BITS
+        for kind, freq in [("cos", -2), ("cos", 12), ("sin", -4), ("sin", 10)]:
+            trig._cell_integrals(kind, (freq, 0), (0, 0), 16, block)
+        info = trig._cell_integrals.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 4, 4)
 
     def test_cold_and_warm_calls_agree_on_frame_vectors(self):
         frames = [build_frame(make_sine(2 * n + 1), None, 4) for n in range(3)]
         vectors = [v for fr in frames for v in fr.vectors]
         for i, u in enumerate(vectors):
             for v in vectors[i:]:
-                trig._clear_memo()
+                trig._cell_integrals.cache_clear()
                 cold = hybrid_inner(u, v)
-                assert trig._memo
+                misses = trig._cell_integrals.cache_info().misses
+                assert misses
                 assert hybrid_inner(u, v).hex() == cold.hex()
+                assert trig._cell_integrals.cache_info().misses == misses
+
+    def test_threads_share_the_cache(self):
+        # 2 * 24 * 24 distinct blocks a call, more than the cache holds, so
+        # four threads evict each other's blocks on every call; a switch
+        # interval of 1e-6 s interleaves them between bytecodes
+        window = DyadicStep(5, range(1, 33))
+        f = HybridFunction(tuple(make_atom(window, "sin", n) for n in range(1, 25)))
+        g = HybridFunction(tuple(make_atom(window, "cos", Fraction(200 * m + 1, 2))
+                                 for m in range(1, 25)))
+        trig._cell_integrals.cache_clear()
+        expected = hybrid_inner(f, g).hex()
+        assert trig._cell_integrals.cache_info().misses == 2 * 24 * 24 > trig.CACHE_BLOCKS
+        results, errors = [], []
+
+        def work():
+            try:
+                for _ in range(3):
+                    results.append(hybrid_inner(f, g).hex())
+            except Exception as exc:  # any raise fails the test
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == [expected] * 12
 
     def test_sine_cross_inners_build_no_fractions(self, monkeypatch):
         # the Fraction implementation of this layer built 14,138 here
