@@ -9,8 +9,7 @@ integration inside :func:`hybrid_inner`.  Everything upstream of that is
 symbolic, so identities like "the adjoint kills every odd sine" come out as
 exact cancellations of atoms, not as small numbers.
 
-Cell integrals are kept in a ``functools.lru_cache`` that threads may share:
-a block computed twice at once is the same floats both times.
+Cell integrals are kept in a bounded ``functools.lru_cache``.
 """
 
 from __future__ import annotations
@@ -346,7 +345,7 @@ def _trig_value(kind: str, num: int, den: int) -> float:
 # keeps up to CACHE_BLOCKS blocks (about 1.2 MB when full), keyed by ints,
 # never by a Fraction: (kind, freq pair, phase pair, level, block).  947 is the
 # smallest size at which `verify --suite all` computes at most 3,683 of its
-# 16,641 blocks, as an 8,192-cell bound did.
+# 16,641 blocks.
 BLOCK_BITS = 5
 _BLOCK_MASK = (1 << BLOCK_BITS) - 1
 CACHE_BLOCKS = 947

@@ -224,9 +224,11 @@ class TestIntegralMemo:
         hybrid_inner(f, g)
         assert trig._cell_integrals.cache_info().misses == 4
         # cos 5 * cos 7 and sin 3 * cos 7 at the difference and the sum
+        # each block is 32 cells, not the level's 65,536
         block = 1000 >> trig.BLOCK_BITS
         for kind, freq in [("cos", -2), ("cos", 12), ("sin", -4), ("sin", 10)]:
-            trig._cell_integrals(kind, (freq, 0), (0, 0), 16, block)
+            cells = trig._cell_integrals(kind, (freq, 0), (0, 0), 16, block)
+            assert len(cells) == 1 << trig.BLOCK_BITS
         info = trig._cell_integrals.cache_info()
         assert (info.hits, info.misses, info.currsize) == (4, 4, 4)
 
