@@ -361,7 +361,7 @@ def _emit_report(args: argparse.Namespace, report) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verification import run_suite
     start = time.perf_counter()
-    reports = run_suite(args.suite, tol_override=args.tol)
+    reports = run_suite(args.suite)
     total_s = time.perf_counter() - start
     if args.format == "json":
         payload = [r.to_json(timings=args.timings) for r in reports]
@@ -429,28 +429,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p_verify.add_argument("--timings", action="store_true",
                           help="add each check's wall time and the suite total")
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help="replace the tolerance of the float-based checks")
     common(p_verify)
 
     return parser
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Refuse, before any work, an entropy depth, a cantor digit depth or a
-    verify tolerance out of range and an unwritable output file; the parsed
-    namespace is then the run's configuration."""
+    """Refuse, before any work, an entropy depth or a cantor digit depth
+    out of range and an unwritable output file; the parsed namespace is then
+    the run's configuration."""
     if args.command == "entropy" and not 1 <= args.depth <= MAX_ENTROPY_DEPTH:
         raise InputError(f"--depth must be between 1 and {MAX_ENTROPY_DEPTH}, "
                          f"got {args.depth}")
     if args.command == "cantor" and not 0 <= args.p <= MAX_SPECTRUM_DEPTH:
         raise InputError(f"--p must be between 0 and {MAX_SPECTRUM_DEPTH}, "
                          f"got {args.p}")
-    if args.command == "verify" and args.tol is not None:
-        if not args.tol > 0:  # NaN fails this too
-            raise InputError("--tol must be positive")
-        if math.isinf(args.tol):
-            raise InputError("--tol must be finite")
     if args.output is not None and args.command != "walsh":
         _check_output_path(args.output)
 

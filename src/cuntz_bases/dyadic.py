@@ -209,9 +209,8 @@ def _ratio(num: int, den: int) -> Scalar:
 
 
 def rational_str(value: Scalar) -> str:
-    """Serialize an exact scalar as ``"num/den"``."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
+    """Serialize an exact scalar (read by :func:`as_rational`) as ``"num/den"``."""
+    value = as_rational(value)
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -281,7 +280,7 @@ class StepFunction:
     geometric meaning of a cell (dyadic subinterval, Cantor cylinder set).
     """
 
-    __slots__ = ("level", "num", "den", "_coeffs")
+    __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coeffs: Iterable):
         num, den = lift(tuple(coeffs))
@@ -292,7 +291,6 @@ class StepFunction:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_coeffs", None)
 
     @classmethod
     def _trusted(cls, level: int, num: np.ndarray, den: int):
@@ -307,7 +305,6 @@ class StepFunction:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_coeffs", None)
         return self
 
     @classmethod
@@ -346,12 +343,9 @@ class StepFunction:
     @property
     def coeffs(self) -> tuple:
         """The cell values as exact scalars: an int when integral, a
-        Fraction otherwise.  Built on first use."""
-        if self._coeffs is None:
-            nums, den = self.num.tolist(), self.den
-            values = tuple(nums) if den == 1 else tuple([_ratio(u, den) for u in nums])
-            object.__setattr__(self, "_coeffs", values)
-        return self._coeffs
+        Fraction otherwise."""
+        nums, den = self.num.tolist(), self.den
+        return tuple(nums) if den == 1 else tuple([_ratio(u, den) for u in nums])
 
     def _cells(self, level: int) -> np.ndarray:
         """The numerators on the level-``level`` partition (not coarser)."""

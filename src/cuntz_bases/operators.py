@@ -95,7 +95,7 @@ def s_adjoint(j: int, f: Vector) -> Vector:
     j = _index(j, "branch index", 0, 1)
     if isinstance(f, StepFunction):
         if f.level == 0:
-            return f if j == 0 else f._trusted(0, np.zeros(1, dtype=np.int64), 1)
+            return f if j == 0 else f.zero()
         half = len(f.num) // 2
         lo, hi = f.num[:half], f.num[half:]
         return f._reduced(f.level - 1, lo + hi if j == 0 else lo - hi, 2 * f.den)

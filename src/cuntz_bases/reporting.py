@@ -14,12 +14,9 @@ class VerificationReport:
     """Outcome of checking one named relation over a family of inputs.
 
     ``max_violation`` is 0.0 for an exact pass; ``witness`` names the first
-    case with the largest gap when the check fails.  ``worst_case`` names
-    that case whether or not the check failed (it defaults to ``witness``),
-    so a report judged again at a tighter tolerance still has its witness.
-    ``worst_case`` and ``elapsed_s``, the check's wall time when a suite
-    runner measured it, take no part in equality, the text line or the
-    JSON, so those stay deterministic.
+    case with the largest gap when the check fails.  ``elapsed_s``, the
+    check's wall time when a suite runner measured it, takes no part in
+    equality, the text line or the JSON, so those stay deterministic.
     """
 
     relation: str
@@ -29,15 +26,6 @@ class VerificationReport:
     witness: Optional[str] = None
     checked: int = 0
     elapsed_s: Optional[float] = field(default=None, compare=False)
-    worst_case: Optional[str] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.worst_case is None:
-            object.__setattr__(self, "worst_case", self.witness)
-
-    def judged(self, tol: float) -> "VerificationReport":
-        """This report judged again at ``tol`` (its time is not kept)."""
-        return _verdict(self.relation, self.max_violation, tol, self.worst_case, self.checked)
 
     def to_json(self, timings: bool = False) -> dict:
         data = {
@@ -63,21 +51,11 @@ class VerificationReport:
         return msg
 
 
-def _verdict(relation, worst, tol, worst_case, checked) -> VerificationReport:
-    """The one pass rule of every check: worst <= tol, compared before the
-    gap is rounded to a float.  A pass shows no witness but keeps its
-    worst case."""
-    passed = worst <= tol
-    return VerificationReport(relation, passed, float(worst), tol,
-                              None if passed else worst_case, checked,
-                              worst_case=worst_case)
-
-
 class Tally:
     """Counts the cases a check ran and keeps its largest gap.
 
     ``record`` counts one case, or ``cases`` cases judged together by one
-    gap; ``absorb`` takes in a sub-report's count, gap and worst case.  The
+    gap; ``absorb`` takes in a sub-report's count, gap and witness.  The
     witness kept is that of the first case to reach the largest gap.
     """
 
@@ -97,8 +75,12 @@ class Tally:
     def absorb(self, report: VerificationReport, label: str) -> None:
         self.checked += report.checked
         self._keep(report.max_violation,
-                   f"{label}: {report.worst_case}" if report.worst_case else label)
+                   f"{label}: {report.witness}" if report.witness else label)
 
     def report(self, relation: str, tol: float = 0) -> VerificationReport:
+        """The one pass rule of every check: worst <= tol, compared before
+        the gap is rounded to a float.  A pass shows no witness."""
         # an equality check, whose gaps are booleans, keeps the integer tol 0
-        return _verdict(relation, self.worst, tol, self.witness, self.checked)
+        passed = self.worst <= tol
+        return VerificationReport(relation, passed, float(self.worst), tol,
+                                  None if passed else self.witness, self.checked)

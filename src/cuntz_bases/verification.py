@@ -460,8 +460,9 @@ def check_branch_permutation():
     tally = Tally()
     for i in range(10):
         f = _nonzero_step(rng, 4)
-        half = len(f.coeffs) // 2
-        swapped = DyadicStep(f.level, f.coeffs[half:] + f.coeffs[:half])
+        values = f.coeffs
+        half = len(values) // 2
+        swapped = DyadicStep(f.level, values[half:] + values[:half])
         for k in (1, 2, 3):
             tally.record(abs(entropy(f, k) - entropy(swapped, k)), f"step {i}, depth {k}")
     return tally.report("entropy-invariant-under-branch-swap", 1e-12)
@@ -589,13 +590,10 @@ CHECKS: list[tuple[str, Callable[[], VerificationReport]]] = [
 ]
 
 
-def run_suite(suite: str = "all", tol_override: float | None = None) -> list[VerificationReport]:
-    """Run one suite (or all) and return the reports in registry order.
-
-    ``tol_override`` replaces the tolerance of the float-based checks only;
-    exact checks (tol 0) always demand exact equality.  Each report carries
-    its check's wall time as ``elapsed_s``.
-    """
+def run_suite(suite: str = "all") -> list[VerificationReport]:
+    """Run one suite (or all) and return the reports in registry order,
+    each judged at its check's own tolerance and carrying the check's wall
+    time as ``elapsed_s``."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     reports = []
@@ -604,7 +602,5 @@ def run_suite(suite: str = "all", tol_override: float | None = None) -> list[Ver
             continue
         start = time.perf_counter()
         report = fn()
-        if tol_override is not None and report.tol > 0:
-            report = report.judged(tol_override)
         reports.append(dataclasses.replace(report, elapsed_s=time.perf_counter() - start))
     return reports

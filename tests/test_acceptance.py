@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 
 from cuntz_bases import verification
-from cuntz_bases.basis import gram_identity_gap, walsh
 from cuntz_bases.cli import main
 from cuntz_bases.dyadic import DyadicStep, as_rational
 from cuntz_bases.entropy import entropy
@@ -50,10 +49,10 @@ class TestCriterion1Relations:
 
 class TestCriterion2WalshBasis:
     def test_gram_and_two_paths(self):
-        vectors = [walsh(n) for n in range(1024)]
-        gap, _ = gram_identity_gap(vectors)
+        # the Gram of the level-10 cover vectors, walsh(0..1023) in index order
+        gram = registered(verification.check_walsh_gram)
         two_paths = registered(verification.check_walsh_two_paths)
-        ok = gap == 0.0 and exact(two_paths, 4096)
+        ok = exact(gram, 1024 * 1025 // 2) and exact(two_paths, 4096)
         assert report(2, "square-wave system: 1024-vector Gram is the identity "
                          "exactly; recursion equals word path for n < 4096", ok)
 

@@ -12,17 +12,19 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROCFS, fresh_python, peak_kb
+from cuntz_bases import operators, verification
 from cuntz_bases.basis import butterfly, walsh, walsh_expand
 from cuntz_bases.cli import IO_BLOCK, MAX_WALSH_FILES, MAX_WALSH_INDEX, main
 from cuntz_bases.dyadic import MAX_EXPONENT, DyadicStep, lift
 from cuntz_bases.entropy import build_entropy_tree
-from cuntz_bases.reporting import VerificationReport
+from cuntz_bases.reporting import Tally, VerificationReport
 
 
 def write_samples(path, values):
@@ -290,7 +292,7 @@ class TestExpandCommand:
         assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
 
     def test_options_nothing_reads_are_rejected(self, tmp_path, capsys):
-        # --tol is a verify option only; expand has a single basis
+        # every check is judged at its own tolerance; expand has a single basis
         src = tmp_path / "sig.csv"
         write_samples(src, ["1", "-1"])
         for extra in (["--tol", "1e-3"], ["--basis", "walsh"]):
@@ -299,10 +301,11 @@ class TestExpandCommand:
             assert exc.value.code == 2
             assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
         for command in (["walsh", "--range", "1"], ["entropy", "--input", str(src)],
-                        ["cantor", "gram"]):
+                        ["cantor", "gram"], ["verify"]):
             with pytest.raises(SystemExit) as exc:
                 main([*command, "--tol", "1e-3"])
             assert exc.value.code == 2
+            assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -873,33 +876,39 @@ class TestVerifyCommand:
         assert timed.to_json() == plain.to_json()
         assert timed.to_json(timings=True)["elapsedSeconds"] == 1.5
 
-    def test_tol_override_loosens_float_checks(self, capsys):
-        assert main(["verify", "--suite", "sine", "--tol", "1e-6"]) == 0
-        # exact checks are untouched by the override
-        out = capsys.readouterr().out
-        assert "odd-sine-adjoint-kernel-exact" in out
+    def test_failed_check_names_its_witness(self, capsys):
+        def failing():
+            tally = Tally()
+            tally.record(0.0, "case 0")
+            tally.record(0.5, "case 1")
+            return tally.report("always-fails", 1e-12)
 
-    def test_tight_tol_failures_name_their_worst_case(self, capsys):
-        # these checks pass at their own tolerance: failed by the override,
-        # each must still name its worst case
-        assert main(["verify", "--suite", "cuntz", "--tol", "1e-17"]) == 1
-        failed = [line for line in capsys.readouterr().out.splitlines()
-                  if line.startswith("FAIL")]
-        assert [line.split()[1] for line in failed] == [
-            "general-branch3-relations", "general-branch4-relations",
-            "unitary-filter-matrices-n2-n3-n4", "general-branch3-orthogonal-idempotents"]
-        assert failed[0].endswith(" witness: sum_k S_k S_k* on vector 74")
-        assert " witness: N3: x = " in failed[2]
-        assert failed[3].endswith(" witness: vector 15")
-        # JSON names the witness of a failed report only
-        assert main(["verify", "--suite", "cuntz", "--tol", "1e-17", "--format", "json"]) == 1
-        reports = json.loads(capsys.readouterr().out)
-        assert [r["witness"] is None for r in reports] == [r["passed"] for r in reports]
+        cuntz = [entry for entry in verification.CHECKS if entry[0] == "cuntz"]
+        with mock.patch.object(verification, "CHECKS", [*cuntz[:3], ("cuntz", failing)]):
+            assert main(["verify", "--suite", "cuntz"]) == 1
+            out, err = capsys.readouterr()
+            assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+                "FAIL always-fails (max violation 5.000e-01, 2 checks) witness: case 1"]
+            assert err == "1 of 4 checks failed\n"
+            # JSON names the witness of a failed report only
+            assert main(["verify", "--suite", "cuntz", "--format", "json"]) == 1
+            reports = json.loads(capsys.readouterr().out)
+        assert [r["passed"] for r in reports] == [True, True, True, False]
+        assert [r["witness"] for r in reports] == [None, None, None, "case 1"]
 
-    def test_nonpositive_tol_rejected(self, capsys):
-        for value in ("0", "-1e-6", "nan"):
-            assert main(["verify", "--suite", "cuntz", f"--tol={value}"]) == 2
-            assert capsys.readouterr().err == "error: --tol must be positive\n"
-        # an infinite tolerance would pass every float check unchecked
-        assert main(["verify", "--suite", "cuntz", "--tol=inf"]) == 2
-        assert "--tol" in capsys.readouterr().err
+    def test_float_checks_name_their_worst_cases(self):
+        # judged at 1e-17 in place of their own 1e-12, these passing checks
+        # fail and name their worst cases
+        class Strict(Tally):
+            def report(self, relation, tol=0):
+                return super().report(relation, 1e-17 if tol else tol)
+
+        with mock.patch.object(verification, "Tally", Strict), \
+                mock.patch.object(operators, "Tally", Strict):
+            reports = [verification.check_general_relations3(),
+                       verification.check_unitary_filters(),
+                       verification.check_general_projections()]
+        assert not any(r.passed for r in reports)
+        assert reports[0].witness == "sum_k S_k S_k* on vector 74"
+        assert reports[1].witness.startswith("N3: x = ")
+        assert reports[2].witness == "vector 15"

@@ -40,10 +40,13 @@ class TestScalars:
             assert as_rational(rational_str(value)) == value
 
     def test_rational_str_is_the_fraction_text(self):
-        for value in [Fraction(3, 4), Fraction(-6, 8), 5, -7, 0, True, 10 ** 40,
-                      "0.25", "-3/6", np.int64(-9)]:
+        for value in [Fraction(3, 4), Fraction(-6, 8), 5, -7, 0, 10 ** 40, "0.25", "-3/6"]:
             frac = Fraction(value)
             assert rational_str(value) == f"{frac.numerator}/{frac.denominator}", value
+        # the exact-value gate of as_rational: no bool, float or numpy scalar
+        for value in [True, 0.1, np.int64(-9)]:
+            with pytest.raises(TypeError):
+                rational_str(value)
 
 
 class TestConstruction:

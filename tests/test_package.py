@@ -104,8 +104,9 @@ def test_entropy_name_is_the_function_in_any_order(tmp_path, order):
 
 
 def test_only_dyadic_knows_the_numerator_width():
-    # the int64-or-object rule of step numerators lives in dyadic._as_array,
-    # which lift applies; every other module takes lift's array as it is
+    # the int64-or-object rule of step numerators is applied to lifted values
+    # by dyadic._as_array alone; dyadic._lowest restates it for reduced steps
+    # and basis.butterfly widens its own input with dyadic._WIDE
     package = Path(cuntz_bases.__file__).parent
     users = set()
     for path in package.glob("*.py"):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuntz_bases import cli, verification
+from cuntz_bases import cli
 from cuntz_bases.basis import (
     _exact_gram_rows,
     _gram_gaps,
@@ -753,29 +753,6 @@ def test_tally_matches_hand_kept_bookkeeping(events, tol):
     else:
         first = gaps.index(worst)  # the first of the tied maxima
         assert report.witness.split(":")[0] == f"case {first}"
-
-
-@PROPERTY
-@given(checks=st.lists(st.tuples(GAPS, st.sampled_from([0, 0.0, 1e-12, 0.5])),
-                       min_size=1, max_size=8),
-       override=st.sampled_from([1e-13, 0.25, 0.5, 2.0]))
-def test_run_suite_tol_override_rejudges_float_checks(checks, override):
-    registry = [("cuntz", lambda i=i, gap=gap, tol=tol: tallied([gap] * i + [gap], tol))
-                for i, (gap, tol) in enumerate(checks)]
-    with mock.patch.object(verification, "CHECKS", registry):
-        reports = verification.run_suite("cuntz", tol_override=override)
-    assert len(reports) == len(checks)
-    for i, ((gap, tol), report) in enumerate(zip(checks, reports)):
-        own = tallied([gap] * (i + 1), tol)
-        if tol == 0:  # exact checks keep their own verdict
-            assert report == own
-            continue
-        assert report.tol == override and report.checked == i + 1
-        assert report.passed == (float(gap) <= override)
-        # a pass shows no witness; a failure names the worst case, also when
-        # the check passed at its own tol
-        assert report.witness == (None if report.passed else own.worst_case)
-        assert report.worst_case == own.worst_case == ("case 0" if gap else None)
 
 
 # ---------------------------------------------------------------------------
