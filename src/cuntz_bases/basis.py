@@ -26,6 +26,7 @@ from .dyadic import (
     _index,
     _peak,
     _ratio,
+    _tol,
     as_word,
     lift,
     word_keys,
@@ -211,6 +212,7 @@ def compute_K(psi, max_depth: int = 6, tol: float = 0.0) -> Optional[MultiIndex]
     demands exact zeros (appropriate for step seeds).
     """
     max_depth = _index(max_depth, "max_depth")
+    tol = _tol(tol)
     norm_sq = abs(float(psi.norm_sq()))
     if norm_sq == 0.0:
         raise ValueError("seed must be nonzero")
@@ -270,6 +272,7 @@ def build_frame(psi, K: Optional[MultiIndex], depth: int) -> SubspaceFrame:
 def frames_orthogonal(frame_a: SubspaceFrame, frame_b: SubspaceFrame,
                       tol: float = 1e-10) -> bool:
     """True when every cross inner product between the frames is below tol."""
+    tol = _tol(tol)
     for u in frame_a.vectors:
         for v in frame_b.vectors:
             if abs(float(u.inner(v))) >= tol:

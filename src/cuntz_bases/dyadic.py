@@ -11,6 +11,7 @@ use from any number of threads without coordination.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,6 +176,22 @@ def _index(value, name: str, low=0, high=None) -> int:
         rule = (("nonnegative" if low == 0 else f"at least {low}") if high is None
                 else f"{low} or {high}" if high == low + 1 else f"in [{low}, {high}]")
         raise ValueError(f"{name} out of range: {name} must be {rule}, got {value}")
+    return value
+
+
+def _tol(value, positive: bool = False):
+    """A float tolerance, checked: the one gate for the library's ``tol``
+    parameters, as :func:`_index` is for counts.
+
+    A bool, or anything that is not a real number, raises TypeError.  NaN,
+    a negative value and, when ``positive``, zero raise ValueError naming
+    ``tol``.  The value comes back as given, so an integer 0 stays an int.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"tol must be a real number, not {type(value).__name__}")
+    if not (value > 0 if positive else value >= 0):  # NaN fails either test
+        rule = "positive" if positive else "nonnegative"
+        raise ValueError(f"tol out of range: tol must be {rule}, got {value}")
     return value
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import butterfly
-from .dyadic import MultiIndex, StepFunction, _index
+from .dyadic import MultiIndex, StepFunction, _index, _tol
 from .operators import s_adjoint
 from .reporting import Tally, VerificationReport
 
@@ -146,6 +146,7 @@ def onb_entropy(coefficients: Sequence, tol: float = 1e-10) -> float:
     The squared moduli must sum to one (within tol): entropy measures how
     spread the expansion is, so it is only meaningful for a unit vector.
     """
+    tol = _tol(tol)
     weights = [abs(complex(c)) ** 2 for c in coefficients]
     total = sum(weights)
     if abs(total - 1.0) > tol:
@@ -162,8 +163,7 @@ def verify_entropy_recursion(f, k: int, tol: float = 1e-12) -> VerificationRepor
     branch i is that of the adjoint state S_i* f; projecting back up with
     S_i only pads the mass tree with zeros one level down.)
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _tol(tol, positive=True)
     lhs = entropy(f, k + 1)
     rhs = entropy(f, 1)
     total = float(f.norm_sq())

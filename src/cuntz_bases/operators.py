@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
-from .dyadic import StepFunction, _index, as_word, word_cell
+from .dyadic import StepFunction, _index, _tol, as_word, word_cell
 from .reporting import Tally, VerificationReport
 
 if TYPE_CHECKING:
@@ -256,6 +256,7 @@ def verify_cuntz(rep, test_vectors: Iterable, tol: float = 0.0) -> VerificationR
     carriers may pass ``tol=0.0``; a failure is reported (with a witness),
     never raised.
     """
+    tol = _tol(tol)
     tally = Tally()
     n = rep.N
     for idx, f in enumerate(test_vectors):
@@ -282,6 +283,7 @@ def verify_unitary_matrix(n: int, x_samples: Sequence[float], tol: float = 1e-12
     """
     rep = GeneralRepN(n)
     n = rep.N  # the int that GeneralRepN read
+    tol = _tol(tol)
     tally = Tally()
     for x in x_samples:
         m = np.empty((n, n), dtype=np.complex128)

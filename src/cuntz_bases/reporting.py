@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .dyadic import _tol
+
 # the names of the verification suites, by which ``verification.CHECKS`` groups its checks
 SUITES = ("cuntz", "walsh", "sine", "entropy", "cantor")
 
@@ -81,6 +83,6 @@ class Tally:
         """The one pass rule of every check: worst <= tol, compared before
         the gap is rounded to a float.  A pass shows no witness."""
         # an equality check, whose gaps are booleans, keeps the integer tol 0
-        passed = self.worst <= tol
+        passed = self.worst <= _tol(tol)
         return VerificationReport(relation, passed, float(self.worst), tol,
                                   None if passed else self.witness, self.checked)

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .dyadic import DyadicStep, _index, _inner_parts, as_rational
+from .dyadic import DyadicStep, _index, _inner_parts, _tol, as_rational
 
 MODE_CONST = "const"
 MODE_COS = "cos"
@@ -498,8 +498,7 @@ def classify_reflection(f: HybridFunction | DyadicStep, tol: float = 1e-10) -> s
     ``antiperiodic_half`` means f(x) = -f(x + 1/2), detected as the first
     adjoint annihilating f; ``periodic_half`` means f(x) = f(x + 1/2).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _tol(tol, positive=True)
     f = _as_hybrid(f)
     if math.sqrt(max(average_halves(f, 1).norm_sq(), 0.0)) < tol:
         return ANTIPERIODIC_HALF

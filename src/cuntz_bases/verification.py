@@ -12,11 +12,18 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import math
+import operator
+import os
+import pickle
 import random
+import signal
+import threading
 import time
+import traceback
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -590,17 +597,120 @@ CHECKS: list[tuple[str, Callable[[], VerificationReport]]] = [
 ]
 
 
+# the suites that one forked child runs while this process runs the rest:
+# the two groups take about the same time, and each cache stays with the
+# checks that use it (``_square_wave_levels`` serves walsh checks only,
+# ``trig._cell_integrals`` cuntz and sine checks)
+_CHILD_SUITES = ("walsh", "cantor")
+
+
 def run_suite(suite: str = "all") -> list[VerificationReport]:
     """Run one suite (or all) and return the reports in registry order,
     each judged at its check's own tolerance and carrying the check's wall
-    time as ``elapsed_s``."""
+    time as ``elapsed_s``.
+
+    When the selection holds checks of both the walsh/cantor group and the
+    cuntz/sine/entropy group, the first group runs in one forked child
+    while this process runs the second, so the run's wall time is below
+    the sum of the check times.  A single suite, a platform without
+    ``os.fork`` and a process with more than one thread run every check
+    here, in registry order.  A check that raises in the child raises the
+    same exception here, after the child has been reaped.
+    """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
-    reports = []
-    for name, fn in CHECKS:
-        if suite != "all" and name != suite:
-            continue
+    selected = [(i, name, fn) for i, (name, fn) in enumerate(CHECKS)
+                if suite in ("all", name)]
+    child = [(i, fn) for i, name, fn in selected if name in _CHILD_SUITES]
+    here = [(i, fn) for i, name, fn in selected if name not in _CHILD_SUITES]
+    if child and here and hasattr(os, "fork") and threading.active_count() == 1:
+        pairs = _run_forked(child, here)
+    else:
+        pairs = _run([(i, fn) for i, _name, fn in selected])
+    return [report for _i, report in sorted(pairs, key=operator.itemgetter(0))]
+
+
+def _run(checks) -> list[tuple[int, VerificationReport]]:
+    """(registry index, report) for each (registry index, check), timed in
+    the process that runs it."""
+    pairs = []
+    for index, fn in checks:
         start = time.perf_counter()
         report = fn()
-        reports.append(dataclasses.replace(report, elapsed_s=time.perf_counter() - start))
-    return reports
+        pairs.append((index, dataclasses.replace(report, elapsed_s=time.perf_counter() - start)))
+    return pairs
+
+
+def _run_forked(child, here) -> list[tuple[int, VerificationReport]]:
+    """``_run(child)`` in a forked child and ``_run(here)`` in this process.
+
+    The child sends its pairs back pickled through a pipe.  This process
+    always reaps the child; if one of its own checks raises, it kills the
+    child first.
+    """
+    read_fd, write_fd = os.pipe()
+    gc.freeze()  # the child's collections then leave the inherited heap unwritten
+    try:
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            _child_main(child, read_fd, write_fd)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            try:
+                try:
+                    pairs = _run(here)
+                except BaseException:
+                    os.kill(pid, signal.SIGKILL)
+                    raise
+                payload = pipe.read()
+            finally:
+                status = os.waitpid(pid, 0)[1]
+    finally:
+        gc.unfreeze()
+    if not payload:
+        raise RuntimeError("the forked verify process ended without its reports "
+                           f"(exit code {os.waitstatus_to_exitcode(status)})")
+    theirs, error = pickle.loads(payload)
+    if error is not None:
+        raise error
+    return pairs + theirs
+
+
+def _child_main(checks, read_fd: int, write_fd: int) -> NoReturn:
+    """The forked child: write ``_run(checks)``, or the exception a check
+    raised, pickled to ``write_fd``.  It leaves only through ``os._exit``,
+    so inherited stdio buffers and ``atexit`` handlers run in the parent
+    alone."""
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = pickle.dumps((_run(checks), None))
+        except BaseException as exc:  # the parent re-raises it
+            payload = _pickled_error(exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """``exc``, pickled with the child's traceback as a note; its repr in a
+    RuntimeError when it does not survive pickling."""
+    note = "raised in the forked verify process:\n" + "".join(
+        traceback.format_exception(exc)).rstrip()
+    try:
+        exc.add_note(note)
+        payload = pickle.dumps((None, exc))
+        pickle.loads(payload)  # an exception whose args cannot rebuild it fails here
+        return payload
+    except Exception:
+        fallback = RuntimeError(repr(exc))
+        fallback.add_note(note)
+        return pickle.dumps((None, fallback))

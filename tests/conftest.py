@@ -30,14 +30,19 @@ def peak_kb(setup: str, call: str) -> int:
     resident size, in kB.
 
     It runs in :func:`fresh_python` after the statement ``setup``, and the
-    delta leaves out the imports.  The peak is VmHWM, the high-water mark
-    of this program image: ru_maxrss would start from the size of the
-    forking process."""
+    delta leaves out the imports.  The peak is the larger of VmHWM, the
+    high-water mark of this program image, and the peak of the children it
+    forked and reaped (RUSAGE_CHILDREN), so work done in a forked child is
+    measured too.  A child's peak counts the pages it shares with this
+    process at the fork; this process's own ru_maxrss would start from the
+    size of the process that started it."""
     code = (f"{setup}\n"
+            "import resource\n"
             "def peak():\n"
             "    with open('/proc/self/status') as status:\n"
-            "        return next(int(line.split()[1]) for line in status\n"
-            "                    if line.startswith('VmHWM:'))\n"
+            "        own = next(int(line.split()[1]) for line in status\n"
+            "                   if line.startswith('VmHWM:'))\n"
+            "    return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
             "before = peak()\n"
             f"assert {call}\n"
             "print(peak() - before)\n")

@@ -141,8 +141,10 @@ class TestSquareWaveCheckMemory:
 
     @PROCFS
     def test_whole_suite_memory(self):
+        # the walsh and cantor checks run in a forked child, whose peak
+        # peak_kb counts; about 8.3 MB on a 2-core Linux machine
         assert peak_kb("from cuntz_bases import verification",
-                       "all(r.passed for r in verification.run_suite('all'))") < 16 * 1024
+                       "all(r.passed for r in verification.run_suite('all'))") < 12 * 1024
 
 
 def check_peak_kb(check: str) -> int:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import csv
+import gc
 import hashlib
 import importlib
 import io
@@ -10,6 +11,7 @@ import random
 import re
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -912,3 +914,113 @@ class TestVerifyCommand:
         assert reports[0].witness == "sum_k S_k S_k* on vector 74"
         assert reports[1].witness.startswith("N3: x = ")
         assert reports[2].witness == "vector 15"
+
+
+def _check(suite, name):
+    """The registered (suite, check) pair of the check function ``name``."""
+    return suite, getattr(verification, name)
+
+
+# a cheap check of each group: the child's (walsh, cantor) and this process's
+CHILD_CHECK = _check("cantor", "check_cell_scaling")
+PARENT_CHECK = _check("cuntz", "check_unitary_filters")
+
+
+def failing_check():
+    tally = Tally()
+    tally.record(0.0, "case 0")
+    tally.record(0.5, "case 1")
+    return tally.report("always-fails", 1e-12)
+
+
+class LocalError(Exception):
+    """An exception that pickles but cannot be rebuilt from its args."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+class TestSuiteSplit:
+    """``run_suite`` runs the walsh and cantor checks in one forked child."""
+
+    @pytest.fixture(autouse=True)
+    def _no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert gc.get_freeze_count() == 0
+
+    def test_all_equals_the_checks_run_serially(self):
+        reports = verification.run_suite("all")
+        assert reports == [fn() for _suite, fn in verification.CHECKS]
+        assert len(reports) == 42 and all(r.elapsed_s > 0 for r in reports)
+
+    def test_child_failure_prints_in_its_registry_position(self, capsys):
+        checks = [PARENT_CHECK, ("walsh", failing_check), CHILD_CHECK,
+                  _check("entropy", "check_entropy_bounds")]
+        with mock.patch.object(verification, "CHECKS", checks), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert main(["verify", "--suite", "all"]) == 1
+        assert fork.call_count == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert [line.split()[:2] for line in lines] == [
+            ["PASS", "unitary-filter-matrices-n2-n3-n4"], ["FAIL", "always-fails"],
+            ["PASS", "cell-mass-diameter-square-root-scaling"], ["PASS", "entropy-number-range"]]
+        assert lines[1] == "FAIL always-fails (max violation 5.000e-01, 2 checks) witness: case 1"
+        assert err == "1 of 4 checks failed\n"
+
+    @pytest.mark.parametrize("error, raised, message", [
+        (ValueError("cell 7 out of range"), ValueError, "cell 7 out of range"),
+        (KeyError("lambda"), KeyError, "'lambda'"),
+        (LocalError(3, "no spectrum"), RuntimeError, "LocalError('3: no spectrum')"),
+    ])
+    def test_child_exception_raises_in_the_caller(self, error, raised, message):
+        def raising():
+            raise error
+
+        with mock.patch.object(verification, "CHECKS", [PARENT_CHECK, ("cantor", raising)]):
+            with pytest.raises(raised) as info:
+                verification.run_suite("all")
+        assert type(info.value) is raised and str(info.value) == message
+        assert info.value.__notes__[0].startswith("raised in the forked verify process")
+
+    def test_parent_exception_kills_and_reaps_the_child(self):
+        def raising():
+            raise ArithmeticError("parent side")
+
+        slow_child = _check("walsh", "check_walsh_gram")
+        with mock.patch.object(verification, "CHECKS", [("sine", raising), slow_child]):
+            with pytest.raises(ArithmeticError, match="^parent side$"):
+                verification.run_suite("all")
+
+    def test_single_suite_does_not_fork(self):
+        with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            reports = verification.run_suite("walsh")
+        assert len(reports) == 8 and all(r.passed for r in reports)
+
+    def test_no_fork_with_a_second_thread_or_without_os_fork(self, monkeypatch):
+        monkeypatch.setattr(verification, "CHECKS", [CHILD_CHECK, PARENT_CHECK])
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10,))
+        thread.start()
+        try:
+            with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+                assert [r.passed for r in verification.run_suite("all")] == [True, True]
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert [r.relation for r in verification.run_suite("all")] == [
+            "cell-mass-diameter-square-root-scaling", "unitary-filter-matrices-n2-n3-n4"]
+
+    def test_buffered_output_and_atexit_run_once(self):
+        out = fresh_python(["-c", (
+            "import atexit, sys\n"
+            "from cuntz_bases import verification\n"
+            "atexit.register(print, 'at exit')\n"
+            "sys.stdout.write('before the run\\n')\n"
+            "print(len(verification.run_suite('all')))\n")])
+        assert out == "before the run\n42\nat exit\n"

@@ -1,4 +1,5 @@
-"""The argument rule for counts and indices, driven from one table.
+"""The argument rules for counts, indices and tolerances, each driven from
+one table.
 
 Every public level, depth, order, branch, cell and word-digit parameter is
 read by ``dyadic._index``: a bool, a float or a Fraction raises TypeError, an
@@ -6,8 +7,11 @@ int outside the parameter's range raises ValueError naming it, and a numpy
 int gives the same result as the same int, down to the types inside it.
 The table lists each such parameter with one call that fixes every other
 argument; a second test walks the package's public names and fails on any
-count-named parameter the table does not list.
+count-named parameter the table does not list.  Every public ``tol`` is
+read by ``dyadic._tol`` and has a table and a walk of its own.
 """
+
+import math
 
 import inspect
 import pickle
@@ -26,25 +30,30 @@ from cuntz_bases import (
     MultiIndex,
     NAdicStep,
     StepFunction,
+    Tally,
     bessel_sum,
     best_basis,
     build_entropy_tree,
     build_frame,
+    classify_reflection,
     coefficient_table,
     compute_K,
     entropy,
     enumerate_words,
     exp_coefficient,
     fourier_coeffs,
+    frames_orthogonal,
     gram_exponentials,
     greedy_generators,
     ingest_signal,
     lambda_set,
     make_cos,
     make_sine,
+    onb_entropy,
     projection_masses,
     s_adjoint,
     s_apply,
+    verify_cuntz,
     verify_decomposition,
     verify_decomposition_levels,
     verify_entropy_recursion,
@@ -182,14 +191,15 @@ def test_numpy_int_gives_the_int_result(name, valid, call):
         assert pickle.dumps(call(np.int64(value))) == pickle.dumps(call(value)), value
 
 
-def _count_parameters():
-    """(owner, parameter) for every count-named parameter of the public
-    callables and of the public methods of the public classes."""
+def _public_parameters(select):
+    """(owner, parameter) for every parameter whose name ``select`` accepts,
+    of the public callables and of the public methods of the public
+    classes."""
     found = set()
 
     def scan(owner, fn):
         for param in inspect.signature(fn).parameters:
-            if param in COUNT_NAMES or param.startswith("max_"):
+            if select(param):
                 found.add((owner, param))
 
     for name in cuntz_bases.__all__:
@@ -205,7 +215,7 @@ def _count_parameters():
 
 
 def test_every_count_parameter_is_in_the_table():
-    found = _count_parameters()
+    found = _public_parameters(lambda param: param in COUNT_NAMES or param.startswith("max_"))
     assert found - set(NOT_COUNTS) <= set(TABLE), sorted(found - set(NOT_COUNTS) - set(TABLE))
     assert set(NOT_COUNTS) <= found  # an entry whose parameter is gone leaves the list
 
@@ -216,3 +226,66 @@ def test_numpy_int_lambda_takes_the_exact_path():
         assert exp_coefficient(np.int64(lam), CANTOR) == exp_coefficient(lam, CANTOR), lam
     with pytest.raises(TypeError):
         exp_coefficient(True, CANTOR)
+
+
+# ---------------------------------------------------------------------------
+# tolerances
+# ---------------------------------------------------------------------------
+
+FRAME = build_frame(make_sine(1), None, 2)
+
+# owner, whether its tol must be positive (zero is valid otherwise), and the
+# call with every other argument fixed
+TOL_TABLE = {
+    "Tally.report": (False, lambda t: Tally().report("r", t)),
+    "classify_reflection": (True, lambda t: classify_reflection(make_sine(1), t)),
+    "compute_K": (False, lambda t: compute_K(PSI, 2, t)),
+    "frames_orthogonal": (False, lambda t: frames_orthogonal(FRAME, FRAME, t)),
+    "onb_entropy": (False, lambda t: onb_entropy([0.6, 0.8], t)),
+    "verify_cuntz": (False, lambda t: verify_cuntz(INTERVAL_REP, [STEP], t)),
+    "verify_entropy_recursion": (True, lambda t: verify_entropy_recursion(STEP, 1, t)),
+    "verify_unitary_matrix": (False, lambda t: verify_unitary_matrix(2, [0.1], t)),
+}
+
+# tol parameters that are not tolerances to check, and why
+NOT_TOLS = {("VerificationReport", "tol"): "a result field, filled from Tally.report's tol"}
+
+TOL_ROWS = [pytest.param(positive, call, id=owner) for owner, (positive, call)
+            in TOL_TABLE.items()]
+
+
+@pytest.mark.parametrize("positive, call", TOL_ROWS)
+def test_tol_bools_and_non_numbers_raise_type_error(positive, call):
+    for value in (True, False, np.True_, "1e-10", None, 1e-10j):
+        with pytest.raises(TypeError, match="tol"):
+            call(value)
+
+
+@pytest.mark.parametrize("positive, call", TOL_ROWS)
+def test_tol_nan_and_negatives_raise_value_error(positive, call):
+    # NaN compares false with everything, so an unchecked NaN passes or
+    # fails every comparison it meets
+    for value in (math.nan, np.float64("nan"), -1.0, -1, -1e-300, Fraction(-1, 2), -math.inf):
+        with pytest.raises(ValueError, match="tol out of range"):
+            call(value)
+
+
+@pytest.mark.parametrize("positive, call", TOL_ROWS)
+def test_tol_zero_is_valid_unless_positive(positive, call):
+    for value in (0, 0.0):
+        if positive:
+            with pytest.raises(ValueError, match="tol must be positive"):
+                call(value)
+        else:
+            call(value)
+
+
+@pytest.mark.parametrize("positive, call", TOL_ROWS)
+def test_tol_numpy_float_gives_the_float_result(positive, call):
+    assert call(np.float64(1e-10)) == call(1e-10)
+
+
+def test_every_tol_parameter_is_in_the_table():
+    found = _public_parameters(lambda param: param == "tol")
+    assert found - set(NOT_TOLS) == {(owner, "tol") for owner in TOL_TABLE}
+    assert set(NOT_TOLS) <= found
