@@ -258,11 +258,7 @@ def _ingest(args: argparse.Namespace) -> tuple[tuple[np.ndarray, int], int]:
     count = len(num)
     if count == 0 or count & (count - 1):
         raise InputError(f"{args.input}: sample count {count} is not a power of two")
-    level = count.bit_length() - 1
-    if args.level is not None and args.level != level:
-        raise InputError(f"--level {args.level} does not match the file's "
-                         f"{count} samples (level {level})")
-    return (num, den), level
+    return (num, den), count.bit_length() - 1
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
@@ -408,14 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_expand = sub.add_parser("expand", help="exact expansion of a sampled signal")
     p_expand.add_argument("--input", required=True, help="CSV, one sample per line")
-    p_expand.add_argument("--level", type=int, default=None,
-                          help="signal level (file must hold 2^level samples)")
     p_expand.add_argument("--float", dest="as_float", action="store_true")
     common(p_expand)
 
     p_entropy = sub.add_parser("entropy", help="subdivision-tree masses, entropy, best basis")
     p_entropy.add_argument("--input", required=True)
-    p_entropy.add_argument("--level", type=int, default=None)
     p_entropy.add_argument("--depth", type=int, default=6, help="tree depth (default 6)")
     p_entropy.add_argument("--float", dest="as_float", action="store_true")
     common(p_entropy)

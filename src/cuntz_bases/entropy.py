@@ -218,7 +218,7 @@ class EntropyTree:
 
 
 def build_entropy_tree(f, depth: int) -> EntropyTree:
-    depth = _index(depth, "depth", 1)
+    depth = _index(depth, "depth")
     levels = _mass_levels(f, depth)
     terms = tuple([_nlogn(num, den) for num in nums] for nums, den in levels)
     # each level summed in lexicographic word order, the order of the float sums
@@ -250,12 +250,10 @@ def best_basis(f, max_depth: int) -> tuple[tuple[MultiIndex, ...], float]:
     over leaves.  Ties prefer the shallower node.  With this cost the
     search is trivial: the root's mass is 1, so its term is 0.0 and no split
     beats it.  So each nonnegative ``max_depth`` gives ``((),)`` at cost 0.0
-    (0 without building a tree), and the verify checks
+    on a nonzero input (a zero one raises ValueError), and the verify checks
     ``best-basis-matches-exhaustive-depth3`` and
     ``best-basis-beats-uniform-partitions`` pass for that reason alone; a
     negative ``max_depth`` raises ValueError.
     """
-    if _index(max_depth, "max_depth") == 0:
-        return (MultiIndex(()),), 0.0
-    tree = build_entropy_tree(f, max_depth)
+    tree = build_entropy_tree(f, _index(max_depth, "max_depth"))
     return tree.best_leaves, tree.best_cost

@@ -4,7 +4,9 @@ Every invariant promised by the library has a check here: the relation
 algebra of the isometry pair, the square-wave system, the sine family,
 the entropy calculus, and the Cantor spectrum.  All randomness is seeded,
 so a run is deterministic.  Each check records its cases in a ``Tally``,
-so the count it reports is the number of cases it ran.  The command line's
+so the count it reports is the number of cases it ran.  A check is declared
+once, by ``@_check(suite, relation, tol)`` on its body: that registers it in
+``CHECKS``, so adding or retiring a check is one edit.  The command line's
 ``verify`` subcommand runs these and fails (exit 1) if any line fails.
 """
 
@@ -68,6 +70,30 @@ from .trig import (
     make_sine,
 )
 
+
+# ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+# every check as (suite, check), in the order the checks are defined below
+CHECKS: list[tuple[str, Callable[[], VerificationReport]]] = []
+
+
+def _check(suite: str, relation: str, tol: float = 0):
+    """Register the decorated ``body(tally)`` as a check of ``suite``: a
+    function of no arguments, bound to the body's name, that runs the body
+    on a new ``Tally`` and returns the tally judged as ``relation`` at ``tol``."""
+    def register(body: Callable[[Tally], None]) -> Callable[[], VerificationReport]:
+        def check() -> VerificationReport:
+            tally = Tally()
+            body(tally)
+            return tally.report(relation, tol)
+        check.__name__ = check.__qualname__ = body.__name__
+        CHECKS.append((suite, check))
+        return check
+    return register
+
+
 def _random_step(rng, level, span=9) -> DyadicStep:
     return DyadicStep(level, [rng.randint(-span, span) for _ in range(1 << level)])
 
@@ -83,111 +109,108 @@ def _nonzero_step(rng, level) -> DyadicStep:
 # cuntz suite
 # ---------------------------------------------------------------------------
 
-def check_interval_relations_level6():
+@_check("cuntz", "interval-relations-exact-level6-indicators", 0.0)
+def check_interval_relations_level6(tally):
     vectors = [DyadicStep.indicator(6, i) for i in range(64)]
-    return dataclasses.replace(verify_cuntz(INTERVAL_REP, vectors, tol=0.0),
-                               relation="interval-relations-exact-level6-indicators")
+    r = verify_cuntz(INTERVAL_REP, vectors, tol=0.0)
+    tally.record(r.max_violation, r.witness, cases=r.checked)
 
 
-def check_cantor_relations_level6():
+@_check("cuntz", "cantor-relations-exact-level6-indicators", 0.0)
+def check_cantor_relations_level6(tally):
     vectors = [CantorStep.indicator_cell(MultiIndex._from_code(6, i)) for i in range(64)]
-    return dataclasses.replace(verify_cuntz(INTERVAL_REP, vectors, tol=0.0),
-                               relation="cantor-relations-exact-level6-indicators")
+    r = verify_cuntz(INTERVAL_REP, vectors, tol=0.0)
+    tally.record(r.max_violation, r.witness, cases=r.checked)
 
 
-def _check_general_relations(n):
+def _general_relations(tally, n):
     rep = GeneralRepN(n)
     rng = np.random.default_rng(1000 + n)
     vectors = [rep.random_step(2, rng) for _ in range(100)]
-    return dataclasses.replace(verify_cuntz(rep, vectors, tol=1e-12),
-                               relation=f"general-branch{n}-relations")
+    r = verify_cuntz(rep, vectors, tol=1e-12)
+    tally.record(r.max_violation, r.witness, cases=r.checked)
 
 
-def check_general_relations3():
-    return _check_general_relations(3)
+@_check("cuntz", "general-branch3-relations", 1e-12)
+def check_general_relations3(tally):
+    _general_relations(tally, 3)
 
 
-def check_general_relations4():
-    return _check_general_relations(4)
+@_check("cuntz", "general-branch4-relations", 1e-12)
+def check_general_relations4(tally):
+    _general_relations(tally, 4)
 
 
-def check_unitary_filters():
+@_check("cuntz", "unitary-filter-matrices-n2-n3-n4", 1e-12)
+def check_unitary_filters(tally):
     rng = np.random.default_rng(17)
-    tally = Tally()
     tally.absorb(verify_unitary_matrix(2, [i / 16 for i in range(16)], tol=0.0), "N2")
     tally.absorb(verify_unitary_matrix(3, rng.random(50), tol=1e-12), "N3")
     tally.absorb(verify_unitary_matrix(4, rng.random(50), tol=0.0), "N4")
-    return tally.report("unitary-filter-matrices-n2-n3-n4", 1e-12)
 
 
-def check_isometry_exact():
+@_check("cuntz", "interval-isometry-exact", 0.0)
+def check_isometry_exact(tally):
     rng = random.Random(101)
-    tally = Tally()
     for i in range(25):
         f = _random_step(rng, 5)
         for j in (0, 1):
             tally.record(abs(s_apply(j, f).norm_sq() - f.norm_sq()), f"S_{j} on vector {i}")
-    return tally.report("interval-isometry-exact", 0.0)
 
 
-def check_orthogonal_ranges():
+@_check("cuntz", "interval-range-orthogonality-exact", 0.0)
+def check_orthogonal_ranges(tally):
     rng = random.Random(103)
-    tally = Tally()
     for i in range(25):
         f, g = _random_step(rng, 4), _random_step(rng, 5)
         tally.record(abs(s_apply(0, f).inner(s_apply(1, g))), f"pair {i}")
-    return tally.report("interval-range-orthogonality-exact", 0.0)
 
 
-def check_adjoint_kernel_reflection():
+@_check("cuntz", "adjoint-kernel-is-half-shift-reflection-level6")
+def check_adjoint_kernel_reflection(tally):
     # the kernel of the first adjoint at level k is exactly the span of the
     # antisymmetric pair differences; check both directions on a basis
     k = 6
     half = 1 << (k - 1)
-    tally = Tally()
     for i in range(half):
         anti = DyadicStep.indicator(k, i) - DyadicStep.indicator(k, i + half)
         sym = DyadicStep.indicator(k, i) + DyadicStep.indicator(k, i + half)
         tally.record(not s_adjoint(0, anti).is_zero(), f"difference at cell {i}")
         tally.record(s_adjoint(0, sym).is_zero(), f"sum at cell {i}")
-    return tally.report("adjoint-kernel-is-half-shift-reflection-level6")
 
 
-def check_hybrid_partition_of_unity():
+@_check("cuntz", "hybrid-partition-of-unity", 1e-10)
+def check_hybrid_partition_of_unity(tally):
     f = make_sine(1) + HybridFunction.from_step(DyadicStep.ones())
     total = s_apply(0, s_adjoint(0, f)) + s_apply(1, s_adjoint(1, f))
     diff = total - f
-    tally = Tally()
     tally.record(math.sqrt(max(hybrid_inner(diff, diff), 0.0)), "projection sum")
-    return tally.report("hybrid-partition-of-unity", 1e-10)
 
 
-def check_general_projections():
+@_check("cuntz", "general-branch3-orthogonal-idempotents", 1e-12)
+def check_general_projections(tally):
     rep = GeneralRepN(3)
     rng = np.random.default_rng(11)
-    tally = Tally()
     for i in range(20):
         f = rep.random_step(1, rng)
         pieces = [rep.apply(k, rep.adjoint(k, f)) for k in range(3)]
         total = pieces[0] + pieces[1] + pieces[2]
         overlaps = [abs(pieces[a].inner(pieces[b])) for a in range(3) for b in range(a + 1, 3)]
         tally.record(max(math.sqrt((total - f).norm_sq()), *overlaps), f"vector {i}")
-    return tally.report("general-branch3-orthogonal-idempotents", 1e-12)
 
 
 # ---------------------------------------------------------------------------
 # walsh suite
 # ---------------------------------------------------------------------------
 
-def check_walsh_two_paths():
+@_check("walsh", "square-wave-recursion-vs-word-path-4096")
+def check_walsh_two_paths(tally):
     # the recursion one step at a time against the sign rows: walsh(0) is
     # the constant and walsh(n) is S_{n mod 2} walsh(n // 2), so by induction
     # the recursion from the constant builds every word path walsh(n)
-    tally = Tally()
     tally.record(walsh(0) != DyadicStep.ones(), "n = 0")
     for n in range(1, 4096):
         tally.record(s_apply(n % 2, walsh(n // 2)) != walsh(n), f"n = {n}")
-    return tally.report("square-wave-recursion-vs-word-path-4096")
 
 
 @functools.cache
@@ -198,114 +221,105 @@ def _square_wave_levels() -> tuple[VerificationReport, ...]:
     return tuple(verify_decomposition_levels(greedy_generators(9), range(1, 11)))
 
 
-def check_walsh_gram():
-    return dataclasses.replace(_square_wave_levels()[-1],
-                               relation="square-wave-gram-identity-1024")
+@_check("walsh", "square-wave-gram-identity-1024", 0.0)
+def check_walsh_gram(tally):
+    r = _square_wave_levels()[-1]
+    tally.record(r.max_violation, r.witness, cases=r.checked)
 
 
-def check_walsh_shift_identities():
-    tally = Tally()
+@_check("walsh", "square-wave-shift-identities")
+def check_walsh_shift_identities(tally):
     for n in range(256):
         tally.record(s_apply(0, walsh(n)) != walsh(2 * n), f"S_0 walsh({n})")
         tally.record(s_apply(1, walsh(n)) != walsh(2 * n + 1), f"S_1 walsh({n})")
-    return tally.report("square-wave-shift-identities")
 
 
-def check_walsh_transform():
+@_check("walsh", "square-wave-transform-roundtrip-exact")
+def check_walsh_transform(tally):
     rng = random.Random(107)
-    tally = Tally()
     for i in range(50):
         f = DyadicStep(6, [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
                            for _ in range(64)])
         tally.record(walsh_synthesize(walsh_expand(f)) != f, f"step {i}")
-    return tally.report("square-wave-transform-roundtrip-exact")
 
 
-def check_walsh_fast_vs_gram():
+@_check("walsh", "fast-transform-matches-gram-definition")
+def check_walsh_fast_vs_gram(tally):
     rng = random.Random(109)
-    tally = Tally()
     for i in range(10):
         f = _random_step(rng, 5)
         for n, c in enumerate(walsh_expand(f)):
             tally.record(c != walsh(n).inner(f), f"step {i}, coefficient {n}")
-    return tally.report("fast-transform-matches-gram-definition")
 
 
-def check_generator_cover():
+@_check("walsh", "generator-cover-bijection-len12")
+def check_generator_cover(tally):
     # every word of length <= 12 is covered once, as a weight <= 1 word
     # followed by a generator; the first generators are the greedy ones
     cover = greedy_generators(12)
     rank = {g.sort_key: i for i, g in enumerate(cover.generators)}
     first = {(0, 0): 0, (2, 3): 1, (3, 3): 2, (3, 5): 3}  # (), 11, 110, 101
-    tally = Tally()
     for key in word_keys(12):
         k, j = cover.coverage.get(key, (None, None))
         bad = (k is None or (len(k) + len(j), k.code | j.code << len(k)) != key
                or k.weight > 1 or (key in first and rank.get(key) != first[key]))
         tally.record(bad, f"word {MultiIndex._from_code(*key).digits}" if bad else None)
-    return tally.report("generator-cover-bijection-len12")
 
 
-def check_generator_weights():
-    tally = Tally()
+@_check("walsh", "generator-words-have-even-weight")
+def check_generator_weights(tally):
     for g in greedy_generators(10).generators:
         tally.record(g.weight % 2, f"generator {g.digits}")
-    return tally.report("generator-words-have-even-weight")
 
 
-def check_decomposition_levels():
-    tally = Tally()
+@_check("walsh", "square-wave-decomposition-levels-1-10", 0.0)
+def check_decomposition_levels(tally):
     for level, report in enumerate(_square_wave_levels(), start=1):
         tally.absorb(report, f"level {level}")
-    return tally.report("square-wave-decomposition-levels-1-10", 0.0)
 
 
 # ---------------------------------------------------------------------------
 # sine suite
 # ---------------------------------------------------------------------------
 
-def check_odd_sine_kernel():
-    tally = Tally()
+@_check("sine", "odd-sine-adjoint-kernel-exact")
+def check_odd_sine_kernel(tally):
     for n in range(1, 100, 2):
         tally.record(not s_adjoint(0, make_sine(n)).is_zero(), f"sine {n}")
-    return tally.report("odd-sine-adjoint-kernel-exact")
 
 
-def check_even_sine_halving():
-    tally = Tally()
+@_check("sine", "even-sine-adjoint-halving-exact")
+def check_even_sine_halving(tally):
     for m in range(1, 50):
         half = s_adjoint(0, make_sine(2 * m))
         norm_gap = abs(math.sqrt(half.norm_sq()) - math.sqrt(0.5))
         tally.record(half != make_sine(m) or norm_gap > 1e-10,
                      f"sine {2 * m}, norm gap {norm_gap:.2e}")
-    return tally.report("even-sine-adjoint-halving-exact")
 
 
-def check_sine_cross_inners():
+@_check("sine", "sine-vs-shifted-sine-inners", 1e-10)
+def check_sine_cross_inners(tally):
     sines = [make_sine(m) for m in range(1, 21)]
-    tally = Tally()
     for n in range(1, 21):
         shifted = s_apply(1, sines[n - 1])
         for k in range(5):
             for m, sine in enumerate(sines, 1):
                 tally.record(abs(hybrid_inner(sine, shifted)), f"sine {m} vs S_0^{k} S_1 sine {n}")
             shifted = s_apply(0, shifted) if k < 4 else shifted
-    return tally.report("sine-vs-shifted-sine-inners", 1e-10)
 
 
-def check_sine_frame_family():
+@_check("sine", "sine-family-frame-orthogonality", 1e-10)
+def check_sine_frame_family(tally):
     frames = [build_frame(make_sine(2 * n + 1), None, 4) for n in range(6)]
     vectors = [v for fr in frames for v in fr.vectors]
-    tally = Tally()
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
             tally.record(abs(hybrid_inner(vectors[i], vectors[j])), f"frame vectors {i} and {j}")
-    return tally.report("sine-family-frame-orthogonality", 1e-10)
 
 
-def check_parseval():
+@_check("sine", "trig-parseval", 1e-10)
+def check_parseval(tally):
     rng = random.Random(113)
-    tally = Tally()
     for i in range(5):
         f = HybridFunction.zero()
         for n in range(1, 7):
@@ -319,20 +333,19 @@ def check_parseval():
         c, s = fourier_coeffs(f, 8)
         energy = c[0] ** 2 + 2 * sum(c[n] ** 2 + s[n] ** 2 for n in range(1, 9))
         tally.record(abs(energy - f.norm_sq()), f"signal {i}")
-    return tally.report("trig-parseval", 1e-10)
 
 
-def check_hybrid_exact_consistency():
+@_check("sine", "hybrid-inner-matches-exact-on-steps")
+def check_hybrid_exact_consistency(tally):
     rng = random.Random(127)
-    tally = Tally()
     for i in range(10):
         f = DyadicStep(3, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)])
         g = DyadicStep(2, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)])
         tally.record(hybrid_inner(f, g) != float(f.inner(g)), f"pair {i}")
-    return tally.report("hybrid-inner-matches-exact-on-steps")
 
 
-def check_reflection_classifier():
+@_check("sine", "reflection-classifier-cases")
+def check_reflection_classifier(tally):
     cases = [
         (make_sine(3), ANTIPERIODIC_HALF),
         (make_sine(2), PERIODIC_HALF),
@@ -340,15 +353,13 @@ def check_reflection_classifier():
         (HybridFunction.from_step(walsh(1)), ANTIPERIODIC_HALF),
         (HybridFunction.from_step(walsh(2)), PERIODIC_HALF),
     ]
-    tally = Tally()
     for i, (f, want) in enumerate(cases):
         tally.record(classify_reflection(f, 1e-10) != want, f"case {i}")
-    return tally.report("reflection-classifier-cases")
 
 
-def check_fourier_decimation():
+@_check("sine", "adjoint-decimates-fourier-coefficients", 1e-10)
+def check_fourier_decimation(tally):
     rng = random.Random(131)
-    tally = Tally()
     for i in range(3):
         f = HybridFunction.zero()
         for n in range(1, 7):
@@ -359,71 +370,66 @@ def check_fourier_decimation():
         for n in range(7):
             tally.record(abs(c_g[n] - c_f[2 * n]), f"signal {i}, cosine {n}")
             tally.record(abs(s_g[n] - s_f[2 * n]), f"signal {i}, sine {n}")
-    return tally.report("adjoint-decimates-fourier-coefficients", 1e-10)
 
 
 # ---------------------------------------------------------------------------
 # entropy suite
 # ---------------------------------------------------------------------------
 
-def check_mass_partition():
+@_check("entropy", "projection-masses-partition-unity-exact")
+def check_mass_partition(tally):
     rng = random.Random(137)
-    tally = Tally()
     for i in range(20):
         f = _nonzero_step(rng, 5)
         for k in (1, 2, 3):
             tree = build_entropy_tree(f, k)
             tally.record(sum(m for w, m in tree.masses.items() if len(w) == k) != 1,
                          f"step {i}, level {k}")
-    return tally.report("projection-masses-partition-unity-exact")
 
 
-def check_mass_refinement():
+@_check("entropy", "child-masses-refine-parent-exact")
+def check_mass_refinement(tally):
     rng = random.Random(139)
-    tally = Tally()
     for i in range(20):
         tree = build_entropy_tree(_nonzero_step(rng, 5), 4)
         for word, mass in tree.masses.items():
             if len(word) < 4:
                 tally.record(mass != tree.masses[word + (0,)] + tree.masses[word + (1,)],
                              f"step {i}, node {word}")
-    return tally.report("child-masses-refine-parent-exact")
 
 
-def check_entropy_recursion():
+@_check("entropy", "entropy-chain-rule-random-level6", 1e-12)
+def check_entropy_recursion(tally):
     rng = random.Random(149)
-    tally = Tally()
     for i in range(100):
         f = _nonzero_step(rng, 6)
         for k in (1, 2, 3, 4):
             tally.absorb(verify_entropy_recursion(f, k, tol=1e-12), f"step {i}, k {k}")
-    return tally.report("entropy-chain-rule-random-level6", 1e-12)
 
 
-def check_entropy_single_branch():
+@_check("entropy", "single-branch-support-shifts-depth", 1e-12)
+def check_entropy_single_branch(tally):
     rng = random.Random(151)
-    tally = Tally()
     for i in range(10):
         g = _nonzero_step(rng, 4)
         f = s_apply(0, g)
         for k in (1, 2, 3):
             tally.record(abs(entropy(f, k + 1) - entropy(g, k)), f"step {i}, depth {k}")
-    return tally.report("single-branch-support-shifts-depth", 1e-12)
 
 
-def check_entropy_bounds():
+@_check("entropy", "entropy-number-range")
+def check_entropy_bounds(tally):
     rng = random.Random(157)
-    tally = Tally()
     for i in range(20):
         f = _nonzero_step(rng, 4)
         for k in (1, 2, 3):
             e = entropy(f, k)
             tally.record(not -1e-12 <= e <= k * math.log(2) + 1e-12,
                          f"step {i}, depth {k}: {e!r}")
-    return tally.report("entropy-number-range")
 
 
-def check_best_basis_exhaustive():
+@_check("entropy", "best-basis-matches-exhaustive-depth3", 1e-12)
+def check_best_basis_exhaustive(tally):
     def antichains(word, depth):
         yield [word]
         if depth > 0:
@@ -432,7 +438,6 @@ def check_best_basis_exhaustive():
                     yield left + right
 
     rng = random.Random(163)
-    tally = Tally()
     for i in range(10):
         f = _nonzero_step(rng, 4)
         tree = build_entropy_tree(f, 3)
@@ -448,23 +453,21 @@ def check_best_basis_exhaustive():
         exhaustive = min(cost(chain) for chain in antichains((), 3))
         _, dp_cost = best_basis(f, 3)
         tally.record(abs(dp_cost - exhaustive), f"step {i}")
-    return tally.report("best-basis-matches-exhaustive-depth3", 1e-12)
 
 
-def check_best_basis_uniform_bound():
+@_check("entropy", "best-basis-beats-uniform-partitions", 1e-12)
+def check_best_basis_uniform_bound(tally):
     rng = random.Random(167)
-    tally = Tally()
     for i in range(10):
         f = _nonzero_step(rng, 5)
         _, cost = best_basis(f, 5)
         for k in (1, 2, 3, 4, 5):
             tally.record(cost - entropy(f, k), f"step {i}, depth {k}")
-    return tally.report("best-basis-beats-uniform-partitions", 1e-12)
 
 
-def check_branch_permutation():
+@_check("entropy", "entropy-invariant-under-branch-swap", 1e-12)
+def check_branch_permutation(tally):
     rng = random.Random(173)
-    tally = Tally()
     for i in range(10):
         f = _nonzero_step(rng, 4)
         values = f.coeffs
@@ -472,129 +475,73 @@ def check_branch_permutation():
         swapped = DyadicStep(f.level, values[half:] + values[:half])
         for k in (1, 2, 3):
             tally.record(abs(entropy(f, k) - entropy(swapped, k)), f"step {i}, depth {k}")
-    return tally.report("entropy-invariant-under-branch-swap", 1e-12)
 
 
 # ---------------------------------------------------------------------------
 # cantor suite
 # ---------------------------------------------------------------------------
 
-def check_cantor_spectrum_gram():
-    return gram_exponentials(8)
+@_check("cantor", "spectrum-orthogonality-p8", 0.0)
+def check_cantor_spectrum_gram(tally):
+    r = gram_exponentials(8)
+    tally.record(r.max_violation, r.witness, cases=r.checked)
 
 
-def check_mu_hat_functional_equation():
+@_check("cantor", "measure-transform-functional-equation", 1e-9)
+def check_mu_hat_functional_equation(tally):
     rng = random.Random(179)
-    tally = Tally()
     for _ in range(1000):
         lam = rng.uniform(-100, 100)
         lhs = mu_hat(lam)
         rhs = 0.5 * (1 + complex(math.cos(math.pi * lam), math.sin(math.pi * lam))) * mu_hat(lam / 4)
         tally.record(abs(lhs - rhs), f"lambda = {lam!r}")
-    return tally.report("measure-transform-functional-equation", 1e-9)
 
 
-def check_mu_hat_zero_consistency():
-    tally = Tally()
+@_check("cantor", "transform-zero-predicate-vs-numeric")
+def check_mu_hat_zero_consistency(tally):
     for delta in range(-1000, 1001):
         tally.record((abs(mu_hat(delta)) < 1e-8) != mu_hat_is_zero(delta), f"delta = {delta}")
-    return tally.report("transform-zero-predicate-vs-numeric")
 
 
-def check_indicator_expansions():
-    tally = Tally()
+@_check("cantor", "cell-indicator-expansion-words-to-len6", 0.0)
+def check_indicator_expansions(tally):
     for word in enumerate_words(6):
         if len(word):
             tally.record(indicator_relation_check(word).max_violation, f"word {word.digits}")
-    return tally.report("cell-indicator-expansion-words-to-len6", 0.0)
 
 
-def check_lambda_partitions():
-    tally = Tally()
+@_check("cantor", "spectrum-odd-orbit-partition-p1-8")
+def check_lambda_partitions(tally):
     for p in range(1, 9):
         report = verify_lambda_partition(p)
         tally.record(report.max_violation, f"p{p}: {report.witness}")
-    return tally.report("spectrum-odd-orbit-partition-p1-8")
 
 
-def check_bessel_monotone():
+@_check("cantor", "bessel-sums-monotone-and-bounded", 1e-10)
+def check_bessel_monotone(tally):
     f = CantorStep(1, [1, 0])
     sums = [2 * bessel_sum(f, p) for p in range(2, 9)]
-    tally = Tally()
     for p, (before, s) in enumerate(zip([-math.inf] + sums, sums), 2):
         tally.record(max(before - s, s - 1.0), f"p{p}: sums={sums}")
-    return tally.report("bessel-sums-monotone-and-bounded", 1e-10)
 
 
-def check_exp_coefficient_scaling():
+@_check("cantor", "exponential-frequency-scaling-under-isometry", 1e-8)
+def check_exp_coefficient_scaling(tally):
     rng = random.Random(181)
-    tally = Tally()
     for i in range(5):
         f = CantorStep(2, [rng.randint(-3, 3) for _ in range(4)])
         g = s_apply(0, f)
         for lam in (0, 1, 5, 17, 21):
             tally.record(abs(exp_coefficient(4 * lam, g) - exp_coefficient(lam, f)),
                          f"step {i}, lambda {lam}")
-    return tally.report("exponential-frequency-scaling-under-isometry", 1e-8)
 
 
-def check_cell_scaling():
-    tally = Tally()
+@_check("cantor", "cell-mass-diameter-square-root-scaling")
+def check_cell_scaling(tally):
     for k in range(6):
         tally.record(CantorStep.cell_mass(k + 1) * 2 != CantorStep.cell_mass(k), f"mass {k}")
         tally.record(CantorStep.cell_diameter(k + 1) * 4 != CantorStep.cell_diameter(k),
                      f"diameter {k}")
-    return tally.report("cell-mass-diameter-square-root-scaling")
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-CHECKS: list[tuple[str, Callable[[], VerificationReport]]] = [
-    ("cuntz", check_interval_relations_level6),
-    ("cuntz", check_cantor_relations_level6),
-    ("cuntz", check_general_relations3),
-    ("cuntz", check_general_relations4),
-    ("cuntz", check_unitary_filters),
-    ("cuntz", check_isometry_exact),
-    ("cuntz", check_orthogonal_ranges),
-    ("cuntz", check_adjoint_kernel_reflection),
-    ("cuntz", check_hybrid_partition_of_unity),
-    ("cuntz", check_general_projections),
-    ("walsh", check_walsh_two_paths),
-    ("walsh", check_walsh_gram),
-    ("walsh", check_walsh_shift_identities),
-    ("walsh", check_walsh_transform),
-    ("walsh", check_walsh_fast_vs_gram),
-    ("walsh", check_generator_cover),
-    ("walsh", check_generator_weights),
-    ("walsh", check_decomposition_levels),
-    ("sine", check_odd_sine_kernel),
-    ("sine", check_even_sine_halving),
-    ("sine", check_sine_cross_inners),
-    ("sine", check_sine_frame_family),
-    ("sine", check_parseval),
-    ("sine", check_hybrid_exact_consistency),
-    ("sine", check_reflection_classifier),
-    ("sine", check_fourier_decimation),
-    ("entropy", check_mass_partition),
-    ("entropy", check_mass_refinement),
-    ("entropy", check_entropy_recursion),
-    ("entropy", check_entropy_single_branch),
-    ("entropy", check_entropy_bounds),
-    ("entropy", check_best_basis_exhaustive),
-    ("entropy", check_best_basis_uniform_bound),
-    ("entropy", check_branch_permutation),
-    ("cantor", check_cantor_spectrum_gram),
-    ("cantor", check_mu_hat_functional_equation),
-    ("cantor", check_mu_hat_zero_consistency),
-    ("cantor", check_indicator_expansions),
-    ("cantor", check_lambda_partitions),
-    ("cantor", check_bessel_monotone),
-    ("cantor", check_exp_coefficient_scaling),
-    ("cantor", check_cell_scaling),
-]
 
 
 # the suites that one forked child runs while this process runs the rest:

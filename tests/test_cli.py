@@ -179,6 +179,26 @@ def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, monkeypatch, 
     assert tree_snapshot(tmp_path) == before
 
 
+# a command line refused before any output, and the start of its one-line
+# message
+REFUSED_COMMANDS = {
+    "expand-input-is-directory": (["expand", "--input", "{tmp}"], "error: cannot read {tmp}: "),
+    "entropy-input-is-directory": (["entropy", "--input", "{tmp}"], "error: cannot read {tmp}: "),
+    "walsh-without-output": (["walsh", "--range", "3"],
+                             "error: walsh needs --output DIR (one file per index)\n"),
+}
+
+
+@pytest.mark.parametrize("args, message", list(REFUSED_COMMANDS.values()),
+                         ids=list(REFUSED_COMMANDS))
+def test_refused_command_exits_2_with_one_line(tmp_path, capsys, args, message):
+    assert main([arg.format(tmp=tmp_path) for arg in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(message.format(tmp=tmp_path))
+
+
 class TestExpandCommand:
     def test_flip_signal(self, tmp_path, capsys):
         src = tmp_path / "sig.csv"
@@ -187,22 +207,15 @@ class TestExpandCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["index,num,den", "0,0,1", "1,1,1"]
 
-    def test_level_mismatch(self, tmp_path):
-        src = tmp_path / "sig.csv"
-        write_samples(src, ["1", "-1"])
-        assert main(["expand", "--input", str(src), "--level", "2"]) == 2
-
-    def test_huge_or_negative_level_rejected_by_message(self, tmp_path, capsys):
-        # the message once formatted 1 << level: 100000 overflowed the int
-        # to str limit, and -1 raised on a negative shift
+    def test_level_is_an_unrecognized_argument(self, tmp_path, capsys):
+        # the level is the one the file's sample count fixes
         src = tmp_path / "sig.csv"
         write_samples(src, ["1", "-1"])
         for command in ("expand", "entropy"):
-            for level in ("100000", "-1"):
-                assert main([command, "--input", str(src), "--level", level]) == 2
-                err = capsys.readouterr().err
-                assert err == (f"error: --level {level} does not match the file's "
-                               f"2 samples (level 1)\n")
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--input", str(src), "--level", "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --level 1" in capsys.readouterr().err
 
     def test_bad_row_cites_line(self, tmp_path, capsys):
         src = tmp_path / "sig.csv"

@@ -8,7 +8,8 @@ int gives the same result as the same int, down to the types inside it.
 The table lists each such parameter with one call that fixes every other
 argument; a second test walks the package's public names and fails on any
 count-named parameter the table does not list.  Every public ``tol`` is
-read by ``dyadic._tol`` and has a table and a walk of its own.
+read by ``dyadic._tol`` and has a table and a walk of its own.  A last table
+holds the other refused arguments, each with its exception and message.
 """
 
 import math
@@ -47,10 +48,12 @@ from cuntz_bases import (
     greedy_generators,
     ingest_signal,
     lambda_set,
+    make_atom,
     make_cos,
     make_sine,
     onb_entropy,
     projection_masses,
+    run_suite,
     s_adjoint,
     s_apply,
     verify_cuntz,
@@ -61,6 +64,7 @@ from cuntz_bases import (
     verify_unitary_matrix,
     walsh,
     walsh_expand,
+    walsh_synthesize,
     walsh_word,
 )
 
@@ -121,7 +125,7 @@ TABLE = {
                                            lambda v: NAdicStep(2, 1, [1, 2]).refine(v)),
     ("bessel_sum", "p"): ("p", range(0, 7), lambda v: bessel_sum(CANTOR, v)),
     ("best_basis", "max_depth"): ("max_depth", range(0, 7), lambda v: best_basis(STEP, v)),
-    ("build_entropy_tree", "depth"): ("depth", range(1, 7), lambda v: build_entropy_tree(STEP, v)),
+    ("build_entropy_tree", "depth"): ("depth", range(0, 7), lambda v: build_entropy_tree(STEP, v)),
     ("build_frame", "depth"): ("depth", range(0, 7), lambda v: build_frame(PSI, None, v)),
     ("coefficient_table", "p"): ("p", range(0, 7), lambda v: coefficient_table(CANTOR, v)),
     ("compute_K", "max_depth"): ("max_depth", range(0, 7), lambda v: compute_K(PSI, v)),
@@ -289,3 +293,29 @@ def test_every_tol_parameter_is_in_the_table():
     found = _public_parameters(lambda param: param == "tol")
     assert found - set(NOT_TOLS) == {(owner, "tol") for owner in TOL_TABLE}
     assert set(NOT_TOLS) <= found
+
+
+# ---------------------------------------------------------------------------
+# other refused arguments
+# ---------------------------------------------------------------------------
+
+# a call refused for a reason other than a count or a tol: the exception,
+# a pattern its message matches, and the call
+REFUSED = {
+    "run_suite-unknown-suite": (ValueError, "unknown suite 'bogus'", lambda: run_suite("bogus")),
+    "walsh_synthesize-length-3": (ValueError, "length must be a power of two",
+                                  lambda: walsh_synthesize([1, 2, 3])),
+    "make_atom-unknown-mode": (ValueError, "unknown mode 'tan'", lambda: make_atom(STEP, "tan")),
+    "DyadicStep-plus-CantorStep": (TypeError, "cannot combine DyadicStep with CantorStep",
+                                   lambda: STEP + CANTOR),
+    "NAdicStep-coefficient-count": (ValueError, "expected 2 coefficients",
+                                    lambda: NAdicStep(2, 1, [1])),
+    "GeneralRepN.filter_value-x-1": (ValueError, r"x must lie in \[0, 1\)",
+                                     lambda: REP3.filter_value(0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("error, message, call", list(REFUSED.values()), ids=list(REFUSED))
+def test_refused_arguments_raise_with_message(error, message, call):
+    with pytest.raises(error, match=message):
+        call()

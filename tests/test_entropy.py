@@ -175,6 +175,17 @@ class TestBestBasis:
         assert [w.digits for w in leaves] == [()]
         assert cost == 0.0
 
+    def test_depth_zero_keeps_root_of_step_and_hybrid(self):
+        for f in (DyadicStep(2, [1, -2, 3, 4]), make_sine(1)):
+            assert best_basis(f, 0) == ((MultiIndex(()),), 0.0)
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_zero_step_raises_at_every_depth(self, depth):
+        zero = DyadicStep(1, [0, 0])
+        for analyze in (best_basis, build_entropy_tree, entropy):
+            with pytest.raises(ValueError, match="cannot analyze the zero function"):
+                analyze(zero, depth)
+
     def test_single_branch_structure(self):
         # two-mass mixture pushed into branch 0: the split happens at the
         # root and then once more inside branch 0, as hand computation shows
