@@ -24,6 +24,7 @@ for the exponential spectrum {sum j_i 4^i : j_i in {0, 1}}.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -88,8 +89,12 @@ def _lowest_bit(value: int) -> int:
 # ---------------------------------------------------------------------------
 
 MU_HAT_REL_TOL = 1e-10
+# arguments whose transform is kept: one depth-11 spectrum at one level, so
+# that ``coefficient_table`` and ``bessel_sum`` of the same step share it
+MU_HAT_CACHE_SIZE = 2048
 
 
+@functools.lru_cache(maxsize=MU_HAT_CACHE_SIZE, typed=True)
 def mu_hat(lam: float) -> complex:
     """Transform of the self-similar measure via its infinite product.
 
@@ -99,6 +104,9 @@ def mu_hat(lam: float) -> complex:
     below (4/3) * pi * |lam| * 4^-M.  An argument whose pi*|lam| is not a
     finite float (NaN, an infinity, a float near the top of the range)
     raises ValueError; an int beyond float range raises OverflowError.
+    The last ``MU_HAT_CACHE_SIZE`` results are kept, per argument value and
+    type, so a repeated argument returns the same float; an argument must
+    therefore be hashable, a scalar and not an array.
     """
     bound = math.pi * abs(lam)
     if not math.isfinite(bound):

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -434,9 +436,11 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.command == "entropy" and not 1 <= args.depth <= MAX_ENTROPY_DEPTH:
         raise InputError(f"--depth must be between 1 and {MAX_ENTROPY_DEPTH}, "
                          f"got {args.depth}")
-    if args.command == "cantor" and not 0 <= args.p <= MAX_SPECTRUM_DEPTH:
-        raise InputError(f"--p must be between 0 and {MAX_SPECTRUM_DEPTH}, "
-                         f"got {args.p}")
+    if args.command == "cantor":
+        low = 1 if args.cantor_sub == "partition" else 0  # no odd orbit at depth 0
+        if not low <= args.p <= MAX_SPECTRUM_DEPTH:
+            raise InputError(f"--p must be between {low} and {MAX_SPECTRUM_DEPTH}, "
+                             f"got {args.p}")
     if args.output is not None and args.command != "walsh":
         _check_output_path(args.output)
 
@@ -462,7 +466,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """The process entry of the console script and ``python -m``: ``main``
+    on the process's arguments, its result as the exit code.
+
+    The heap that the imports built is frozen first, so no collection,
+    the one at teardown included, traverses it again.  Output to a pipe
+    whose reader has gone ends the process with exit code 1 and no
+    traceback; stdout is pointed at ``os.devnull`` so that its final flush
+    at exit writes nothing.
+    """
+    gc.freeze()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

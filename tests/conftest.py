@@ -12,16 +12,21 @@ PROCFS = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                             reason="reads the peak resident size from procfs")
 
 
-def fresh_python(args, blas_threads=None) -> str:
-    """stdout of a fresh interpreter run with ``args``, this checkout's
-    package first on its path, and OPENBLAS_NUM_THREADS set to
-    ``blas_threads`` or, when that is None, not set."""
+def fresh_env(blas_threads=None) -> dict:
+    """The environment of a fresh interpreter: this checkout's package
+    first on its path, and OPENBLAS_NUM_THREADS set to ``blas_threads`` or,
+    when that is None, not set."""
     src_dir = os.path.dirname(os.path.dirname(cuntz_bases.__file__))
     env = {**os.environ, "PYTHONPATH": src_dir}
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    return subprocess.run([sys.executable, *args], env=env,
+    return env
+
+
+def fresh_python(args, blas_threads=None) -> str:
+    """stdout of a fresh interpreter run with ``args`` in :func:`fresh_env`."""
+    return subprocess.run([sys.executable, *args], env=fresh_env(blas_threads),
                           capture_output=True, text=True, check=True).stdout
 
 

@@ -7,9 +7,11 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cuntz_bases.cantor import (
+    MU_HAT_CACHE_SIZE,
     CantorStep,
     LambdaPoint,
     bessel_sum,
@@ -93,6 +95,26 @@ class TestMuHat:
             lhs = mu_hat(lam)
             rhs = 0.5 * (1 + cmath.exp(1j * math.pi * lam)) * mu_hat(lam / 4)
             assert abs(lhs - rhs) < 1e-9
+
+    def test_cache_returns_the_uncached_floats(self):
+        # a repeated argument, and an equal one of another type, each give
+        # the bits of the uncached product (pi * a numpy float32 is a float32)
+        rng = random.Random(89)
+        args = [rng.uniform(-1e4, 1e4) for _ in range(100)] + list(range(-20, 21))
+        args += [np.float32(0.1), float(np.float32(0.1)), np.float64(2.5), Fraction(5, 2),
+                 2.5, True, 1, 1.0]
+        for lam in args + args[::-1]:
+            got, want = mu_hat(lam), mu_hat.__wrapped__(lam)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert mu_hat.cache_info().maxsize == MU_HAT_CACHE_SIZE
+
+    def test_bessel_sum_reuses_the_table_transforms(self):
+        f = CantorStep(3, [1, 0, -2, 0, 0, 1, 0, 0])
+        mu_hat.cache_clear()
+        coefficient_table(f, 6)
+        computed = mu_hat.cache_info().misses
+        bessel_sum(f, 6)
+        assert mu_hat.cache_info().misses == computed == 1 << 6
 
     def test_zero_predicate(self):
         assert mu_hat_is_zero(1)

@@ -9,6 +9,7 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PROCFS, fresh_python, peak_kb
+from conftest import PROCFS, fresh_env, fresh_python, peak_kb
 from cuntz_bases import operators, verification
 from cuntz_bases.basis import butterfly, walsh, walsh_expand
 from cuntz_bases.cli import IO_BLOCK, MAX_WALSH_FILES, MAX_WALSH_INDEX, main
@@ -807,15 +808,25 @@ class TestCantorCommand:
             ("partition", "json"): "2dc9d0ed9d935156ed4ca2c7bad80d0f48a6ddb2ab9dc359e593834a0c1874a8"}
 
     def test_p_bounded(self, capsys):
-        for sub in ("spectrum", "gram", "partition"):
-            for p in ("-1", "12"):
-                assert main(["cantor", sub, "--p", p]) == 2
-                assert "--p must be between 0 and 11" in capsys.readouterr().err
+        # a depth-0 spectrum has no odd orbit to partition
+        for sub, low in (("spectrum", 0), ("gram", 0), ("partition", 1)):
+            for p in sorted({-1, low - 1, 12}):
+                assert main(["cantor", sub, "--p", str(p)]) == 2
+                assert capsys.readouterr().err == (
+                    f"error: --p must be between {low} and 11, got {p}\n")
+            assert main(["cantor", sub, "--p", str(low)]) == 0
 
 
-# a cheap check of each group: the child's (walsh, cantor) and this process's
-CHILD_CHECK = ("cantor", verification.check_cell_scaling)
-PARENT_CHECK = ("cuntz", verification.check_unitary_filters)
+def last_check(in_child: bool):
+    """The last registered check of the forked child's group
+    (``verification._CHILD_SUITES``) or of this process's, as (suite, check);
+    the last check of a suite is a cheap one."""
+    return next(entry for entry in reversed(verification.CHECKS)
+                if (entry[0] in verification._CHILD_SUITES) == in_child)
+
+
+CHILD_CHECK = last_check(True)
+PARENT_CHECK = last_check(False)
 
 
 def failing_check():
@@ -944,7 +955,8 @@ class LocalError(Exception):
 
 
 class TestSuiteSplit:
-    """``run_suite`` runs the walsh and cantor checks in one forked child."""
+    """``run_suite`` runs the checks of ``verification._CHILD_SUITES`` in
+    one forked child."""
 
     @pytest.fixture(autouse=True)
     def _no_child_left(self):
@@ -959,17 +971,16 @@ class TestSuiteSplit:
         assert len(reports) == 42 and all(r.elapsed_s > 0 for r in reports)
 
     def test_child_failure_prints_in_its_registry_position(self, capsys):
-        checks = [PARENT_CHECK, ("walsh", failing_check), CHILD_CHECK,
-                  ("entropy", verification.check_entropy_bounds)]
+        checks = [PARENT_CHECK, (CHILD_CHECK[0], failing_check), CHILD_CHECK, PARENT_CHECK]
         with mock.patch.object(verification, "CHECKS", checks), \
                 mock.patch.object(os, "fork", wraps=os.fork) as fork:
             assert main(["verify", "--suite", "all"]) == 1
         assert fork.call_count == 1
         out, err = capsys.readouterr()
         lines = out.splitlines()
+        child, parent = CHILD_CHECK[1]().relation, PARENT_CHECK[1]().relation
         assert [line.split()[:2] for line in lines] == [
-            ["PASS", "unitary-filter-matrices-n2-n3-n4"], ["FAIL", "always-fails"],
-            ["PASS", "cell-mass-diameter-square-root-scaling"], ["PASS", "entropy-number-range"]]
+            ["PASS", parent], ["FAIL", "always-fails"], ["PASS", child], ["PASS", parent]]
         assert lines[1] == "FAIL always-fails (max violation 5.000e-01, 2 checks) witness: case 1"
         assert err == "1 of 4 checks failed\n"
 
@@ -982,7 +993,7 @@ class TestSuiteSplit:
         def raising():
             raise error
 
-        with mock.patch.object(verification, "CHECKS", [PARENT_CHECK, ("cantor", raising)]):
+        with mock.patch.object(verification, "CHECKS", [PARENT_CHECK, (CHILD_CHECK[0], raising)]):
             with pytest.raises(raised) as info:
                 verification.run_suite("all")
         assert type(info.value) is raised and str(info.value) == message
@@ -992,8 +1003,9 @@ class TestSuiteSplit:
         def raising():
             raise ArithmeticError("parent side")
 
-        slow_child = ("walsh", verification.check_walsh_gram)
-        with mock.patch.object(verification, "CHECKS", [("sine", raising), slow_child]):
+        # the suite name places a check: this slow one runs in the child
+        slow_child = (CHILD_CHECK[0], verification.check_walsh_gram)
+        with mock.patch.object(verification, "CHECKS", [(PARENT_CHECK[0], raising), slow_child]):
             with pytest.raises(ArithmeticError, match="^parent side$"):
                 verification.run_suite("all")
 
@@ -1016,7 +1028,7 @@ class TestSuiteSplit:
         assert not thread.is_alive()
         monkeypatch.delattr(os, "fork")
         assert [r.relation for r in verification.run_suite("all")] == [
-            "cell-mass-diameter-square-root-scaling", "unitary-filter-matrices-n2-n3-n4"]
+            CHILD_CHECK[1]().relation, PARENT_CHECK[1]().relation]
 
     def test_buffered_output_and_atexit_run_once(self):
         out = fresh_python(["-c", (
@@ -1026,3 +1038,60 @@ class TestSuiteSplit:
             "sys.stdout.write('before the run\\n')\n"
             "print(len(verification.run_suite('all')))\n")])
         assert out == "before the run\n42\nat exit\n"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+    def test_numpy_random_loads_in_the_child_alone(self):
+        # the cuntz checks' default_rng draws run in the child, so this
+        # process never pays for the numpy.random image
+        out = fresh_python(["-c", (
+            "import sys\n"
+            "from cuntz_bases import verification\n"
+            "print(all(r.passed for r in verification.run_suite('all')))\n"
+            "print('numpy.random' in sys.modules)\n")])
+        assert out == "True\nFalse\n"
+
+
+CLI = [sys.executable, "-m", "cuntz_bases.cli"]
+
+
+def run_cli(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m cuntz_bases.cli`` with ``args`` in a fresh interpreter
+    (``conftest.fresh_env``), its output captured as bytes."""
+    return subprocess.run([*CLI, *args], env=fresh_env(), capture_output=True, **kwargs)
+
+
+class TestProcessEntry:
+    """The process entry, ``main_entry``, that the console script and
+    ``python -m`` run: it freezes the imported heap and owns the exit."""
+
+    def test_output_matches_main(self, tmp_path, capsys):
+        src = tmp_path / "signal.csv"
+        write_samples(src, ["3", "-1/2", "0", "7", "1/3", "2", "-5", "1"])
+        for args in (["expand", "--input", str(src)], ["cantor", "gram", "--p", "4"]):
+            assert main(args) == 0
+            done = run_cli(args)
+            assert done.returncode == 0 and done.stderr == b""
+            assert done.stdout == capsys.readouterr().out.encode("utf-8")
+
+    def test_malformed_sample_exits_2_with_one_line(self, tmp_path):
+        src = tmp_path / "signal.csv"
+        write_samples(src, ["1", "2", "x", "4"])
+        done = run_cli(["expand", "--input", str(src)], text=True)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [["cantor", "spectrum", "--p", "11", "--format", "json"],
+                                      ["expand", "--input", "SIGNAL", "--format", "json"]])
+    def test_closed_pipe_exits_1_without_traceback(self, tmp_path, args):
+        # each output is well above a 64 kB pipe buffer, so the writer is
+        # still writing when the reader goes
+        src = tmp_path / "signal.csv"
+        write_samples(src, [str(n % 7 - 3) for n in range(1 << 13)])
+        args = [str(src) if arg == "SIGNAL" else arg for arg in args]
+        with subprocess.Popen([*CLI, *args], env=fresh_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(60) == 1
+        assert err == b""
