@@ -244,7 +244,12 @@ def gram_exponentials(p: int) -> VerificationReport:
 
 def _coefficients(lams, f: CantorStep):
     """``exp_coefficient(lam, f)`` for each lam in turn, in one pass per
-    lam over the nonzero cells of ``f``, which are read once."""
+    lam over the nonzero cells of ``f``, which are read once.  The
+    exponentials live in L2(mu), so a step on another geometry (a dyadic
+    step) raises TypeError."""
+    if not isinstance(f, CantorStep):
+        raise TypeError(f"a Cantor exponential pairs only with a CantorStep, "
+                        f"not {type(f).__name__}")
     k = f.level
     four_k = 1 << (2 * k)
     den = f.den

@@ -283,6 +283,7 @@ def _inner_parts(a: "StepFunction", b: "StepFunction") -> tuple[int, int]:
     return int(np.dot(x, y)), a.den * b.den << b.level
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class StepFunction:
     """Piecewise-constant function on the 2^level cells of a binary coding.
 
@@ -298,6 +299,9 @@ class StepFunction:
     """
 
     __slots__ = ("level", "num", "den")
+    level: int
+    num: np.ndarray
+    den: int
 
     def __init__(self, level: int, coeffs: Iterable):
         num, den = lift(tuple(coeffs))
@@ -347,9 +351,6 @@ class StepFunction:
         num = np.zeros(1 << level, dtype=np.int64)
         num[cell] = 1
         return cls._trusted(level, num, 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # pickle and copy rebuild through _trusted: the pair is in lowest terms

@@ -9,6 +9,10 @@ integration inside :func:`hybrid_inner`.  Everything upstream of that is
 symbolic, so identities like "the adjoint kills every odd sine" come out as
 exact cancellations of atoms, not as small numbers.
 
+A hybrid lives on [0, 1) with Lebesgue measure, so each window is a
+DyadicStep.  Every atom is made by :func:`_fold`, the one gate on that rule:
+a window on another geometry (a Cantor cylinder step) raises TypeError.
+
 Cell integrals are kept in a bounded ``functools.lru_cache``.
 """
 
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Optional
@@ -84,6 +89,7 @@ def _require_dyadic(value, what: str) -> Dyadic:
     return value.numerator, den.bit_length() - 1
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TrigAtom:
     """One ``window * trig`` term, in canonical form.
 
@@ -98,6 +104,10 @@ class TrigAtom:
     """
 
     __slots__ = ("window", "mode", "_freq", "_phase")
+    window: DyadicStep
+    mode: str
+    _freq: Dyadic
+    _phase: Dyadic
 
     @classmethod
     def _trusted(cls, window: DyadicStep, mode: str, freq: Dyadic, phase: Dyadic) -> "TrigAtom":
@@ -109,9 +119,6 @@ class TrigAtom:
         object.__setattr__(self, "_phase", phase)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TrigAtom is immutable")
-
     def __reduce__(self):
         return TrigAtom._trusted, (self.window, self.mode, self._freq, self._phase)
 
@@ -122,17 +129,6 @@ class TrigAtom:
     @property
     def phase(self) -> Fraction:
         return _fraction(self._phase)
-
-    def _key(self) -> tuple:
-        return self.window, self.mode, self._freq, self._phase
-
-    def __eq__(self, other):
-        if type(other) is not TrigAtom:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return (f"TrigAtom(window={self.window!r}, mode={self.mode!r}, "
@@ -158,6 +154,9 @@ def make_atom(window: DyadicStep, mode: str, freq=0, phase=0) -> Optional[TrigAt
 def _fold(window: DyadicStep, mode: str, freq: Dyadic, phase: Dyadic) -> Optional[TrigAtom]:
     """:func:`make_atom` on reduced pairs: the mod-2 fold and the quarter
     turns act on the phase numerator over its own power of two."""
+    if not isinstance(window, DyadicStep):
+        raise TypeError(f"a trig hybrid pairs only with a hybrid or a DyadicStep, "
+                        f"not {type(window).__name__}")
     window = window.normalize()
     if window.is_zero():
         return None
@@ -191,10 +190,12 @@ def _fold(window: DyadicStep, mode: str, freq: Dyadic, phase: Dyadic) -> Optiona
     return TrigAtom._trusted(window, mode, (fn, fe), _reduced(pn, pe))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class HybridFunction:
     """A finite sum of trig atoms; the canonical home of the sine family."""
 
     __slots__ = ("atoms",)
+    atoms: tuple[TrigAtom, ...]
 
     def __init__(self, atoms: Iterable[Optional[TrigAtom]]):
         merged: dict[tuple, DyadicStep] = {}
@@ -214,9 +215,6 @@ class HybridFunction:
         final.sort(key=lambda a: (a.mode, a._freq[0] << (top - a._freq[1]),
                                   a._phase[0] << (top - a._phase[1])))
         object.__setattr__(self, "atoms", tuple(final))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HybridFunction is immutable")
 
     def __reduce__(self):
         return HybridFunction, (self.atoms,)
@@ -250,14 +248,6 @@ class HybridFunction:
     def scale(self, factor) -> "HybridFunction":
         factor = as_rational(factor)
         return HybridFunction(tuple(a.scaled(factor) for a in self.atoms))
-
-    def __eq__(self, other):
-        if not isinstance(other, HybridFunction):
-            return NotImplemented
-        return self.atoms == other.atoms
-
-    def __hash__(self):
-        return hash(self.atoms)
 
     def __repr__(self):
         if not self.atoms:
@@ -452,16 +442,9 @@ def hybrid_inner(f: HybridFunction | DyadicStep, g: HybridFunction | DyadicStep)
 
 
 def _as_hybrid(f: HybridFunction | DyadicStep) -> HybridFunction:
-    """A hybrid as it is, a dyadic step as the hybrid of its one const atom.
-    Any other carrier raises TypeError: a hybrid lives on [0, 1) with
-    Lebesgue measure, and a step on another geometry (a Cantor cylinder
-    step) has no inner product with it."""
-    if isinstance(f, DyadicStep):
-        return HybridFunction.from_step(f)
-    if not isinstance(f, HybridFunction):
-        raise TypeError(f"a trig hybrid pairs only with a hybrid or a DyadicStep, "
-                        f"not {type(f).__name__}")
-    return f
+    """A hybrid as it is, anything else as the hybrid of its one const atom;
+    :func:`_fold` refuses a window that is not a DyadicStep."""
+    return f if isinstance(f, HybridFunction) else HybridFunction.from_step(f)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuntz_bases.cantor import CantorStep
-from cuntz_bases.dyadic import DyadicStep
+from cuntz_bases.cantor import CantorStep, LambdaPoint
+from cuntz_bases.dyadic import DyadicStep, MultiIndex
 from cuntz_bases.operators import s_adjoint, s_apply
+from cuntz_bases.reporting import VerificationReport
 from cuntz_bases.trig import (MODE_COS, MODE_SIN, HybridFunction, TrigAtom, make_atom, make_cos,
                               make_sine)
 
@@ -228,3 +229,32 @@ def test_pickle_and_deepcopy_rebuild_an_equal_carrier(name):
         assert [(w.num.dtype, w.num.tolist(), w.den) for w in _windows(copied)] == windows
         assert not any(w.num.flags.writeable for w in _windows(copied))
 
+
+# each value with its fields
+FROZEN = {
+    "DyadicStep": (DyadicStep(1, [1, Fraction(-2, 3)]), ("level", "num", "den")),
+    "CantorStep": (CantorStep(1, [5, 0]), ("level", "num", "den")),
+    "TrigAtom": (make_atom(DyadicStep(1, [1, 2]), MODE_SIN, 1),
+                 ("window", "mode", "_freq", "_phase")),
+    "HybridFunction": (make_sine(1), ("atoms",)),
+    "MultiIndex": (MultiIndex((1, 0)), ("digits",)),
+    "LambdaPoint": (LambdaPoint.from_value(5), ("value", "digits")),
+    "VerificationReport": (VerificationReport("r", True, 0.0),
+                           ("relation", "passed", "max_violation", "tol", "witness", "checked",
+                            "elapsed_s")),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_values_refuse_every_assignment_and_deletion(name):
+    # a deleted field would leave a value that every method trips over
+    value, fields = FROZEN[name]
+    for field in fields:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+    with pytest.raises(AttributeError):
+        value.no_such_name = 1

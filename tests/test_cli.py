@@ -29,6 +29,12 @@ from cuntz_bases.dyadic import MAX_EXPONENT, DyadicStep, lift
 from cuntz_bases.entropy import build_entropy_tree
 from cuntz_bases.reporting import Tally, VerificationReport
 
+# the SHA-256s of ``verify --suite all`` as text and as JSON; CI and the
+# benchmark pin the same bytes (see test_every_pin_of_the_verify_output_agrees)
+VERIFY_TEXT_SHA256 = "449b342d0f776bbe984fe9a896b2e7116c84ff58aaffb76bee2475e84d5ace18"
+VERIFY_JSON_SHA256 = "4c054617be1aca88ece3aa10b5aeb1970b75d25b4772459dd6ab2447faaaf1bb"
+REPO = Path(__file__).resolve().parent.parent
+
 
 def write_samples(path, values):
     path.write_text("\n".join(values) + "\n", encoding="utf-8")
@@ -860,9 +866,16 @@ class TestVerifyCommand:
         for extra in ([], ["--format", "json"]):
             assert main(["verify", "--suite", "all", *extra]) == 0
             digests.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
-        assert digests == [
-            "449b342d0f776bbe984fe9a896b2e7116c84ff58aaffb76bee2475e84d5ace18",
-            "4c054617be1aca88ece3aa10b5aeb1970b75d25b4772459dd6ab2447faaaf1bb"]
+        assert digests == [VERIFY_TEXT_SHA256, VERIFY_JSON_SHA256]
+
+    def test_every_pin_of_the_verify_output_agrees(self):
+        # CI checks the console script's text and JSON output; the benchmark
+        # checks the text; both are read here, not run
+        ci = (REPO / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+        pinned = re.findall(r'"([0-9a-f]{64}) +\S+" \| sha256sum --check', ci)
+        assert pinned == [VERIFY_TEXT_SHA256, VERIFY_JSON_SHA256]
+        bench = (REPO / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+        assert re.findall(r'^VERIFY_SHA256 = "(\w+)"$', bench, re.M) == [VERIFY_TEXT_SHA256]
 
     def test_json_format(self, capsys):
         assert main(["verify", "--suite", "cantor", "--format", "json"]) == 0

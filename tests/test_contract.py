@@ -27,6 +27,7 @@ from cuntz_bases import (
     CantorStep,
     DyadicStep,
     GeneralRepN,
+    HybridFunction,
     LambdaPoint,
     MultiIndex,
     NAdicStep,
@@ -312,6 +313,17 @@ REFUSED = {
                                     lambda: NAdicStep(2, 1, [1])),
     "GeneralRepN.filter_value-x-1": (ValueError, r"x must lie in \[0, 1\)",
                                      lambda: REP3.filter_value(0, 1.0)),
+    # a hybrid lives on [0, 1) with Lebesgue measure, the spectrum's
+    # exponentials in L2(mu): neither takes a step of the other geometry
+    "make_atom-CantorStep": (TypeError, "pairs only with a hybrid or a DyadicStep, not CantorStep",
+                             lambda: make_atom(CANTOR, "sin", 1)),
+    "HybridFunction.from_step-CantorStep": (TypeError, "not CantorStep",
+                                            lambda: HybridFunction.from_step(CANTOR)),
+    "exp_coefficient-DyadicStep": (TypeError, "pairs only with a CantorStep, not DyadicStep",
+                                   lambda: exp_coefficient(1, STEP)),
+    "bessel_sum-DyadicStep": (TypeError, "not DyadicStep", lambda: bessel_sum(STEP, 2)),
+    "coefficient_table-DyadicStep": (TypeError, "not DyadicStep",
+                                     lambda: coefficient_table(STEP, 2)),
 }
 
 
